@@ -35,17 +35,18 @@ for lam in meta.lambdas:
 # A token survives only if both its cell and its group survive, so a
 # 50/50 draw leaves about a quarter of the tokens visible.
 plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, 0.5, 0.5, seed=3)
-print(f"masked cells {len(plan.masked_spatial)}/{grid.P * grid.Q}, "
-      f"masked groups {len(plan.masked_spectral)}/{grid.K}")
-print(f"visible tokens {len(plan.visible)}/{grid.n_tokens} "
-      f"({100 * len(plan.visible) / grid.n_tokens:.0f}%)")
+print(f"masked cells {plan.cell_masked.sum()}/{grid.P * grid.Q}, "
+      f"masked groups {plan.group_masked.sum()}/{grid.K}")
+print(f"visible tokens {plan.visible_ids.size}/{grid.n_tokens} "
+      f"({100 * plan.visible_ids.size / grid.n_tokens:.0f}%)")
 
 # The voxel mask marks exactly the voxels of masked tokens; the masked
 # MSE term of the training loss averages over these and nothing else.
 vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
 print("masked voxels:", int(vox.sum()), "=",
-      len(plan.masked_tokens), "x", tokenizer.PATCH_LEN)
+      plan.masked_ids.size, "x", tokenizer.PATCH_LEN)
 
 # Plans serialize, so a reconstruction can be replayed exactly.
 replay = masking.MaskPlan.from_json(plan.to_json())
-print("round-tripped plan identical:", replay.visible == plan.visible)
+print("round-tripped plan identical:",
+      np.array_equal(replay.visible_ids, plan.visible_ids))

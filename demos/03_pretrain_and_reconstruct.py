@@ -31,11 +31,8 @@ normed, _ = hsidata.normalize(cube)
 grid = tokenizer.partition(normed)
 meta = tokenizer.spectral_meta(normed.wavelengths, grid.K)
 plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, 0.5, 0.5, seed=99)
-tensors = params.tensors(trainable=set())
-emb = model.embed_for(params, grid, meta, tensors)
-visible, _ = masking.apply_mask(emb, plan)
-latents = model.encode(visible, tensors, params.config)
-recon = model.decode(latents, plan, tensors, params.config, meta)
+recon = model.masked_forward(params, grid, meta, plan,
+                             params.tensors(trainable=set()))
 vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
 _, report = loss.rec_loss(grid.cropped_values, recon, vox, alpha=0.5)
 print("fresh-mask report:", report.to_json())

@@ -143,15 +143,12 @@ def cmd_reconstruct(args):
     meta = tokenizer.spectral_meta(normed.wavelengths, grid.K)
     plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K,
                                     args.rho_s, args.rho_b, args.seed)
-    if not plan.masked_tokens:
+    if not plan.masked_ids.size:
         raise ValueError(
             "mask ratios leave nothing masked, so the masked MSE is "
             "undefined; pass nonzero --rho-s or --rho-b")
-    tensors = params.tensors(trainable=set())
-    emb = model.embed_for(params, grid, meta, tensors)
-    vis, _ = masking.apply_mask(emb, plan)
-    latents = model.encode(vis, tensors, params.config)
-    recon = model.decode(latents, plan, tensors, params.config, meta)
+    recon = model.masked_forward(params, grid, meta, plan,
+                                 params.tensors(trainable=set()))
     mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
     _, report = loss.rec_loss(grid.cropped_values, recon, mask,
                               alpha=args.alpha)
@@ -166,16 +163,7 @@ def cmd_reconstruct(args):
         hsidata.save_cube(out_cube, args.out)
         print(f"wrote {args.out}")
     if args.sam_map:
-        h, w, b = grid.cropped_values.shape
-        angles = np.zeros((h, w, 1))
-        for i in range(h):
-            for j in range(w):
-                y = grid.cropped_values[i, j]
-                yh = recon.data[i, j]
-                ny, nyh = np.linalg.norm(y), np.linalg.norm(yh)
-                if ny > loss.ZERO_NORM_EPS and nyh > loss.ZERO_NORM_EPS:
-                    cos = np.clip(y @ yh / (ny * nyh), -1.0, 1.0)
-                    angles[i, j, 0] = np.arccos(cos)
+        angles = loss.sam_map(grid.cropped_values, recon.data)[:, :, None]
         hsidata.save_cube(hsidata.HsiCube(values=angles,
                                           wavelengths=np.array([1.0])),
                           args.sam_map)
@@ -207,8 +195,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker parallelism (1 keeps runs bit-reproducible)")
 
     p = sub.add_parser("gen-synth", help="generate a labeled synthetic cube")
     common(p)

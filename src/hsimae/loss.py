@@ -70,6 +70,32 @@ def sam_pixel(y, y_hat):
     return tc.arccos(tc.div(dot, norm_prod))
 
 
+def _pixel_norms(y2, yh2):
+    """Row norms of (pixels, bands) spectra, and which pixels have an angle.
+
+    A pixel whose true or predicted spectrum has (near-)zero norm has
+    no spectral angle.
+    """
+    ny = np.linalg.norm(y2, axis=1)
+    nyh = np.linalg.norm(yh2, axis=1)
+    return ny, nyh, (ny > ZERO_NORM_EPS) & (nyh > ZERO_NORM_EPS)
+
+
+def sam_map(y, y_hat):
+    """Per-pixel spectral angles (radians) of two (h, w, b) arrays, as (h, w).
+
+    Zero-norm pixels read 0. The cosine is clipped to [-1, 1] but not
+    clamped away from it as in sam_loss, so a perfect pixel reads 0.
+    """
+    h, w, b = y.shape
+    y2, yh2 = y.reshape(h * w, b), y_hat.reshape(h * w, b)
+    ny, nyh, valid = _pixel_norms(y2, yh2)
+    cos = np.sum(y2[valid] * yh2[valid], axis=1) / (ny[valid] * nyh[valid])
+    angles = np.zeros(h * w)
+    angles[valid] = np.arccos(np.clip(cos, -1.0, 1.0))
+    return angles.reshape(h, w)
+
+
 def sam_loss(y, y_hat):
     """Mean spectral angle over all pixels; returns (loss, excluded count).
 
@@ -83,9 +109,7 @@ def sam_loss(y, y_hat):
     n = h * w
     y2 = tc.reshape(y, (n, b))
     yh2 = tc.reshape(y_hat, (n, b))
-    ny = np.linalg.norm(y2.data, axis=1)
-    nyh = np.linalg.norm(yh2.data, axis=1)
-    valid = np.flatnonzero((ny > ZERO_NORM_EPS) & (nyh > ZERO_NORM_EPS))
+    valid = np.flatnonzero(_pixel_norms(y2.data, yh2.data)[2])
     excluded = n - valid.size
     if valid.size == 0:
         raise ValueError("every pixel has a zero-norm spectrum")

@@ -10,10 +10,11 @@ survived, so 50/50 masking leaves 25% of tokens visible.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensorcore as tc
 from .tokenizer import PATCH_H, PATCH_W, PATCH_B
 
 
@@ -37,54 +38,37 @@ def derive_seed(run_seed, *parts):
 
 @dataclass
 class MaskPlan:
-    P: int
-    Q: int
-    K: int
-    masked_spatial: set        # of (p, q)
-    masked_spectral: set       # of k
+    cell_masked: np.ndarray   # (P, Q) bool: spatial cells hidden at every group
+    group_masked: np.ndarray  # (K,) bool: spectral groups hidden at every cell
     seed: int
     rho_s: float
     rho_b: float
-    visible: list = field(init=False)       # ordered (p, q, k)
-    masked_tokens: list = field(init=False)  # ordered (p, q, k)
 
     def __post_init__(self):
-        self.visible = []
-        self.masked_tokens = []
-        for p in range(self.P):
-            for q in range(self.Q):
-                for k in range(self.K):
-                    if (p, q) in self.masked_spatial or k in self.masked_spectral:
-                        self.masked_tokens.append((p, q, k))
-                    else:
-                        self.visible.append((p, q, k))
-
-    def token_id(self, p, q, k):
-        return (p * self.Q + q) * self.K + k
-
-    @property
-    def visible_ids(self):
-        return np.array([self.token_id(*t) for t in self.visible], dtype=np.int64)
-
-    @property
-    def masked_ids(self):
-        return np.array([self.token_id(*t) for t in self.masked_tokens],
-                        dtype=np.int64)
+        self.P, self.Q = self.cell_masked.shape
+        self.K = self.group_masked.size
+        # token (p, q, k) is masked when its cell or its group is
+        self.token_masked = self.cell_masked[:, :, None] | self.group_masked
+        self.visible_ids = np.flatnonzero(~self.token_masked)
+        self.masked_ids = np.flatnonzero(self.token_masked)
 
     def to_json(self):
         return json.dumps({
             "P": self.P, "Q": self.Q, "K": self.K,
-            "masked_spatial": sorted(list(t) for t in self.masked_spatial),
-            "masked_spectral": sorted(self.masked_spectral),
+            "masked_spatial": np.argwhere(self.cell_masked).tolist(),
+            "masked_spectral": np.flatnonzero(self.group_masked).tolist(),
             "seed": self.seed, "rho_s": self.rho_s, "rho_b": self.rho_b,
         })
 
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
-        return cls(P=d["P"], Q=d["Q"], K=d["K"],
-                   masked_spatial={tuple(t) for t in d["masked_spatial"]},
-                   masked_spectral=set(d["masked_spectral"]),
+        cells = np.zeros((d["P"], d["Q"]), dtype=bool)
+        idx = np.array(d["masked_spatial"], dtype=np.int64).reshape(-1, 2)
+        cells[idx[:, 0], idx[:, 1]] = True
+        groups = np.zeros(d["K"], dtype=bool)
+        groups[np.array(d["masked_spectral"], dtype=np.int64)] = True
+        return cls(cell_masked=cells, group_masked=groups,
                    seed=d["seed"], rho_s=d["rho_s"], rho_b=d["rho_b"])
 
 
@@ -97,13 +81,13 @@ def sample_mask_plan(P, Q, K, rho_s, rho_b, seed):
     n_s = round_half_up(rho_s * P * Q)
     n_b = round_half_up(rho_b * K)
     rng = np.random.default_rng(seed)
-    cells = rng.choice(P * Q, size=n_s, replace=False)
-    groups = rng.choice(K, size=n_b, replace=False)
-    plan = MaskPlan(P=P, Q=Q, K=K,
-                    masked_spatial={(int(c) // Q, int(c) % Q) for c in cells},
-                    masked_spectral={int(g) for g in groups},
+    cells = np.zeros(P * Q, dtype=bool)
+    cells[rng.choice(P * Q, size=n_s, replace=False)] = True
+    groups = np.zeros(K, dtype=bool)
+    groups[rng.choice(K, size=n_b, replace=False)] = True
+    plan = MaskPlan(cell_masked=cells.reshape(P, Q), group_masked=groups,
                     seed=int(seed), rho_s=float(rho_s), rho_b=float(rho_b))
-    if not plan.visible:
+    if not plan.visible_ids.size:
         raise NothingVisibleError(
             f"mask ratios ({rho_s}, {rho_b}) leave no visible tokens")
     return plan
@@ -111,7 +95,6 @@ def sample_mask_plan(P, Q, K, rho_s, rho_b, seed):
 
 def apply_mask(embeddings, plan):
     """Select visible-token rows in plan order; returns (rows, index map)."""
-    from . import tensorcore as tc
     n = plan.P * plan.Q * plan.K
     if embeddings.data.shape[0] != n:
         raise ValueError(
@@ -125,11 +108,12 @@ def voxel_mask(plan, H, W, B):
 
     Cropped voxels (past the floor multiples) are always False.
     """
-    if H < PATCH_H * plan.P or W < PATCH_W * plan.Q or B < PATCH_B * plan.K:
+    P, Q, K = plan.P, plan.Q, plan.K
+    if H < PATCH_H * P or W < PATCH_W * Q or B < PATCH_B * K:
         raise ValueError("cube extents smaller than the plan's grid")
+    blocks = np.broadcast_to(plan.token_masked[:, None, :, None, :, None],
+                             (P, PATCH_H, Q, PATCH_W, K, PATCH_B))
     m = np.zeros((H, W, B), dtype=bool)
-    for p, q, k in plan.masked_tokens:
-        m[PATCH_H * p:PATCH_H * (p + 1),
-          PATCH_W * q:PATCH_W * (q + 1),
-          PATCH_B * k:PATCH_B * (k + 1)] = True
+    m[:PATCH_H * P, :PATCH_W * Q, :PATCH_B * K] = blocks.reshape(
+        PATCH_H * P, PATCH_W * Q, PATCH_B * K)
     return m

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import masking, tokenizer
 from . import tensorcore as tc
-from . import tokenizer
-from .tokenizer import PATCH_LEN
+from .tokenizer import PATCH_B, PATCH_H, PATCH_LEN, PATCH_W
 
 CHECKPOINT_MAGIC = "hsimae-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -197,14 +197,6 @@ def _positional_rows(tensors, order, Q_table, spec_table):
     return tc.add(spatial, tc.Tensor(spec_table[order[:, 2]]))
 
 
-def _unflatten_index(P, Q, K):
-    """Flat-cube index -> row of the (tokens x 648) head output."""
-    ii, jj, bb = np.indices((9 * P, 9 * Q, 8 * K))
-    t = ((ii // 9) * Q + (jj // 9)) * K + (bb // 8)
-    e = ((ii % 9) * 9 + (jj % 9)) * 8 + (bb % 8)
-    return (t * PATCH_LEN + e).reshape(-1)
-
-
 def decode(latents, plan, tensors, config, meta):
     """Reconstruct the cropped cube from visible-token latents.
 
@@ -213,7 +205,7 @@ def decode(latents, plan, tensors, config, meta):
     """
     P, Q, K = plan.P, plan.Q, plan.K
     n_tokens = P * Q * K
-    n_visible = len(plan.visible)
+    n_visible = plan.visible_ids.size
     if latents.data.shape[0] != n_visible:
         raise ValueError(
             f"latents rows {latents.data.shape[0]} != visible {n_visible}")
@@ -223,22 +215,28 @@ def decode(latents, plan, tensors, config, meta):
     perm = np.full(n_tokens, n_visible, dtype=np.int64)  # default: mask token
     perm[plan.visible_ids] = np.arange(n_visible)
     x = tc.gather_rows(stacked, perm)
-    order = np.array([[p, q, k] for p in range(P) for q in range(Q)
-                      for k in range(K)], dtype=np.int64)
     spec_table = tokenizer.spec_enc_table(meta, d)
-    x = tc.add(x, _positional_rows(tensors, order, Q, spec_table))
+    x = tc.add(x, _positional_rows(tensors, tokenizer.token_order(P, Q, K),
+                                   Q, spec_table))
     x = _run_stack(x, tensors, "dec", config.n_dec_layers, config)
     flat = tc.add_rowvec(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
-    flat = tc.reshape(flat, (n_tokens * PATCH_LEN, 1))
-    cube = tc.gather_rows(flat, _unflatten_index(P, Q, K))
-    return tc.reshape(cube, (9 * P, 9 * Q, 8 * K))
+    return _unpatchify(flat, P, Q, K)
+
+
+def _unpatchify(flat, P, Q, K):
+    """(P*Q*K, 648) token rows -> (9P, 9Q, 8K) cube; inverse of partition."""
+    blocks = tc.reshape(flat, (P, Q, K, PATCH_H, PATCH_W, PATCH_B))
+    cube = tc.transpose(blocks, (0, 3, 1, 4, 2, 5))  # (p, i, q, j, k, b)
+    return tc.reshape(cube, (PATCH_H * P, PATCH_W * Q, PATCH_B * K))
 
 
 def embed_for(params, grid, meta, tensors):
-    """Token embeddings using this model's projector and spatial table."""
+    """Token embeddings: patch projection + spatial row + wavelength encoding."""
     if grid.P > params.P or grid.Q > params.Q:
         raise ValueError(
             f"grid {grid.P}x{grid.Q} exceeds spatial table {params.P}x{params.Q}")
+    if meta.lambdas.shape != (grid.K,):
+        raise ValueError("spectral meta does not match grid K")
     proj = tc.add_rowvec(tc.matmul(tc.Tensor(grid.patches),
                                    tensors["patch_proj_w"]),
                          tensors["patch_proj_b"])
@@ -247,12 +245,20 @@ def embed_for(params, grid, meta, tensors):
     return tc.add(proj, pos)
 
 
+def masked_forward(params, grid, meta, plan, tensors):
+    """Embed every token, encode the plan's visible ones, decode the cube."""
+    emb = embed_for(params, grid, meta, tensors)
+    visible, _ = masking.apply_mask(emb, plan)
+    latents = encode(visible, tensors, params.config)
+    return decode(latents, plan, tensors, params.config, meta)
+
+
 def classify(cube, params, tensors=None):
     """Logits for one cube: encode all tokens unmasked, mean-pool, project."""
     grid = tokenizer.partition(cube)
     meta = tokenizer.spectral_meta(cube.wavelengths, grid.K)
     if tensors is None:
-        tensors = params.tensors()
+        tensors = params.tensors(trainable=set())
     emb = embed_for(params, grid, meta, tensors)
     latents = encode(emb, tensors, params.config)
     pooled = tc.tmean(latents, axis=0, keepdims=True)

@@ -310,16 +310,22 @@ def reshape(a, shape):
     return _result(a.data.reshape(shape), (a,), backward)
 
 
-def transpose(a):
+def transpose(a, axes=None):
+    """Permute axes as numpy does; without axes, transpose a matrix."""
     a = _wrap(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {a.data.shape}")
+    if axes is None:
+        if a.data.ndim != 2:
+            raise ShapeError(f"transpose expects a matrix, got {a.data.shape}")
+        axes = (1, 0)
+    elif sorted(axes) != list(range(a.data.ndim)):
+        raise ShapeError(f"transpose axes {axes} invalid for shape {a.data.shape}")
+    inverse = np.argsort(axes)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.T)
+            a._accumulate(g.transpose(inverse))
 
-    return _result(a.data.T.copy(), (a,), backward)
+    return _result(a.data.transpose(axes).copy(), (a,), backward)
 
 
 def gather_rows(a, index):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorcore as tc
-
 log = logging.getLogger(__name__)
 
 PATCH_H = 9
@@ -39,9 +37,6 @@ class TokenGrid:
     @property
     def n_tokens(self):
         return self.P * self.Q * self.K
-
-    def token_id(self, p, q, k):
-        return (p * self.Q + q) * self.K + k
 
 
 @dataclass
@@ -81,20 +76,15 @@ def partition(cube):
         log.warning("cropping %d rows, %d cols, %d bands past patch multiples",
                     *cropped)
     region = cube.values[:PATCH_H * P, :PATCH_W * Q, :PATCH_B * K]
-    patches = np.empty((P * Q * K, PATCH_LEN))
-    order = np.empty((P * Q * K, 3), dtype=np.int64)
-    t = 0
-    for p in range(P):
-        for q in range(Q):
-            for k in range(K):
-                block = region[PATCH_H * p:PATCH_H * (p + 1),
-                               PATCH_W * q:PATCH_W * (q + 1),
-                               PATCH_B * k:PATCH_B * (k + 1)]
-                patches[t] = block.reshape(-1)
-                order[t] = (p, q, k)
-                t += 1
-    return TokenGrid(P=P, Q=Q, K=K, patches=patches, order=order,
+    patches = (region.reshape(P, PATCH_H, Q, PATCH_W, K, PATCH_B)
+               .transpose(0, 2, 4, 1, 3, 5).copy().reshape(-1, PATCH_LEN))
+    return TokenGrid(P=P, Q=Q, K=K, patches=patches, order=token_order(P, Q, K),
                      cropped_values=region.copy(), cropped=cropped)
+
+
+def token_order(P, Q, K):
+    """(P*Q*K, 3) rows of (p, q, k) in token order."""
+    return np.indices((P, Q, K), dtype=np.int64).reshape(3, -1).T
 
 
 def _sin_cos_vector(arg_base, d):
@@ -127,25 +117,3 @@ def sinusoidal_pe(pos, d_model):
 
 def spec_enc_table(meta, d_spec):
     return np.stack([spec_enc(lam, d_spec) for lam in meta.lambdas])
-
-
-def embed_tokens(grid, meta, proj_w, proj_b, spatial_pe):
-    """Per-token embedding: linear patch projection + learned spatial
-    position vector + wavelength encoding (added directly, d_spec = d_model).
-
-    proj_w: Tensor (648, d); proj_b: Tensor (d,); spatial_pe: Tensor (P*Q, d).
-    Returns a Tensor of shape (P*Q*K, d).
-    """
-    d = proj_w.data.shape[1]
-    if proj_w.data.shape != (PATCH_LEN, d):
-        raise ValueError(f"projector must be ({PATCH_LEN}, d), got {proj_w.data.shape}")
-    if spatial_pe.data.shape != (grid.P * grid.Q, d):
-        raise ValueError(
-            f"spatial table must be ({grid.P * grid.Q}, {d}), got {spatial_pe.data.shape}")
-    if meta.lambdas.shape != (grid.K,):
-        raise ValueError("spectral meta does not match grid K")
-    proj = tc.add_rowvec(tc.matmul(tc.Tensor(grid.patches), proj_w), proj_b)
-    spatial_idx = grid.order[:, 0] * grid.Q + grid.order[:, 1]
-    spatial = tc.gather_rows(spatial_pe, spatial_idx)
-    spec = tc.Tensor(spec_enc_table(meta, d)[grid.order[:, 2]])
-    return tc.add(tc.add(proj, spatial), spec)

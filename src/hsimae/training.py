@@ -160,7 +160,7 @@ def pretrain(cubes, config, settings, run_seed,
         raise ValueError(f"all cubes must share one token grid, got {dims}")
     P, Q, K = dims.pop()
     probe_plan = _plan_for(grids[0], settings, seed=0)
-    if not probe_plan.masked_tokens:
+    if not probe_plan.masked_ids.size:
         raise ValueError(
             "mask ratios leave no masked tokens; the masked MSE is undefined")
     n_classes = max(2, max(int(c.labels.max()) if c.labels is not None else 0
@@ -185,10 +185,7 @@ def pretrain(cubes, config, settings, run_seed,
             plan_seed = masking.derive_seed(run_seed, "plan", epoch, step, cube_id)
         plan = _plan_for(grid, settings, plan_seed)
         tensors = params.tensors()
-        emb = model.embed_for(params, grid, meta, tensors)
-        vis, _ = masking.apply_mask(emb, plan)
-        latents = model.encode(vis, tensors, config)
-        recon = model.decode(latents, plan, tensors, config, meta)
+        recon = model.masked_forward(params, grid, meta, plan, tensors)
         mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
         try:
             total, report = loss.rec_loss(grid.cropped_values, recon, mask,
@@ -215,12 +212,15 @@ def pretrain(cubes, config, settings, run_seed,
     return params, log_entries
 
 
-def extract_window(cube, i, j, half=4):
-    """9 x 9 full-band window centered on (i, j), edges replicate-padded."""
+def extract_windows(cube, centers, half=4):
+    """9 x 9 full-band windows keyed by their centers (i, j), edges
+    replicate-padded; the cube is padded once for all of them."""
     padded = np.pad(cube.values, ((half, half), (half, half), (0, 0)),
                     mode="edge")
-    window = padded[i:i + 2 * half + 1, j:j + 2 * half + 1, :]
-    return hsidata.HsiCube(values=window, wavelengths=cube.wavelengths.copy())
+    size = 2 * half + 1
+    return {(i, j): hsidata.HsiCube(values=padded[i:i + size, j:j + size, :],
+                                    wavelengths=cube.wavelengths.copy())
+            for i, j in centers}
 
 
 def read_split(path):
@@ -288,6 +288,17 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
     train_rows, test_rows = split
     if not train_rows or not test_rows:
         raise ValueError("split must contain train and test pixels")
+    h, w = cube.labels.shape
+    for i, j, label in train_rows + test_rows:
+        if not (0 <= i < h and 0 <= j < w):
+            raise ValueError(
+                f"split row ({i}, {j}, {label}) lies outside the {h}x{w} cube")
+        if label < 1:
+            raise ValueError(f"split row ({i}, {j}, {label}): labels must be "
+                             ">= 1 (0 marks unlabeled pixels)")
+        if label != cube.labels[i, j]:
+            raise ValueError(f"split row ({i}, {j}, {label}): the cube labels "
+                             f"this pixel {cube.labels[i, j]}")
     n_classes = max(label for _, _, label in train_rows + test_rows)
     params = params.copy()
     if params.n_classes != n_classes:
@@ -299,8 +310,8 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
         params.arrays["cls_b"] = np.zeros(n_classes)
     trainable = set(PROBE_PARAMS) if mode == "probe" else set(params.arrays)
     normed, _ = hsidata.normalize(cube)
-    windows = {(i, j): extract_window(normed, i, j)
-               for i, j, _ in train_rows + test_rows}
+    windows = extract_windows(normed, [(i, j) for i, j, _ in
+                                       train_rows + test_rows])
     state = OptimState()
     order = np.arange(len(train_rows))
     rng = np.random.default_rng(masking.derive_seed(run_seed, "order"))

@@ -25,17 +25,18 @@ class TestMaskingArithmetic:
     def test_counts_exhaustive(self):
         t0 = time.monotonic()
         plan = masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=11)
-        assert len(plan.masked_spatial) == 8
-        assert len(plan.masked_spectral) == 2
-        assert len(plan.visible) == 16            # 25% of 64
-        assert len(plan.masked_tokens) == 48
+        assert plan.cell_masked.sum() == 8
+        assert plan.group_masked.sum() == 2
+        assert plan.visible_ids.size == 16        # 25% of 64
+        assert plan.masked_ids.size == 48
         # every token classified by the cell-AND-group rule, exhaustively
         for p in range(4):
             for q in range(4):
                 for k in range(4):
-                    vis = ((p, q) not in plan.masked_spatial
-                           and k not in plan.masked_spectral)
-                    assert ((p, q, k) in plan.visible) == vis
+                    vis = not plan.cell_masked[p, q] and not plan.group_masked[k]
+                    t = (p * 4 + q) * 4 + k
+                    assert (t in plan.visible_ids) == vis
+                    assert (t in plan.masked_ids) != vis
         vox = masking.voxel_mask(plan, 36, 36, 32)
         assert int(vox.sum()) == 48 * tokenizer.PATCH_LEN
         assert time.monotonic() - t0 < 1.0
@@ -133,10 +134,7 @@ class TestGradientFidelityFullModel:
                                    grid.K, 2, seed=3)
 
         def forward(tensors):
-            emb = model.embed_for(params, grid, meta, tensors)
-            vis, _ = masking.apply_mask(emb, plan)
-            latents = model.encode(vis, tensors, params.config)
-            recon = model.decode(latents, plan, tensors, params.config, meta)
+            recon = model.masked_forward(params, grid, meta, plan, tensors)
             vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
             total, _ = loss.rec_loss(grid.cropped_values, recon, vox,
                                      alpha=0.5)

@@ -127,6 +127,23 @@ class TestSamLoss:
             loss.sam_loss(np.zeros((2, 2, 4)), tc.Tensor(np.ones((2, 2, 4))))
 
 
+def test_sam_map_matches_per_pixel_loop():
+    y, yh = _pair(shape=(6, 5, 8), seed=7)
+    y[0, 0] = 0.0           # zero-norm truth
+    yh[2, 3] = 1e-14        # (near-)zero-norm reconstruction
+    ref = np.zeros((6, 5))
+    for i in range(6):
+        for j in range(5):
+            ny, nyh = np.linalg.norm(y[i, j]), np.linalg.norm(yh[i, j])
+            if ny > loss.ZERO_NORM_EPS and nyh > loss.ZERO_NORM_EPS:
+                cos = np.clip(y[i, j] @ yh[i, j] / (ny * nyh), -1.0, 1.0)
+                ref[i, j] = np.arccos(cos)
+    got = loss.sam_map(y, yh)
+    assert got.shape == (6, 5)
+    assert got[0, 0] == 0.0 and got[2, 3] == 0.0
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
 class TestRecLoss:
     def _setup(self, seed=7):
         y, yh = _pair(shape=(3, 3, 8), seed=seed)

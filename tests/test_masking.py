@@ -8,35 +8,37 @@ from hsimae import tensorcore as tc
 class TestSampling:
     def test_counts_4x4x4(self):
         plan = masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=0)
-        assert len(plan.masked_spatial) == 8
-        assert len(plan.masked_spectral) == 2
-        assert len(plan.visible) == 16
-        assert len(plan.visible) + len(plan.masked_tokens) == 64
+        assert plan.cell_masked.sum() == 8
+        assert plan.group_masked.sum() == 2
+        assert plan.visible_ids.size == 16
+        assert plan.visible_ids.size + plan.masked_ids.size == 64
 
     def test_zero_ratios_all_visible(self):
         plan = masking.sample_mask_plan(3, 3, 3, 0.0, 0.0, seed=1)
-        assert len(plan.visible) == 27
-        assert not plan.masked_tokens
+        np.testing.assert_array_equal(plan.visible_ids, np.arange(27))
+        assert plan.masked_ids.size == 0
 
     def test_determinism_and_seed_variation(self):
         a = masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=7)
         b = masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=7)
-        assert a.masked_spatial == b.masked_spatial
-        assert a.masked_spectral == b.masked_spectral
-        assert a.visible == b.visible
+        np.testing.assert_array_equal(a.cell_masked, b.cell_masked)
+        np.testing.assert_array_equal(a.group_masked, b.group_masked)
+        np.testing.assert_array_equal(a.visible_ids, b.visible_ids)
         distinct = {
-            (frozenset(masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=s).masked_spatial))
+            masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=s).cell_masked.tobytes()
             for s in range(100)}
         assert len(distinct) > 90
 
     def test_visibility_rule(self):
         plan = masking.sample_mask_plan(4, 3, 5, 0.5, 0.4, seed=3)
+        visible, masked = [], []
         for p in range(4):
             for q in range(3):
                 for k in range(5):
-                    vis = (p, q) not in plan.masked_spatial and \
-                        k not in plan.masked_spectral
-                    assert ((p, q, k) in plan.visible) == vis
+                    vis = not plan.cell_masked[p, q] and not plan.group_masked[k]
+                    (visible if vis else masked).append((p * 3 + q) * 5 + k)
+        np.testing.assert_array_equal(plan.visible_ids, visible)
+        np.testing.assert_array_equal(plan.masked_ids, masked)
 
     def test_nothing_visible(self):
         with pytest.raises(masking.NothingVisibleError):
@@ -56,8 +58,7 @@ class TestSampling:
         n = 1000
         for s in range(n):
             plan = masking.sample_mask_plan(4, 4, 1, 0.5, 0.0, seed=s)
-            for (p, q) in plan.masked_spatial:
-                counts[p, q] += 1
+            counts += plan.cell_masked
         freq = counts / n
         assert np.all(np.abs(freq - 0.5) < 0.05)
 
@@ -74,7 +75,7 @@ class TestApplyMask:
         plan = masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=5)
         emb = tc.Tensor(np.random.default_rng(0).normal(size=(64, 3)))
         rows, _ = masking.apply_mask(emb, plan)
-        assert rows.data.shape == (len(plan.visible), 3)
+        assert rows.data.shape == (plan.visible_ids.size, 3)
 
     def test_scatter_gather_inverse_on_visible(self):
         plan = masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=5)
@@ -110,7 +111,7 @@ class TestVoxelMask:
                 for k in range(3):
                     block = m[9 * p:9 * (p + 1), 9 * q:9 * (q + 1),
                               8 * k:8 * (k + 1)]
-                    if (p, q, k) in plan.masked_tokens:
+                    if plan.cell_masked[p, q] or plan.group_masked[k]:
                         assert block.all()
                     else:
                         assert not block.any()
@@ -125,11 +126,17 @@ class TestVoxelMask:
 
 def test_plan_json_round_trip():
     plan = masking.sample_mask_plan(4, 3, 5, 0.5, 0.4, seed=11)
-    back = masking.MaskPlan.from_json(plan.to_json())
-    assert back.masked_spatial == plan.masked_spatial
-    assert back.masked_spectral == plan.masked_spectral
-    assert back.visible == plan.visible
+    text = plan.to_json()
+    assert text == (
+        '{"P": 4, "Q": 3, "K": 5, "masked_spatial": [[0, 0], [0, 1], [1, 1], '
+        '[2, 0], [2, 1], [3, 2]], "masked_spectral": [2, 3], "seed": 11, '
+        '"rho_s": 0.5, "rho_b": 0.4}')
+    back = masking.MaskPlan.from_json(text)
+    np.testing.assert_array_equal(back.cell_masked, plan.cell_masked)
+    np.testing.assert_array_equal(back.group_masked, plan.group_masked)
+    np.testing.assert_array_equal(back.visible_ids, plan.visible_ids)
     assert back.seed == plan.seed
+    assert back.to_json() == text
 
 
 def test_derive_seed_stable_and_distinct():

@@ -86,11 +86,7 @@ class TestEncode:
 class TestDecode:
     def test_output_extents(self):
         cube, grid, meta, params, plan = _setup()
-        t = params.tensors()
-        emb = model.embed_for(params, grid, meta, t)
-        vis, _ = masking.apply_mask(emb, plan)
-        latents = model.encode(vis, t, params.config)
-        out = model.decode(latents, plan, t, params.config, meta)
+        out = model.masked_forward(params, grid, meta, plan, params.tensors())
         assert out.data.shape == (27, 27, 24)
         assert np.all(np.isfinite(out.data))
 
@@ -120,12 +116,14 @@ class TestDecode:
         assert not np.array_equal(out1, out2)
 
     def test_unflatten_matches_partition(self):
-        # pushing patch vectors through the inverse index restores the cube
+        # decode's reshape/transpose undoes partition, forward and backward
         cube, _ = hsidata.normalize(_cube(seed=4))
         grid = tokenizer.partition(cube)
-        idx = model._unflatten_index(grid.P, grid.Q, grid.K)
-        restored = grid.patches.reshape(-1)[idx].reshape(27, 27, 24)
-        np.testing.assert_array_equal(restored, grid.cropped_values)
+        flat = tc.Tensor(grid.patches, requires_grad=True)
+        restored = model._unpatchify(flat, grid.P, grid.Q, grid.K)
+        np.testing.assert_array_equal(restored.data, grid.cropped_values)
+        tc.tsum(tc.mul(restored, tc.Tensor(grid.cropped_values))).backward()
+        np.testing.assert_array_equal(flat.grad, grid.patches)
 
     def test_latent_row_mismatch(self):
         cube, grid, meta, params, plan = _setup()
@@ -143,6 +141,11 @@ class TestClassify:
         b = model.classify(cube, params).data
         assert a.shape == (3,)
         np.testing.assert_array_equal(a, b)
+
+    def test_inference_records_no_graph(self):
+        cube, _ = hsidata.normalize(_cube(seed=5))
+        params = model.init_params(model.micro_config(), 3, 3, 3, 3, seed=5)
+        assert not model.classify(cube, params).requires_grad
 
     def test_window_smaller_than_table(self):
         # a 9x9 window classifies against a table trained on a 3x3 grid

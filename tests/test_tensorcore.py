@@ -183,6 +183,9 @@ OPS = {
     "sum_axis": (lambda x: tc.tsum(tc.mul(tc.tsum(x, axis=1), tc.tsum(x, axis=1))), 1, (3, 4)),
     "reshape": (lambda x: tc.tsum(tc.mul(tc.reshape(x, (4, 3)), tc.reshape(x, (4, 3)))), 1, (3, 4)),
     "transpose": (lambda x: tc.tsum(tc.mul(tc.transpose(x), tc.transpose(x))), 1, (3, 4)),
+    "transpose_axes": (lambda x: tc.tsum(tc.mul(
+        tc.transpose(x, (0, 3, 1, 4, 2, 5)),
+        tc.Tensor(np.arange(48.0).reshape(2, 2, 1, 2, 3, 2)))), 1, (2, 1, 3, 2, 2, 2)),
     "gather": (lambda x: tc.tsum(tc.mul(tc.gather_rows(x, [0, 2, 2]),
                                         tc.gather_rows(x, [0, 2, 2]))), 1, (3, 4)),
     "concat": (lambda x, y: tc.tsum(tc.mul(tc.concat_rows([x, y]),

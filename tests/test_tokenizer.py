@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsimae import hsidata, tokenizer
+from hsimae import hsidata, model, tokenizer
 from hsimae import tensorcore as tc
 
 
@@ -35,7 +35,7 @@ class TestPartition:
     def test_patch_contents_and_flatten_order(self):
         cube = _cube(18, 9, 16, seed=2)
         grid = tokenizer.partition(cube)
-        t = grid.token_id(1, 0, 1)
+        t = np.ravel_multi_index((1, 0, 1), (grid.P, grid.Q, grid.K))
         block = cube.values[9:18, 0:9, 8:16]
         # i-outer, j-middle, b-inner
         manual = np.array([block[i, j, b]
@@ -129,37 +129,44 @@ class TestSinusoidalPe:
 
 
 class TestEmbedTokens:
+    """Token embeddings as model.embed_for builds them."""
+
     def _setup(self, d=6, seed=0):
         cube = _cube(27, 27, 24, seed=seed)
         grid = tokenizer.partition(cube)
         meta = tokenizer.spectral_meta(cube.wavelengths, grid.K)
+        params = model.init_params(model.ModelConfig(d_model=d, n_heads=2),
+                                   grid.P, grid.Q, grid.K, 2, seed=seed)
         rng = np.random.default_rng(seed + 1)
-        w = tc.Tensor(rng.normal(size=(648, d)))
-        b = tc.Tensor(rng.normal(size=d))
-        pe = tc.Tensor(rng.normal(size=(grid.P * grid.Q, d)))
-        return grid, meta, w, b, pe
+        tensors = {"patch_proj_w": tc.Tensor(rng.normal(size=(648, d))),
+                   "patch_proj_b": tc.Tensor(rng.normal(size=d)),
+                   "spatial_pe": tc.Tensor(rng.normal(size=(grid.P * grid.Q, d)))}
+        return grid, meta, params, tensors
 
     def test_output_shape(self):
-        grid, meta, w, b, pe = self._setup()
-        out = tokenizer.embed_tokens(grid, meta, w, b, pe)
+        grid, meta, params, tensors = self._setup()
+        out = model.embed_for(params, grid, meta, tensors)
         assert out.data.shape == (27, 6)
+        bad = tokenizer.spectral_meta(np.linspace(0.4, 2.5, 16), 2)
+        with pytest.raises(ValueError, match="grid K"):
+            model.embed_for(params, grid, bad, tensors)
 
     def test_zero_patch_zero_table_gives_specenc(self):
-        grid, meta, _, _, _ = self._setup(d=8)
+        grid, meta, params, tensors = self._setup(d=8)
         grid.patches[:] = 0.0
-        out = tokenizer.embed_tokens(
-            grid, meta, tc.Tensor(np.zeros((648, 8))), tc.Tensor(np.zeros(8)),
-            tc.Tensor(np.zeros((grid.P * grid.Q, 8))))
+        for t in tensors.values():
+            t.data[:] = 0.0
+        out = model.embed_for(params, grid, meta, tensors)
         for t, (p, q, k) in enumerate(grid.order):
             np.testing.assert_allclose(out.data[t],
                                        tokenizer.spec_enc(meta.lambdas[k], 8))
 
     def test_same_patch_different_group_differ_by_specenc(self):
-        grid, meta, w, b, pe = self._setup(d=8)
-        t0 = grid.token_id(1, 2, 0)
-        t1 = grid.token_id(1, 2, 2)
+        grid, meta, params, tensors = self._setup(d=8)
+        t0, t1 = np.ravel_multi_index(([1, 1], [2, 2], [0, 2]),
+                                      (grid.P, grid.Q, grid.K))
         grid.patches[t1] = grid.patches[t0]
-        out = tokenizer.embed_tokens(grid, meta, w, b, pe).data
+        out = model.embed_for(params, grid, meta, tensors).data
         delta = tokenizer.spec_enc(meta.lambdas[0], 8) - tokenizer.spec_enc(
             meta.lambdas[2], 8)
         np.testing.assert_allclose(out[t0] - out[t1], delta, atol=1e-12)

@@ -164,13 +164,16 @@ class TestSplits:
 class TestExtractWindow:
     def test_center_window(self):
         cube = hsidata.gen_synthetic(12, 12, 8, 2, seed=0)
-        win = training.extract_window(cube, 6, 6)
+        win = training.extract_windows(cube, [(6, 6)])[(6, 6)]
         assert win.values.shape == (9, 9, 8)
         np.testing.assert_array_equal(win.values[4, 4], cube.values[6, 6])
 
     def test_corner_replicates(self):
         cube = hsidata.gen_synthetic(12, 12, 8, 2, seed=1)
-        win = training.extract_window(cube, 0, 0)
+        wins = training.extract_windows(cube, [(0, 0), (11, 11)])
+        np.testing.assert_array_equal(wins[(11, 11)].values[8, 8],
+                                      cube.values[11, 11])
+        win = wins[(0, 0)]
         np.testing.assert_array_equal(win.values[0, 0], cube.values[0, 0])
         np.testing.assert_array_equal(win.values[3, 3], cube.values[0, 0])
         np.testing.assert_array_equal(win.values[4, 4], cube.values[0, 0])
@@ -264,3 +267,18 @@ class TestFinetune:
         with pytest.raises(ValueError, match="mode"):
             training.finetune(params, cube, ([(0, 0, 1)], [(1, 1, 1)]),
                               "sideways", _short_settings())
+
+    @pytest.mark.parametrize("i, j, label, match", [
+        (-10, -10, 1, "outside"),     # would slice its window from the end
+        (30, 5, 1, "outside"),        # would fail as smaller than one patch
+        (0, 0, 0, "labels must be >= 1"),  # would train toward the last class
+        (0, 0, 99, "labels this pixel"),
+    ])
+    def test_bad_split_row_named(self, i, j, label, match):
+        cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=5)
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=0)
+        good = (1, 1, int(cube.labels[1, 1]))
+        with pytest.raises(ValueError, match=match) as exc:
+            training.finetune(params, cube, ([good, (i, j, label)], [good]),
+                              "probe", _short_settings())
+        assert f"({i}, {j}, {label})" in str(exc.value)
