@@ -29,10 +29,11 @@ for c, spec in ems.items():
           f"peak at band {int(np.argmax(spec))}")
 
 # Round-trip through the HSC binary format.
-path = Path(tempfile.mkdtemp()) / "demo.hsc"
-hsidata.save_cube(cube, path)
-back = hsidata.load_cube(path)
-print("file size:", path.stat().st_size, "bytes")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo.hsc"
+    hsidata.save_cube(cube, path)
+    back = hsidata.load_cube(path)
+    print("file size:", path.stat().st_size, "bytes")
 print("values identical:", np.array_equal(back.values, cube.values))
 print("labels identical:", np.array_equal(back.labels, cube.labels))
 

@@ -107,6 +107,11 @@ def cmd_finetune(args):
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.to_json() + "\n")
+    if args.pred_out:
+        with open(args.pred_out, "w") as fh:
+            fh.write("i,j,label\n")
+            for (i, j, _), label in zip(split[1], report.pred):
+                fh.write(f"{i},{j},{label}\n")
     return EXIT_OK
 
 
@@ -230,6 +235,8 @@ def build_parser():
     p.add_argument("--mode", choices=["probe", "full"], default="full")
     p.add_argument("--out", help="tuned checkpoint path")
     p.add_argument("--report", help="ClassReport JSON path")
+    p.add_argument("--pred-out",
+                   help="CSV i,j,label of the predicted class of each test pixel")
     p.add_argument("--epochs", dest="ft_epochs", type=int)
     p.add_argument("--lr", type=float)
     p.set_defaults(func=cmd_finetune)

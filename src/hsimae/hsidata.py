@@ -27,18 +27,24 @@ class FormatError(ValueError):
 
 @dataclass
 class HsiCube:
-    """H x W x B radiance cube with band center wavelengths in micrometers."""
+    """H x W x B radiance cube with band center wavelengths in micrometers.
 
-    values: np.ndarray          # (H, W, B) float64
+    An unlabeled cube may also hold a stack of equal-sized windows,
+    (N, H, W, B), that share one set of wavelengths.
+    """
+
+    values: np.ndarray          # (H, W, B) float64, or (N, H, W, B)
     wavelengths: np.ndarray     # (B,) float64, strictly increasing
     labels: np.ndarray | None = None  # (H, W) uint16, 0 = unlabeled
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         self.wavelengths = np.ascontiguousarray(self.wavelengths, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise ValueError(f"values must be 3-D, got {self.values.shape}")
-        if self.wavelengths.shape != (self.values.shape[2],):
+        if self.values.ndim != 3 and (self.values.ndim != 4
+                                      or self.labels is not None):
+            raise ValueError(f"values must be 3-D, or a 4-D stack of "
+                             f"unlabeled windows, got {self.values.shape}")
+        if self.wavelengths.shape != (self.values.shape[-1],):
             raise ValueError("wavelength count must equal band count")
         if np.any(self.wavelengths <= 0) or np.any(np.diff(self.wavelengths) <= 0):
             raise ValueError("wavelengths must be positive and strictly increasing")
@@ -51,15 +57,15 @@ class HsiCube:
 
     @property
     def height(self):
-        return self.values.shape[0]
+        return self.values.shape[-3]
 
     @property
     def width(self):
-        return self.values.shape[1]
+        return self.values.shape[-2]
 
     @property
     def bands(self):
-        return self.values.shape[2]
+        return self.values.shape[-1]
 
 
 @dataclass

@@ -4,8 +4,9 @@ Pre-norm ViT-style blocks. The encoder sees only visible tokens; the
 decoder scatters encoder latents back into the full token grid, fills
 hidden slots with a learned mask token, re-adds the positional
 encodings (mask tokens are otherwise position-blind), and maps every
-token back to its 648 voxel values. A separate head classifies a cube
-from the mean-pooled latents of an unmasked encoding pass.
+token back to its 648 voxel values. A separate head classifies a cube,
+or each window of a stack, from the mean-pooled latents of an unmasked
+encoding pass.
 """
 
 import json
@@ -184,8 +185,8 @@ def _run_stack(x, t, stack, n_layers, config, eps=1e-6):
 
 
 def encode(visible_embeddings, tensors, config):
-    """Encoder stack over visible tokens; row order preserved."""
-    if visible_embeddings.data.shape[0] < 1:
+    """Encoder stack over visible tokens (..., n, d); row order preserved."""
+    if visible_embeddings.data.shape[-2] < 1:
         raise ValueError("need at least one visible token")
     return _run_stack(visible_embeddings, tensors, "enc",
                       config.n_enc_layers, config)
@@ -253,17 +254,35 @@ def masked_forward(params, grid, meta, plan, tensors):
     return decode(latents, plan, tensors, params.config, meta)
 
 
-def classify(cube, params, tensors=None):
-    """Logits for one cube: encode all tokens unmasked, mean-pool, project."""
-    grid = tokenizer.partition(cube)
-    meta = tokenizer.spectral_meta(cube.wavelengths, grid.K)
+def features(windows, params, tensors=None):
+    """Mean-pooled latents of an unmasked encoding pass.
+
+    `windows` is one cube, giving (d,), or a stack of windows
+    (B, h, w, bands), giving (B, d); each window is encoded on its own.
+    Without tensors, parameters are frozen and no graph is recorded.
+    """
+    grid = tokenizer.partition(windows)
+    meta = tokenizer.spectral_meta(windows.wavelengths, grid.K)
     if tensors is None:
         tensors = params.tensors(trainable=set())
-    emb = embed_for(params, grid, meta, tensors)
-    latents = encode(emb, tensors, params.config)
-    pooled = tc.tmean(latents, axis=0, keepdims=True)
-    logits = tc.add_rowvec(tc.matmul(pooled, tensors["cls_w"]), tensors["cls_b"])
-    return tc.reshape(logits, (params.n_classes,))
+    latents = encode(embed_for(params, grid, meta, tensors), tensors,
+                     params.config)
+    return tc.tmean(latents, axis=-2)
+
+
+def head(pooled, tensors):
+    """Class logits (..., n_classes) of pooled features (..., d)."""
+    *lead, d = pooled.shape
+    rows = tc.reshape(pooled, (*lead, 1, d))  # one vector-matrix product each
+    logits = tc.add_rowvec(tc.matmul(rows, tensors["cls_w"]), tensors["cls_b"])
+    return tc.reshape(logits, (*lead, logits.shape[-1]))
+
+
+def classify(windows, params, tensors=None):
+    """Logits (n_classes,) of one cube, or (B, n_classes) of a stack."""
+    if tensors is None:
+        tensors = params.tensors(trainable=set())
+    return head(features(windows, params, tensors), tensors)
 
 
 # -- checkpoints ----------------------------------------------------------

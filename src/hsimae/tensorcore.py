@@ -2,8 +2,9 @@
 
 Small, CPU-only engine: enough operations for a transformer
 encoder/decoder, the reconstruction losses, and an AdamW optimizer.
-All arithmetic is 64-bit; there is no broadcasting beyond
-scalar-with-tensor.
+All arithmetic is 64-bit. Broadcasting is limited to
+scalar-with-tensor, plus the leading window axes that the encoder ops
+accept (numpy semantics; backward sums over the broadcast axes).
 """
 
 import numpy as np
@@ -121,27 +122,36 @@ def _result(data, parents, backward):
     return out
 
 
-def _binary_shapes(a, b, op):
+def _binary_shapes(a, b, op, trailing=False):
+    """Equal shapes or a scalar operand; with trailing, also an operand
+    whose shape is the other's trailing axes."""
     if a.data.shape == b.data.shape:
         return
     if a.data.ndim == 0 or b.data.ndim == 0:
+        return
+    short, long = sorted((a.data.shape, b.data.shape), key=len)
+    if trailing and long[len(long) - len(short):] == short:
         return
     raise ShapeError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
 def _reduce_to(grad, shape):
-    # undo scalar-with-tensor broadcast
+    """Undo a broadcast: sum grad over the axes its operand was spread along."""
     if grad.shape == shape:
         return grad
-    return np.sum(grad).reshape(shape)
+    if not shape:
+        return np.sum(grad).reshape(shape)
+    return np.sum(grad.reshape((-1,) + shape), axis=0)
 
 
 # -- elementwise ---------------------------------------------------------
 
 
 def add(a, b):
+    """Elementwise sum; either operand may also match the other's trailing
+    axes, e.g. (T, d) positional rows added to (B, T, d) embeddings."""
     a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b, "add")
+    _binary_shapes(a, b, "add", trailing=True)
 
     def backward(g):
         if a.requires_grad:
@@ -259,9 +269,9 @@ def arccos(a):
 
 
 def add_rowvec(a, v):
-    """Add a length-n vector to every row of an (m, n) matrix."""
+    """Add a length-n vector to every row of an (..., m, n) array."""
     a, v = _wrap(a), _wrap(v)
-    if a.data.ndim != 2 or v.data.shape != (a.data.shape[1],):
+    if a.data.ndim < 2 or v.data.shape != (a.data.shape[-1],):
         raise ShapeError(
             f"add_rowvec: {a.data.shape} with vector {v.data.shape}")
 
@@ -269,7 +279,7 @@ def add_rowvec(a, v):
         if a.requires_grad:
             a._accumulate(g)
         if v.requires_grad:
-            v._accumulate(np.sum(g, axis=0))
+            v._accumulate(_reduce_to(g, v.data.shape))
 
     return _result(a.data + v.data, (a, v), backward)
 
@@ -311,13 +321,14 @@ def reshape(a, shape):
 
 
 def transpose(a, axes=None):
-    """Permute axes as numpy does; without axes, transpose a matrix."""
+    """Permute axes as numpy does; without axes, swap the last two."""
     a = _wrap(a)
+    n = a.data.ndim
     if axes is None:
-        if a.data.ndim != 2:
+        if n < 2:
             raise ShapeError(f"transpose expects a matrix, got {a.data.shape}")
-        axes = (1, 0)
-    elif sorted(axes) != list(range(a.data.ndim)):
+        axes = (*range(n - 2), n - 1, n - 2)
+    elif sorted(axes) != list(range(n)):
         raise ShapeError(f"transpose axes {axes} invalid for shape {a.data.shape}")
     inverse = np.argsort(axes)
 
@@ -345,30 +356,32 @@ def gather_rows(a, index):
 
 
 def slice_cols(a, lo, hi):
+    """Columns lo..hi-1 of the last axis."""
     a = _wrap(a)
-    if a.data.ndim != 2 or not 0 <= lo < hi <= a.data.shape[1]:
+    if a.data.ndim < 2 or not 0 <= lo < hi <= a.data.shape[-1]:
         raise ShapeError(f"slice_cols [{lo}:{hi}] of {a.data.shape}")
 
     def backward(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            acc[:, lo:hi] = g
+            acc[..., lo:hi] = g
             a._accumulate(acc)
 
-    return _result(a.data[:, lo:hi].copy(), (a,), backward)
+    return _result(a.data[..., lo:hi].copy(), (a,), backward)
 
 
 def concat_cols(parts):
+    """Join along the last axis."""
     parts = [_wrap(p) for p in parts]
-    sizes = [p.data.shape[1] for p in parts]
+    sizes = [p.data.shape[-1] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p._accumulate(g[:, lo:hi])
+                p._accumulate(g[..., lo:hi])
 
-    return _result(np.concatenate([p.data for p in parts], axis=1),
+    return _result(np.concatenate([p.data for p in parts], axis=-1),
                    tuple(parts), backward)
 
 
@@ -390,19 +403,29 @@ def concat_rows(parts):
 
 
 def matmul(a, b):
+    """(..., m, k) @ (k, n), or batched (..., m, k) @ (..., k, n).
+
+    A shared (k, n) right operand is applied to each leading index in
+    turn, one matrix product per window, as numpy does.
+    """
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    if a.data.ndim < 2 or b.data.ndim < 2 or (
+            b.data.ndim > 2 and b.data.shape[:-2] != a.data.shape[:-2]):
         raise ShapeError(
             f"matmul expects matrices, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(
             f"matmul: inner extents differ, {a.data.shape} vs {b.data.shape}")
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            if b.data.ndim == a.data.ndim:
+                b._accumulate(a.data.swapaxes(-1, -2) @ g)
+            else:  # shared operand: sum over the leading axes
+                rows = a.data.reshape(-1, a.data.shape[-1])
+                b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
 
     return _result(a.data @ b.data, (a, b), backward)
 

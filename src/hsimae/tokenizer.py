@@ -29,9 +29,9 @@ class TokenGrid:
     P: int
     Q: int
     K: int
-    patches: np.ndarray        # (P*Q*K, 648), flattened i-outer, j-middle, b-inner
+    patches: np.ndarray        # (..., P*Q*K, 648), flattened i-outer, j-middle, b-inner
     order: np.ndarray          # (P*Q*K, 3) rows of (p, q, k), 0-based
-    cropped_values: np.ndarray  # (9P, 9Q, 8K), the loss target region
+    cropped_values: np.ndarray  # (..., 9P, 9Q, 8K), the loss target region
     cropped: tuple             # (rows, cols, bands) dropped past floor multiples
 
     @property
@@ -66,8 +66,12 @@ def spectral_meta(wavelengths, K):
 
 
 def partition(cube):
-    """Cut a cube into the token grid; crops non-divisible extents."""
-    h, w, b = cube.values.shape
+    """Cut a cube into the token grid; crops non-divisible extents.
+
+    A stack of windows (B, h, w, bands) sharing the cube's wavelengths
+    gives patches (B, P*Q*K, 648), one token grid per window.
+    """
+    *lead, h, w, b = cube.values.shape
     if h < PATCH_H or w < PATCH_W or b < PATCH_B:
         raise ValueError(f"cube {h}x{w}x{b} smaller than one patch")
     P, Q, K = h // PATCH_H, w // PATCH_W, b // PATCH_B
@@ -75,9 +79,11 @@ def partition(cube):
     if any(cropped):
         log.warning("cropping %d rows, %d cols, %d bands past patch multiples",
                     *cropped)
-    region = cube.values[:PATCH_H * P, :PATCH_W * Q, :PATCH_B * K]
-    patches = (region.reshape(P, PATCH_H, Q, PATCH_W, K, PATCH_B)
-               .transpose(0, 2, 4, 1, 3, 5).copy().reshape(-1, PATCH_LEN))
+    region = cube.values[..., :PATCH_H * P, :PATCH_W * Q, :PATCH_B * K]
+    n = len(lead)
+    blocks = region.reshape(*lead, P, PATCH_H, Q, PATCH_W, K, PATCH_B)
+    patches = (blocks.transpose(*range(n), *(n + np.array([0, 2, 4, 1, 3, 5])))
+               .copy().reshape(*lead, -1, PATCH_LEN))
     return TokenGrid(P=P, Q=Q, K=K, patches=patches, order=token_order(P, Q, K),
                      cropped_values=region.copy(), cropped=cropped)
 

@@ -91,6 +91,7 @@ class ClassReport:
     aa: float              # percent
     kappa: float
     degenerate: bool = False
+    pred: np.ndarray | None = None  # the scored class ids, in input order
 
     def to_json(self):
         return json.dumps({
@@ -122,7 +123,7 @@ def evaluate(pred, true):
     else:
         kappa = (p_o - p_e) / (1.0 - p_e)
     return ClassReport(confusion=confusion, oa=100.0 * float(p_o), aa=aa,
-                       kappa=float(kappa), degenerate=degenerate)
+                       kappa=float(kappa), degenerate=degenerate, pred=pred)
 
 
 @dataclass
@@ -154,6 +155,8 @@ def pretrain(cubes, config, settings, run_seed,
     """
     if not cubes:
         raise ValueError("need at least one cube")
+    if settings.steps < 1:
+        raise ValueError(f"steps must be >= 1, got {settings.steps}")
     grids = [tokenizer.partition(c) for c in cubes]
     dims = {(g.P, g.Q, g.K) for g in grids}
     if len(dims) != 1:
@@ -212,15 +215,19 @@ def pretrain(cubes, config, settings, run_seed,
     return params, log_entries
 
 
-def extract_windows(cube, centers, half=4):
-    """9 x 9 full-band windows keyed by their centers (i, j), edges
-    replicate-padded; the cube is padded once for all of them."""
+def extract_windows(cube, half=4):
+    """Every 9 x 9 full-band window of the cube, edges replicate-padded.
+
+    Returns a read-only view (H, W, 9, 9, bands) whose [i, j] is the
+    window centred on pixel (i, j): the cube is padded once, and only
+    the windows picked out of the view are copied.
+    """
     padded = np.pad(cube.values, ((half, half), (half, half), (0, 0)),
                     mode="edge")
     size = 2 * half + 1
-    return {(i, j): hsidata.HsiCube(values=padded[i:i + size, j:j + size, :],
-                                    wavelengths=cube.wavelengths.copy())
-            for i, j in centers}
+    view = np.lib.stride_tricks.sliding_window_view(padded, (size, size),
+                                                    axis=(0, 1))
+    return view.transpose(0, 1, 3, 4, 2)
 
 
 def read_split(path):
@@ -264,25 +271,35 @@ def make_split(cube, train_fraction, seed):
 
 
 def _cross_entropy(logits, label):
-    """-log softmax(logits)[label], stable via max subtraction."""
+    """-log softmax(logits)[label] of one row of logits, stable via max
+    subtraction."""
     probs = tc.softmax(logits)
     onehot = np.zeros(logits.data.shape)
-    onehot[label] = 1.0
+    onehot[..., label] = 1.0
     p = tc.tsum(tc.mul(probs, tc.Tensor(onehot)))
     return tc.scale(tc.log(p), -1.0)
 
 
 PROBE_PARAMS = ("cls_w", "cls_b")
+# Token rows per no-graph encoder chunk: enough windows to amortise the
+# per-op dispatch, few enough to keep a chunk's activations small.
+CHUNK_TOKENS = 192
 
 
 def finetune(params, cube, split, mode, settings, run_seed=0):
     """Train the classifier on labeled windows; returns (ClassReport, params).
 
     mode 'probe' updates only the classifier head; 'full' updates every
-    parameter. `split` is (train_rows, test_rows) of (i, j, label).
+    parameter, one window per step. `split` is (train_rows, test_rows)
+    of (i, j, label). The probe encodes each train window once, with the
+    encoder frozen, and trains the head on those cached features; both
+    modes classify the test windows in chunks of about CHUNK_TOKENS
+    token rows, without recording a graph.
     """
     if mode not in ("probe", "full"):
         raise ValueError(f"mode must be 'probe' or 'full', got {mode}")
+    if settings.ft_epochs < 0:
+        raise ValueError(f"ft_epochs must be >= 0, got {settings.ft_epochs}")
     if cube.labels is None:
         raise ValueError("fine-tuning needs a labeled cube")
     train_rows, test_rows = split
@@ -308,27 +325,44 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
         params.n_classes = n_classes
         params.arrays["cls_w"] = model._truncated_normal(rng, (d, n_classes))
         params.arrays["cls_b"] = np.zeros(n_classes)
-    trainable = set(PROBE_PARAMS) if mode == "probe" else set(params.arrays)
     normed, _ = hsidata.normalize(cube)
-    windows = extract_windows(normed, [(i, j) for i, j, _ in
-                                       train_rows + test_rows])
+    view = extract_windows(normed)
+
+    def windows(rows):
+        ii, jj = np.array([(i, j) for i, j, _ in rows]).T
+        return hsidata.HsiCube(values=view[ii, jj],
+                               wavelengths=normed.wavelengths)
+
+    def encoded(forward, rows):
+        """forward (features or classify) of every row, no graph, chunked."""
+        frozen = params.tensors(trainable=set())
+        per = max(1, CHUNK_TOKENS * tokenizer.PATCH_B // cube.bands)
+        return np.concatenate([forward(windows(rows[lo:lo + per]), params,
+                                       frozen).data
+                               for lo in range(0, len(rows), per)])
+
+    if mode == "probe":
+        cached = encoded(model.features, train_rows)
     state = OptimState()
     order = np.arange(len(train_rows))
     rng = np.random.default_rng(masking.derive_seed(run_seed, "order"))
     for epoch in range(settings.ft_epochs):
         rng.shuffle(order)
         for idx in order:
-            i, j, label = train_rows[idx]
-            tensors = params.tensors(trainable=trainable)
-            logits = model.classify(windows[(i, j)], params, tensors)
-            ce = _cross_entropy(logits, label - 1)
+            if mode == "probe":
+                tensors = {name: tc.Tensor(params.arrays[name],
+                                           requires_grad=True)
+                           for name in PROBE_PARAMS}
+                logits = model.head(tc.Tensor(cached[idx:idx + 1]), tensors)
+            else:
+                tensors = params.tensors()
+                logits = model.classify(windows(train_rows[idx:idx + 1]),
+                                        params, tensors)
+            ce = _cross_entropy(logits, train_rows[idx][2] - 1)
             ce.backward()
-            grads = {name: tensors[name].grad for name in trainable
-                     if tensors[name].grad is not None}
+            grads = {name: t.grad for name, t in tensors.items()
+                     if t.grad is not None}
             adamw_step(params.arrays, grads, state, settings.hyper)
-    preds, trues = [], []
-    for i, j, label in test_rows:
-        logits = model.classify(windows[(i, j)], params).data
-        preds.append(int(np.argmax(logits)) + 1)
-        trues.append(label)
-    return evaluate(preds, trues), params
+    logits = encoded(model.classify, test_rows)
+    return (evaluate(np.argmax(logits, axis=1) + 1,
+                     [label for _, _, label in test_rows]), params)

@@ -92,6 +92,25 @@ class TestPretrainCmd:
         loaded = model.load_checkpoint(ckpt)
         assert loaded.config.n_enc_layers == 1
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--steps", "0"], None),
+        (["--steps", "-5"], None),
+        ([], {"train": {"steps": -5}}),
+    ])
+    def test_bad_step_count_exits_two_without_checkpoint(
+            self, small_cube, tmp_path, capsys, flags, config):
+        path, _ = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["pretrain", "--data", str(path), "--out", str(ckpt),
+                "--d-model", "16"] + flags
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == cli.EXIT_DATA
+        assert "steps must be >= 1" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestReconstructCmd:
     def test_reports_and_dumps(self, small_cube, tmp_path, capsys):
@@ -137,6 +156,49 @@ class TestFinetuneEval:
         assert code == 0
         report = json.loads(report_path.read_text())
         assert 0.0 <= report["oa"] <= 100.0
+
+    def test_pred_out_scores_like_the_report(self, small_cube, tmp_path,
+                                             capsys):
+        path, split = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "2", "--d-model", "16"])
+        report_path, pred = tmp_path / "report.json", tmp_path / "pred.csv"
+        code = run(["finetune", "--checkpoint", str(ckpt), "--data", str(path),
+                    "--split", str(split), "--mode", "probe", "--epochs", "2",
+                    "--report", str(report_path), "--pred-out", str(pred)])
+        assert code == 0
+        n_test = sum(line.endswith(",test")
+                     for line in split.read_text().splitlines())
+        assert len(pred.read_text().splitlines()) == 1 + n_test
+        capsys.readouterr()
+        assert run(["eval", "--pred", str(pred), "--true", str(split)]) == 0
+        scored = json.loads(capsys.readouterr().out)
+        report = json.loads(report_path.read_text())
+        for key in ("confusion", "oa", "aa", "kappa"):
+            assert scored[key] == report[key]
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--epochs", "-2"], None),
+        ([], {"train": {"ft_epochs": -2}}),
+    ])
+    def test_negative_epochs_exit_two(self, small_cube, tmp_path, capsys,
+                                      flags, config):
+        path, split = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        capsys.readouterr()
+        out = tmp_path / "tuned.ckpt"
+        argv = ["finetune", "--checkpoint", str(ckpt), "--data", str(path),
+                "--split", str(split), "--out", str(out)] + flags
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == cli.EXIT_DATA
+        assert "ft_epochs must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_identical_csvs(self, tmp_path, capsys):
         csv = tmp_path / "labels.csv"

@@ -146,3 +146,19 @@ class TestGenSynthetic:
             hsidata.gen_synthetic(9, 9, 7, 2, seed=0)
         with pytest.raises(ValueError):
             hsidata.gen_synthetic(9, 9, 8, 1, seed=0)
+
+
+class TestWindowStack:
+    def test_unlabeled_stack_accepted(self):
+        stack = hsidata.HsiCube(values=np.zeros((4, 9, 9, 8)),
+                                wavelengths=np.linspace(0.4, 2.5, 8))
+        assert (stack.height, stack.width, stack.bands) == (9, 9, 8)
+
+    def test_labeled_stack_and_other_ranks_rejected(self):
+        with pytest.raises(ValueError, match="3-D"):
+            hsidata.HsiCube(values=np.zeros((4, 9, 9, 8)),
+                            wavelengths=np.linspace(0.4, 2.5, 8),
+                            labels=np.ones((9, 9)))
+        with pytest.raises(ValueError, match="3-D"):
+            hsidata.HsiCube(values=np.zeros((9, 8)),
+                            wavelengths=np.linspace(0.4, 2.5, 8))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsimae import hsidata, masking, model, tokenizer
+from hsimae import hsidata, masking, model, tokenizer, training
 from hsimae import tensorcore as tc
 
 
@@ -162,6 +162,35 @@ class TestClassify:
         params = model.init_params(model.micro_config(), 1, 1, 1, 2, seed=0)
         with pytest.raises(ValueError):
             model.classify(bad, params)
+
+
+class TestBatchedWindows:
+    @pytest.mark.parametrize("h, b, config", [
+        (27, 24, model.desk_config()),    # 3-token windows
+        (18, 96, model.micro_config()),   # 12-token windows
+    ])
+    def test_stack_equals_one_window_at_a_time(self, h, b, config):
+        cube, _ = hsidata.normalize(_cube(h, h, b, seed=3))
+        view = training.extract_windows(cube)
+        centers = [(0, 0), (h - 1, 2), (5, 7), (h // 2, h - 1)]  # corners padded
+        stack = hsidata.HsiCube(values=view[tuple(np.array(centers).T)],
+                                wavelengths=cube.wavelengths)
+        params = model.init_params(config, 3, 3, b // 8, 4, seed=3)
+        feats = model.features(stack, params)
+        logits = model.classify(stack, params)
+        assert feats.shape == (4, config.d_model) and logits.shape == (4, 4)
+        assert not feats.requires_grad and not logits.requires_grad
+        for n in range(len(centers)):
+            one = hsidata.HsiCube(values=stack.values[n:n + 1],
+                                  wavelengths=cube.wavelengths)
+            np.testing.assert_array_equal(feats.data[n],
+                                          model.features(one, params).data[0])
+            np.testing.assert_array_equal(logits.data[n],
+                                          model.classify(one, params).data[0])
+            single = hsidata.HsiCube(values=stack.values[n],
+                                     wavelengths=cube.wavelengths)
+            np.testing.assert_array_equal(logits.data[n],
+                                          model.classify(single, params).data)
 
 
 class TestCheckpoint:

@@ -214,6 +214,61 @@ def test_gradients_match_finite_differences(name):
         assert_grads_close(grads[i], numeric, rel=1e-6, abs_tol=1e-9)
 
 
+def _weighted(out):
+    """Sum of out against a fixed non-symmetric weight of out's shape, so
+    a gradient summed or routed along the wrong axis fails the check."""
+    w = np.random.default_rng(21).normal(size=out.shape)
+    return tc.tsum(tc.mul(out, tc.Tensor(w)))
+
+
+# The leading-axis forms of the encoder ops: name -> (build, arg shapes).
+BATCHED_OPS = {
+    "matmul_shared_right": (lambda x, y: _weighted(tc.matmul(x, y)),
+                            [(2, 3, 4), (4, 5)]),
+    "matmul_batched_right": (lambda x, y: _weighted(tc.matmul(x, y)),
+                             [(2, 3, 4), (2, 4, 5)]),
+    "add_rowvec_leading": (lambda x, v: _weighted(tc.add_rowvec(x, v)),
+                           [(2, 3, 4), (4,)]),
+    "add_trailing": (lambda x, y: tc.add(_weighted(tc.add(x, y)),
+                                         _weighted(tc.add(y, x))),
+                     [(2, 3, 4), (3, 4)]),
+    "transpose_last_two": (lambda x: _weighted(tc.transpose(x)), [(2, 3, 4)]),
+    "slice_cols_leading": (lambda x: _weighted(tc.slice_cols(x, 1, 3)),
+                           [(2, 3, 4)]),
+    "concat_cols_leading": (lambda x, y: _weighted(tc.concat_cols([x, y])),
+                            [(2, 3, 4), (2, 3, 2)]),
+    "tmean_rows": (lambda x: _weighted(tc.tmean(x, axis=-2)), [(2, 3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_OPS))
+def test_batched_gradients_match_finite_differences(name):
+    build, shapes = BATCHED_OPS[name]
+    rng = np.random.default_rng(5)
+    arrays = [rng.uniform(-2.0, 2.0, size=shape) for shape in shapes]
+    grads = _grad_of(build, *arrays)
+    f = _scalar_fn(build)
+    for i in range(len(arrays)):
+        numeric = finite_diff_grad(f, arrays, wrt=i, h=1e-5)
+        assert_grads_close(grads[i], numeric, rel=1e-6, abs_tol=1e-9)
+
+
+class TestLeadingAxes:
+    def test_shared_matmul_is_one_product_per_window(self):
+        rng = np.random.default_rng(6)
+        x, w = rng.normal(size=(4, 3, 648)), rng.normal(size=(648, 16))
+        out = tc.matmul(tc.Tensor(x), tc.Tensor(w)).data
+        for b in range(4):
+            np.testing.assert_array_equal(out[b], x[b] @ w)
+
+    def test_mismatched_leading_axes_rejected(self):
+        with pytest.raises(tc.ShapeError):
+            tc.matmul(tc.Tensor(np.zeros((2, 3, 4))),
+                      tc.Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(tc.ShapeError):
+            tc.add(tc.Tensor(np.zeros((2, 3, 4))), tc.Tensor(np.zeros((2, 4))))
+
+
 def test_arccos_gradient_away_from_clamp():
     rng = np.random.default_rng(7)
     x = rng.uniform(-0.9, 0.9, size=(5,))

@@ -42,6 +42,19 @@ class TestPartition:
                            for i in range(9) for j in range(9) for b in range(8)])
         np.testing.assert_array_equal(grid.patches[t], manual)
 
+    def test_stack_of_windows(self):
+        rng = np.random.default_rng(4)
+        stack = hsidata.HsiCube(values=rng.normal(size=(3, 19, 9, 17)),
+                                wavelengths=np.linspace(0.4, 2.5, 17))
+        grid = tokenizer.partition(stack)
+        assert grid.patches.shape == (3, 4, 648)
+        assert grid.cropped_values.shape == (3, 18, 9, 16)
+        for n in range(3):
+            one = tokenizer.partition(hsidata.HsiCube(
+                values=stack.values[n], wavelengths=stack.wavelengths))
+            np.testing.assert_array_equal(grid.patches[n], one.patches)
+            np.testing.assert_array_equal(grid.order, one.order)
+
     def test_every_voxel_in_exactly_one_patch(self):
         cube = _cube(20, 19, 17, seed=3)
         grid = tokenizer.partition(cube)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hsimae import hsidata, model, training
+from hsimae import hsidata, masking, model, training
 
 
 class TestAdamW:
@@ -164,19 +164,19 @@ class TestSplits:
 class TestExtractWindow:
     def test_center_window(self):
         cube = hsidata.gen_synthetic(12, 12, 8, 2, seed=0)
-        win = training.extract_windows(cube, [(6, 6)])[(6, 6)]
-        assert win.values.shape == (9, 9, 8)
-        np.testing.assert_array_equal(win.values[4, 4], cube.values[6, 6])
+        win = training.extract_windows(cube)[6, 6]
+        assert win.shape == (9, 9, 8)
+        np.testing.assert_array_equal(win[4, 4], cube.values[6, 6])
+        np.testing.assert_array_equal(win, cube.values[2:11, 2:11])
 
     def test_corner_replicates(self):
         cube = hsidata.gen_synthetic(12, 12, 8, 2, seed=1)
-        wins = training.extract_windows(cube, [(0, 0), (11, 11)])
-        np.testing.assert_array_equal(wins[(11, 11)].values[8, 8],
-                                      cube.values[11, 11])
-        win = wins[(0, 0)]
-        np.testing.assert_array_equal(win.values[0, 0], cube.values[0, 0])
-        np.testing.assert_array_equal(win.values[3, 3], cube.values[0, 0])
-        np.testing.assert_array_equal(win.values[4, 4], cube.values[0, 0])
+        view = training.extract_windows(cube)
+        np.testing.assert_array_equal(view[11, 11][8, 8], cube.values[11, 11])
+        win = view[0, 0]
+        np.testing.assert_array_equal(win[0, 0], cube.values[0, 0])
+        np.testing.assert_array_equal(win[3, 3], cube.values[0, 0])
+        np.testing.assert_array_equal(win[4, 4], cube.values[0, 0])
 
 
 def _short_settings(**kw):
@@ -219,6 +219,16 @@ class TestPretrain:
             training.pretrain([cube], model.micro_config(),
                               _short_settings(rho_s=0.0, rho_b=0.0), run_seed=0)
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_bad_step_count_rejected_before_writing(self, tmp_path, steps):
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
+        ckpt, log_path = tmp_path / "m.ckpt", tmp_path / "loss.jsonl"
+        with pytest.raises(ValueError, match=f"steps must be >= 1, got {steps}"):
+            training.pretrain([cube], model.micro_config(),
+                              _short_settings(steps=steps), run_seed=0,
+                              log_path=log_path, checkpoint_path=ckpt)
+        assert not ckpt.exists() and not log_path.exists()
+
     def test_mismatched_grids_rejected(self):
         a = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
         b = hsidata.gen_synthetic(18, 18, 24, 3, seed=0)
@@ -252,6 +262,32 @@ class TestFinetune:
                                       _short_settings(ft_epochs=15))
         assert report.oa >= 90.0
 
+    def test_cached_probe_equals_per_window_loop(self):
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=6)
+        params = model.init_params(model.desk_config(), 3, 3, 3, 3, seed=2)
+        rows = training.make_split(cube, 0.1, seed=4)
+        split = ([(i, j, c) for i, j, c, s in rows if s == "train"],
+                 [(i, j, c) for i, j, c, s in rows if s == "test"][:40])
+        settings = _short_settings(ft_epochs=3,
+                                   hyper=training.AdamHyper(lr=0.01))
+        report, tuned = training.finetune(params, cube, split, "probe",
+                                          settings, run_seed=5)
+        ref_report, ref = _per_window_probe(params, cube, split, settings,
+                                            run_seed=5)
+        for name in training.PROBE_PARAMS:
+            np.testing.assert_array_equal(tuned.arrays[name], ref.arrays[name])
+        assert report.to_json() == ref_report.to_json()
+        np.testing.assert_array_equal(report.pred, ref_report.pred)
+
+    @pytest.mark.parametrize("mode", ["probe", "full"])
+    def test_negative_epochs_rejected(self, mode):
+        cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=5)
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=0)
+        good = (1, 1, int(cube.labels[1, 1]))
+        with pytest.raises(ValueError, match="ft_epochs must be >= 0, got -2"):
+            training.finetune(params, cube, ([good], [good]), mode,
+                              _short_settings(ft_epochs=-2))
+
     def test_missing_labels(self):
         cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=5)
         unlabeled = hsidata.HsiCube(values=cube.values,
@@ -282,3 +318,34 @@ class TestFinetune:
             training.finetune(params, cube, ([good, (i, j, label)], [good]),
                               "probe", _short_settings())
         assert f"({i}, {j}, {label})" in str(exc.value)
+
+
+def _per_window_probe(params, cube, split, settings, run_seed):
+    """The probe as one graph per window per epoch: encode the window,
+    pool, classify, backward, AdamW on the head. The reference that the
+    feature-cached probe must reproduce bit for bit."""
+    train_rows, test_rows = split
+    params = params.copy()
+    normed, _ = hsidata.normalize(cube)
+    view = training.extract_windows(normed)
+
+    def window(i, j):
+        return hsidata.HsiCube(values=view[i, j], wavelengths=cube.wavelengths)
+
+    state = training.OptimState()
+    order = np.arange(len(train_rows))
+    rng = np.random.default_rng(masking.derive_seed(run_seed, "order"))
+    trainable = set(training.PROBE_PARAMS)
+    for _ in range(settings.ft_epochs):
+        rng.shuffle(order)
+        for idx in order:
+            i, j, label = train_rows[idx]
+            tensors = params.tensors(trainable=trainable)
+            logits = model.classify(window(i, j), params, tensors)
+            ce = training._cross_entropy(logits, label - 1)
+            ce.backward()
+            grads = {name: tensors[name].grad for name in trainable}
+            training.adamw_step(params.arrays, grads, state, settings.hyper)
+    preds = [int(np.argmax(model.classify(window(i, j), params).data)) + 1
+             for i, j, _ in test_rows]
+    return training.evaluate(preds, [c for _, _, c in test_rows]), params
