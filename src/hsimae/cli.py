@@ -145,6 +145,7 @@ def cmd_reconstruct(args):
     cube = hsidata.load_cube(args.data)
     normed, stats = hsidata.normalize(cube)
     grid = tokenizer.partition(normed)
+    tokenizer.report_cropping(normed.values.shape)
     meta = tokenizer.spectral_meta(normed.wavelengths, grid.K)
     plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K,
                                     args.rho_s, args.rho_b, args.seed)

@@ -153,20 +153,11 @@ def init_params(config, P, Q, K, n_classes, seed):
 
 
 def _attention(x, t, pre, config):
-    d, n_heads = config.d_model, config.n_heads
-    dh = d // n_heads
     q = tc.add_rowvec(tc.matmul(x, t[pre + "wq"]), t[pre + "bq"])
     k = tc.add_rowvec(tc.matmul(x, t[pre + "wk"]), t[pre + "bk"])
     v = tc.add_rowvec(tc.matmul(x, t[pre + "wv"]), t[pre + "bv"])
-    heads = []
-    for h in range(n_heads):
-        qh = tc.slice_cols(q, h * dh, (h + 1) * dh)
-        kh = tc.slice_cols(k, h * dh, (h + 1) * dh)
-        vh = tc.slice_cols(v, h * dh, (h + 1) * dh)
-        scores = tc.scale(tc.matmul(qh, tc.transpose(kh)), 1.0 / np.sqrt(dh))
-        heads.append(tc.matmul(tc.softmax(scores, axis=-1), vh))
-    merged = tc.concat_cols(heads) if n_heads > 1 else heads[0]
-    return tc.add_rowvec(tc.matmul(merged, t[pre + "wo"]), t[pre + "bo"])
+    heads = tc.attention(q, k, v, config.n_heads)
+    return tc.add_rowvec(tc.matmul(heads, t[pre + "wo"]), t[pre + "bo"])
 
 
 def _feed_forward(x, t, pre):

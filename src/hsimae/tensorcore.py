@@ -36,7 +36,8 @@ def _as_array(data):
 class Tensor:
     """A float64 array plus the bookkeeping for reverse-mode gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_owns_grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
@@ -44,6 +45,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        self._owns_grad = False
 
     @property
     def shape(self):
@@ -59,10 +61,21 @@ class Tensor:
     # -- graph plumbing ---------------------------------------------------
 
     def _accumulate(self, g):
+        """Add g to .grad. A first gradient that is a writeable, C-contiguous
+        float64 array is kept without a copy; such a borrowed array may be
+        shared with other tensors and is never written, so the next
+        gradient makes a fresh sum, and later ones add in place."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
+            if (type(g) is np.ndarray and g.dtype == np.float64
+                    and g.flags.c_contiguous and g.flags.writeable):
+                self.grad, self._owns_grad = g, False
+            else:
+                self.grad = np.array(g, dtype=np.float64, copy=True)
+                self._owns_grad = True
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad, self._owns_grad = self.grad + g, True
 
     def backward(self):
         """Reverse-mode sweep from a scalar root; fills .grad on leaves."""
@@ -320,15 +333,10 @@ def reshape(a, shape):
     return _result(a.data.reshape(shape), (a,), backward)
 
 
-def transpose(a, axes=None):
-    """Permute axes as numpy does; without axes, swap the last two."""
+def transpose(a, axes):
+    """Permute axes as numpy does."""
     a = _wrap(a)
-    n = a.data.ndim
-    if axes is None:
-        if n < 2:
-            raise ShapeError(f"transpose expects a matrix, got {a.data.shape}")
-        axes = (*range(n - 2), n - 1, n - 2)
-    elif sorted(axes) != list(range(n)):
+    if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"transpose axes {axes} invalid for shape {a.data.shape}")
     inverse = np.argsort(axes)
 
@@ -353,36 +361,6 @@ def gather_rows(a, index):
             a._accumulate(acc)
 
     return _result(a.data[index], (a,), backward)
-
-
-def slice_cols(a, lo, hi):
-    """Columns lo..hi-1 of the last axis."""
-    a = _wrap(a)
-    if a.data.ndim < 2 or not 0 <= lo < hi <= a.data.shape[-1]:
-        raise ShapeError(f"slice_cols [{lo}:{hi}] of {a.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[..., lo:hi] = g
-            a._accumulate(acc)
-
-    return _result(a.data[..., lo:hi].copy(), (a,), backward)
-
-
-def concat_cols(parts):
-    """Join along the last axis."""
-    parts = [_wrap(p) for p in parts]
-    sizes = [p.data.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[..., lo:hi])
-
-    return _result(np.concatenate([p.data for p in parts], axis=-1),
-                   tuple(parts), backward)
 
 
 def concat_rows(parts):
@@ -445,6 +423,60 @@ def softmax(a, axis=-1):
             a._accumulate(out_data * (g - inner))
 
     return _result(out_data, (a,), backward)
+
+
+def attention(q, k, v, n_heads):
+    """Multi-head scaled dot-product attention, every head in one pass.
+
+    q, k and v are (..., T, d). Each is split into n_heads contiguous
+    (..., T, d/n_heads) heads, and softmax(q k^T / sqrt(d/n_heads)) v of
+    every head is merged back into (..., T, d). Backward works from the
+    saved probabilities alone, as FlashAttention's does (Dao et al.,
+    2022), without tiling. Each head's products and the softmax run in
+    the same order, on the same contiguous blocks, as a graph of one
+    slice, matmul, scale and softmax per head, so the bits agree.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    shape = q.data.shape
+    if (len(shape) < 2 or k.data.shape != shape or v.data.shape != shape
+            or n_heads < 1 or shape[-1] % n_heads):
+        raise ShapeError(f"attention: q {shape}, k {k.data.shape}, "
+                         f"v {v.data.shape} with {n_heads} heads")
+    *lead, n, d = shape
+    dh = d // n_heads
+    c = float(1.0 / np.sqrt(dh))
+
+    def heads(x, axes):  # (..., T, d) -> contiguous per-head blocks
+        x = x.reshape(*lead, n, n_heads, dh)
+        return np.ascontiguousarray(np.moveaxis(x, (-3, -2, -1), axes))
+
+    # (..., H, T, dh) -> (..., T, d); C order also for gradients, whose
+    # layout sets how a later row sum (a bias gradient) rounds
+    def merge(x):
+        return np.ascontiguousarray(np.moveaxis(x, -3, -2)).reshape(shape)
+
+    qh = heads(q.data, (-2, -3, -1))
+    kt = heads(k.data, (-1, -3, -2))  # k^T: (..., H, dh, T)
+    vh = heads(v.data, (-2, -3, -1))
+    p = qh @ kt
+    p *= c
+    p -= np.max(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+
+    def backward(g):
+        go = heads(g, (-2, -3, -1))
+        if v.requires_grad:
+            v._accumulate(merge(p.swapaxes(-1, -2) @ go))
+        dp = go @ vh.swapaxes(-1, -2)
+        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+        ds *= c
+        if q.requires_grad:
+            q._accumulate(merge(ds @ kt.swapaxes(-1, -2)))
+        if k.requires_grad:
+            k._accumulate(merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
+
+    return _result(merge(p @ vh), (q, k, v), backward)
 
 
 def layer_norm(a, gain, bias, eps=1e-6):

@@ -1,12 +1,12 @@
 """Patch partitioning, flattening, and positional encodings.
 
 A cube is cut into non-overlapping 9 x 9 x 8 spatial-spectral patches.
-Residual rows/columns/bands beyond the floor multiples are cropped (a
-warning is logged); cropped voxels take no part in tokenization or the
-losses. Each spectral group of 8 bands carries a representative
-wavelength (arithmetic mean of its band centers, micrometers) that
-feeds a multi-frequency sinusoidal encoding via the angular frequency
-2*pi/lambda.
+Residual rows/columns/bands beyond the floor multiples are cropped
+(callers warn once per input cube through report_cropping); cropped
+voxels take no part in tokenization or the losses. Each spectral group
+of 8 bands carries a representative wavelength (arithmetic mean of its
+band centers, micrometers) that feeds a multi-frequency sinusoidal
+encoding via the angular frequency 2*pi/lambda.
 """
 
 import logging
@@ -76,9 +76,6 @@ def partition(cube):
         raise ValueError(f"cube {h}x{w}x{b} smaller than one patch")
     P, Q, K = h // PATCH_H, w // PATCH_W, b // PATCH_B
     cropped = (h - PATCH_H * P, w - PATCH_W * Q, b - PATCH_B * K)
-    if any(cropped):
-        log.warning("cropping %d rows, %d cols, %d bands past patch multiples",
-                    *cropped)
     region = cube.values[..., :PATCH_H * P, :PATCH_W * Q, :PATCH_B * K]
     n = len(lead)
     blocks = region.reshape(*lead, P, PATCH_H, Q, PATCH_W, K, PATCH_B)
@@ -86,6 +83,16 @@ def partition(cube):
                .copy().reshape(*lead, -1, PATCH_LEN))
     return TokenGrid(P=P, Q=Q, K=K, patches=patches, order=token_order(P, Q, K),
                      cropped_values=region.copy(), cropped=cropped)
+
+
+def report_cropping(shape):
+    """Warn once about what partition crops from values of this shape,
+    (..., h, w, bands); partition itself stays silent."""
+    *_, h, w, b = shape
+    cropped = (h % PATCH_H, w % PATCH_W, b % PATCH_B)
+    if any(cropped):
+        log.warning("cropping %d rows, %d cols, %d bands past patch multiples",
+                    *cropped)
 
 
 def token_order(P, Q, K):

@@ -158,6 +158,8 @@ def pretrain(cubes, config, settings, run_seed,
     if settings.steps < 1:
         raise ValueError(f"steps must be >= 1, got {settings.steps}")
     grids = [tokenizer.partition(c) for c in cubes]
+    for c in cubes:
+        tokenizer.report_cropping(c.values.shape)
     dims = {(g.P, g.Q, g.K) for g in grids}
     if len(dims) != 1:
         raise ValueError(f"all cubes must share one token grid, got {dims}")
@@ -327,6 +329,7 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
         params.arrays["cls_b"] = np.zeros(n_classes)
     normed, _ = hsidata.normalize(cube)
     view = extract_windows(normed)
+    tokenizer.report_cropping(view.shape)
 
     def windows(rows):
         ii, jj = np.array([(i, j) for i, j, _ in rows]).T

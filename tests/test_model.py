@@ -142,10 +142,20 @@ class TestClassify:
         assert a.shape == (3,)
         np.testing.assert_array_equal(a, b)
 
-    def test_inference_records_no_graph(self):
+    def test_inference_records_no_graph(self, monkeypatch):
         cube, _ = hsidata.normalize(_cube(seed=5))
         params = model.init_params(model.micro_config(), 3, 3, 3, 3, seed=5)
+        attended, fused = [], tc.attention
+        monkeypatch.setattr(tc, "attention",
+                            lambda *args: attended.append(fused(*args))
+                            or attended[-1])
         assert not model.classify(cube, params).requires_grad
+        stack = hsidata.HsiCube(
+            values=np.stack([cube.values[:9, :9], cube.values[9:18, 9:18]]),
+            wavelengths=cube.wavelengths)
+        assert not model.classify(stack, params).requires_grad
+        assert len(attended) == 2  # one fused call per encoder layer and pass
+        assert not any(t.requires_grad or t._parents for t in attended)
 
     def test_window_smaller_than_table(self):
         # a 9x9 window classifies against a table trained on a 3x3 grid

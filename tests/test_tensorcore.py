@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -143,7 +145,7 @@ class TestBackward:
         xv = np.array([[1.0, -2.0, 0.5]])
         x = tc.Tensor(xv, requires_grad=True)
         # trace(x x^T) = sum of squares
-        out = tc.tsum(tc.matmul(x, tc.transpose(x)))
+        out = tc.tsum(tc.matmul(x, tc.transpose(x, (1, 0))))
         out.backward()
         np.testing.assert_allclose(x.grad, 2.0 * xv, rtol=1e-12)
 
@@ -167,6 +169,28 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+def _slice_cols(a, lo, hi):
+    """Columns lo..hi-1 of the last axis, as a copy: the head split of
+    the per-head attention graph below, the reference for tc.attention."""
+    def backward(g):
+        acc = np.zeros_like(a.data)
+        acc[..., lo:hi] = g
+        a._accumulate(acc)
+
+    return tc._result(a.data[..., lo:hi].copy(), (a,), backward)
+
+
+def _concat_cols(parts):
+    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            p._accumulate(g[..., lo:hi])
+
+    return tc._result(np.concatenate([p.data for p in parts], axis=-1),
+                      tuple(parts), backward)
+
+
 OPS = {
     "add": (lambda x, y: tc.tsum(tc.mul(tc.add(x, y), tc.add(x, y))), 2, (3, 4)),
     "sub": (lambda x, y: tc.tsum(tc.mul(tc.sub(x, y), tc.sub(x, y))), 2, (3, 4)),
@@ -182,7 +206,8 @@ OPS = {
     "mean": (lambda x: tc.tmean(tc.mul(x, x)), 1, (3, 4)),
     "sum_axis": (lambda x: tc.tsum(tc.mul(tc.tsum(x, axis=1), tc.tsum(x, axis=1))), 1, (3, 4)),
     "reshape": (lambda x: tc.tsum(tc.mul(tc.reshape(x, (4, 3)), tc.reshape(x, (4, 3)))), 1, (3, 4)),
-    "transpose": (lambda x: tc.tsum(tc.mul(tc.transpose(x), tc.transpose(x))), 1, (3, 4)),
+    "transpose": (lambda x: tc.tsum(tc.mul(tc.transpose(x, (1, 0)),
+                                           tc.transpose(x, (1, 0)))), 1, (3, 4)),
     "transpose_axes": (lambda x: tc.tsum(tc.mul(
         tc.transpose(x, (0, 3, 1, 4, 2, 5)),
         tc.Tensor(np.arange(48.0).reshape(2, 2, 1, 2, 3, 2)))), 1, (2, 1, 3, 2, 2, 2)),
@@ -190,19 +215,20 @@ OPS = {
                                         tc.gather_rows(x, [0, 2, 2]))), 1, (3, 4)),
     "concat": (lambda x, y: tc.tsum(tc.mul(tc.concat_rows([x, y]),
                                            tc.concat_rows([x, y]))), 2, (3, 4)),
-    "slice_cols": (lambda x: tc.tsum(tc.mul(tc.slice_cols(x, 1, 3),
-                                            tc.slice_cols(x, 1, 3))), 1, (3, 4)),
-    "concat_cols": (lambda x, y: tc.tsum(tc.mul(tc.concat_cols([x, y]),
-                                                tc.concat_cols([x, y]))), 2, (3, 4)),
     "add_rowvec": (lambda x, y: tc.tsum(tc.mul(tc.add_rowvec(x, tc.tsum(y, axis=0)),
                                                tc.add_rowvec(x, tc.tsum(y, axis=0)))), 2, (3, 4)),
+    # the head split and merge of the per-head reference graph
+    "slice_cols": (lambda x: tc.tsum(tc.mul(_slice_cols(x, 1, 3),
+                                            _slice_cols(x, 1, 3))), 1, (3, 4)),
+    "concat_cols": (lambda x, y: tc.tsum(tc.mul(_concat_cols([x, y]),
+                                                _concat_cols([x, y]))), 2, (3, 4)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_gradients_match_finite_differences(name):
     build, nargs, shape = OPS[name]
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # stable per name
     arrays = [rng.uniform(-2.0, 2.0, size=shape) for _ in range(nargs)]
     if name == "div":
         # keep denominators away from zero
@@ -221,7 +247,12 @@ def _weighted(out):
     return tc.tsum(tc.mul(out, tc.Tensor(w)))
 
 
-# The leading-axis forms of the encoder ops: name -> (build, arg shapes).
+def _attend(n_heads):
+    return lambda q, k, v: _weighted(tc.attention(q, k, v, n_heads))
+
+
+# The leading-axis forms of the encoder ops, and fused attention in its
+# 2-D and leading-axis forms: name -> (build, arg shapes).
 BATCHED_OPS = {
     "matmul_shared_right": (lambda x, y: _weighted(tc.matmul(x, y)),
                             [(2, 3, 4), (4, 5)]),
@@ -232,12 +263,17 @@ BATCHED_OPS = {
     "add_trailing": (lambda x, y: tc.add(_weighted(tc.add(x, y)),
                                          _weighted(tc.add(y, x))),
                      [(2, 3, 4), (3, 4)]),
-    "transpose_last_two": (lambda x: _weighted(tc.transpose(x)), [(2, 3, 4)]),
-    "slice_cols_leading": (lambda x: _weighted(tc.slice_cols(x, 1, 3)),
+    "transpose_last_two": (lambda x: _weighted(tc.transpose(x, (0, 2, 1))),
                            [(2, 3, 4)]),
-    "concat_cols_leading": (lambda x, y: _weighted(tc.concat_cols([x, y])),
-                            [(2, 3, 4), (2, 3, 2)]),
     "tmean_rows": (lambda x: _weighted(tc.tmean(x, axis=-2)), [(2, 3, 4)]),
+    "slice_cols_leading": (lambda x: _weighted(_slice_cols(x, 1, 3)),
+                           [(2, 3, 4)]),
+    "concat_cols_leading": (lambda x, y: _weighted(_concat_cols([x, y])),
+                            [(2, 3, 4), (2, 3, 2)]),
+    "attention_2d_h1": (_attend(1), [(3, 4)] * 3),
+    "attention_2d_h2": (_attend(2), [(3, 4)] * 3),
+    "attention_leading_h1": (_attend(1), [(2, 3, 4)] * 3),
+    "attention_leading_h2": (_attend(2), [(2, 3, 4)] * 3),
 }
 
 
@@ -251,6 +287,95 @@ def test_batched_gradients_match_finite_differences(name):
     for i in range(len(arrays)):
         numeric = finite_diff_grad(f, arrays, wrt=i, h=1e-5)
         assert_grads_close(grads[i], numeric, rel=1e-6, abs_tol=1e-9)
+
+
+def _per_head_attention(q, k, v, n_heads):
+    """The per-head graph that tc.attention replaces: slice each head,
+    scale q k^T, softmax, weight v, join the heads. The bit-for-bit
+    reference for the fused op."""
+    dh = q.data.shape[-1] // n_heads
+    n = q.data.ndim
+    heads = []
+    for h in range(n_heads):
+        qh, kh, vh = (_slice_cols(x, h * dh, (h + 1) * dh) for x in (q, k, v))
+        kt = tc.transpose(kh, (*range(n - 2), n - 1, n - 2))
+        scores = tc.scale(tc.matmul(qh, kt), 1.0 / np.sqrt(dh))
+        heads.append(tc.matmul(tc.softmax(scores, axis=-1), vh))
+    return _concat_cols(heads) if n_heads > 1 else heads[0]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("shape", [(1, 64), (3, 64), (12, 64),
+                                       (5, 12, 64)])
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    def test_bit_identical_to_per_head_graph(self, shape, n_heads):
+        rng = np.random.default_rng(shape[-2] * 10 + n_heads)
+        arrays = [rng.normal(size=shape) for _ in range(3)]
+        weight = tc.Tensor(rng.normal(size=shape))
+        results = []
+        for attend in (tc.attention, _per_head_attention):
+            qkv = [tc.Tensor(a, requires_grad=True) for a in arrays]
+            out = attend(*qkv, n_heads)
+            tc.tsum(tc.mul(out, weight)).backward()
+            results.append([out.data] + [t.grad for t in qkv])
+        for fused, ref in zip(*results):
+            np.testing.assert_array_equal(fused, ref)
+        # the summation order of a bias gradient depends on the layout
+        assert all(g.flags.c_contiguous for g in results[0])
+
+    def test_shape_errors(self):
+        x, y = tc.Tensor(np.zeros((3, 4))), tc.Tensor(np.zeros((2, 4)))
+        with pytest.raises(tc.ShapeError, match="attention"):
+            tc.attention(x, y, x, 2)
+        with pytest.raises(tc.ShapeError, match="attention"):
+            tc.attention(x, x, tc.Tensor(np.zeros((1, 3, 4))), 2)
+        with pytest.raises(tc.ShapeError, match="3 heads"):
+            tc.attention(x, x, x, 3)
+        with pytest.raises(tc.ShapeError):
+            tc.attention(tc.Tensor(np.zeros(4)), tc.Tensor(np.zeros(4)),
+                         tc.Tensor(np.zeros(4)), 1)
+
+    def test_zero_scores_average_the_values(self):
+        # q = 0 gives uniform weights: every output row is the mean of v
+        v = np.random.default_rng(9).normal(size=(2, 5, 6))
+        zeros = tc.Tensor(np.zeros((2, 5, 6)))
+        out = tc.attention(zeros, zeros, tc.Tensor(v), 3).data
+        np.testing.assert_allclose(
+            out, np.broadcast_to(v.mean(axis=1, keepdims=True), v.shape),
+            rtol=1e-12, atol=1e-15)
+
+
+class TestAccumulate:
+    def test_shared_first_gradient_stays_independent(self):
+        a = tc.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = tc.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        # add hands its one gradient array to both parents; a gets a
+        # second gradient from the scaled sum, b does not
+        out = tc.add(tc.tsum(tc.mul(tc.add(a, b), tc.Tensor([5.0, 7.0]))),
+                     tc.tsum(tc.scale(a, 3.0)))
+        out.backward()
+        np.testing.assert_array_equal(a.grad, [8.0, 10.0])
+        np.testing.assert_array_equal(b.grad, [5.0, 7.0])
+
+    def test_fresh_first_gradient_is_kept_without_copy(self):
+        x = tc.Tensor(np.zeros((2, 3)))
+        g = np.ones((2, 3))
+        x._accumulate(g)
+        assert x.grad is g
+
+    def test_read_only_or_strided_first_gradient_is_copied(self):
+        # tsum's backward hands a read-only stride-0 view; borrowing it
+        # would change how later reductions over the gradient round
+        broadcast = np.broadcast_to(np.ones(3), (2, 3))
+        strided = np.arange(6.0).reshape(2, 3).T
+        for g in (broadcast, strided):
+            x = tc.Tensor(np.zeros(g.shape))
+            x._accumulate(g)
+            assert x.grad is not g and x.grad.flags.writeable
+            x._accumulate(np.ones(g.shape))
+            np.testing.assert_array_equal(x.grad, g + 1.0)
+        np.testing.assert_array_equal(broadcast, np.ones((2, 3)))
+        np.testing.assert_array_equal(strided, np.arange(6.0).reshape(2, 3).T)
 
 
 class TestLeadingAxes:

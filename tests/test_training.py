@@ -237,6 +237,35 @@ class TestPretrain:
                               run_seed=0)
 
 
+class TestCropWarning:
+    """A cube whose bands are not a multiple of 8 is cropped; the warning
+    comes once per input cube, not once per partitioned window or step."""
+
+    @staticmethod
+    def _crop_lines(caplog):
+        return [r for r in caplog.records if "cropping" in r.getMessage()]
+
+    def test_once_per_pretrain(self, caplog):
+        cube = hsidata.gen_synthetic(27, 27, 20, 3, seed=0)
+        with caplog.at_level("WARNING"):
+            training.pretrain([cube], model.micro_config(),
+                              _short_settings(steps=3), run_seed=0)
+        assert len(self._crop_lines(caplog)) == 1
+
+    def test_once_per_finetune(self, caplog):
+        cube = hsidata.gen_synthetic(27, 27, 20, 3, seed=0)
+        params = model.init_params(model.micro_config(), 1, 1, 2, 3, seed=0)
+        rows = training.make_split(cube, 0.1, seed=0)
+        split = ([(i, j, c) for i, j, c, s in rows if s == "train"],
+                 [(i, j, c) for i, j, c, s in rows if s == "test"][:40])
+        with caplog.at_level("WARNING"):
+            training.finetune(params, cube, split, "full",
+                              _short_settings(ft_epochs=1))
+        lines = self._crop_lines(caplog)
+        assert len(lines) == 1
+        assert "0 rows, 0 cols, 4 bands" in lines[0].getMessage()
+
+
 class TestFinetune:
     def test_probe_updates_only_head(self):
         cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=3)
