@@ -109,9 +109,10 @@ def sam_loss(y, y_hat):
     n = h * w
     y2 = tc.reshape(y, (n, b))
     yh2 = tc.reshape(y_hat, (n, b))
-    valid = np.flatnonzero(_pixel_norms(y2.data, yh2.data)[2])
-    excluded = n - valid.size
-    if valid.size == 0:
+    valid = _pixel_norms(y2.data, yh2.data)[2]
+    n_valid = int(valid.sum())
+    excluded = n - n_valid
+    if n_valid == 0:
         raise ValueError("every pixel has a zero-norm spectrum")
     yv = tc.gather_rows(y2, valid)
     yhv = tc.gather_rows(yh2, valid)
@@ -119,7 +120,7 @@ def sam_loss(y, y_hat):
     norms = tc.mul(tc.sqrt(tc.tsum(tc.mul(yv, yv), axis=1)),
                    tc.sqrt(tc.tsum(tc.mul(yhv, yhv), axis=1)))
     angles = tc.arccos(tc.div(dots, norms))
-    return tc.scale(tc.tsum(angles), 1.0 / valid.size), excluded
+    return tc.scale(tc.tsum(angles), 1.0 / n_valid), excluded
 
 
 def rec_loss(y, y_hat, mask, alpha=0.5):

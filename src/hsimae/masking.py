@@ -99,8 +99,8 @@ def apply_mask(embeddings, plan):
     if embeddings.data.shape[0] != n:
         raise ValueError(
             f"embeddings have {embeddings.data.shape[0]} rows, expected {n}")
-    ids = plan.visible_ids
-    return tc.gather_rows(embeddings, ids), ids
+    return (tc.gather_rows(embeddings, ~plan.token_masked.ravel()),
+            plan.visible_ids)
 
 
 def voxel_mask(plan, H, W, B):

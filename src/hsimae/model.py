@@ -1,12 +1,12 @@
 """Transformer encoder/decoder over spatial-spectral tokens.
 
 Pre-norm ViT-style blocks. The encoder sees only visible tokens; the
-decoder scatters encoder latents back into the full token grid, fills
-hidden slots with a learned mask token, re-adds the positional
-encodings (mask tokens are otherwise position-blind), and maps every
-token back to its 648 voxel values. A separate head classifies a cube,
-or each window of a stack, from the mean-pooled latents of an unmasked
-encoding pass.
+decoder places encoder latents back at the visible slots of the full
+token grid and a learned mask token at the hidden ones, re-adds the
+positional encodings (mask tokens are otherwise position-blind), and
+maps every token back to its 648 voxel values. A separate head
+classifies a cube, or each window of a stack, from the mean-pooled
+latents of an unmasked encoding pass.
 """
 
 import json
@@ -55,15 +55,6 @@ def micro_config():
     """Smallest useful config; used for finite-difference gradient checks."""
     return ModelConfig(d_model=16, n_enc_layers=1, n_dec_layers=1,
                        n_heads=2, d_ff=32)
-
-
-def full_scale_config():
-    """768-wide preset at the scale reported for the full model.
-
-    Documented for reference; never exercised by the test suite.
-    """
-    return ModelConfig(d_model=768, n_enc_layers=24, n_dec_layers=8,
-                       n_heads=12, d_ff=3072)
 
 
 def param_shapes(config, P, Q, n_classes):
@@ -183,36 +174,37 @@ def encode(visible_embeddings, tensors, config):
                       config.n_enc_layers, config)
 
 
-def _positional_rows(tensors, order, Q_table, spec_table):
-    spatial_idx = order[:, 0] * Q_table + order[:, 1]
-    spatial = tc.gather_rows(tensors["spatial_pe"], spatial_idx)
-    return tc.add(spatial, tc.Tensor(spec_table[order[:, 2]]))
+def _positional_rows(params, P, Q, meta, tensors):
+    """(P*Q*K, d) rows in token order: each of the spatial table's
+    [:P, :Q] cells plus the wavelength encoding of every spectral group."""
+    if P > params.P or Q > params.Q:
+        raise ValueError(
+            f"grid {P}x{Q} exceeds spatial table {params.P}x{params.Q}")
+    d = params.config.d_model
+    cells = (np.arange(params.P)[:, None] < P) & (np.arange(params.Q) < Q)
+    spatial = tc.gather_rows(tensors["spatial_pe"], cells.ravel())
+    spectral = tc.Tensor(tokenizer.spec_enc_table(meta, d))
+    rows = tc.add(tc.reshape(spatial, (P * Q, 1, d)), spectral)
+    return tc.reshape(rows, (P * Q * meta.lambdas.size, d))
 
 
-def decode(latents, plan, tensors, config, meta):
+def decode(latents, plan, tensors, params, meta):
     """Reconstruct the cropped cube from visible-token latents.
 
     Returns a Tensor of shape (9P, 9Q, 8K) covering every token,
     visible and masked alike.
     """
-    P, Q, K = plan.P, plan.Q, plan.K
-    n_tokens = P * Q * K
     n_visible = plan.visible_ids.size
     if latents.data.shape[0] != n_visible:
         raise ValueError(
             f"latents rows {latents.data.shape[0]} != visible {n_visible}")
-    d = config.d_model
-    mask_row = tc.reshape(tensors["mask_token"], (1, d))
-    stacked = tc.concat_rows([latents, mask_row])
-    perm = np.full(n_tokens, n_visible, dtype=np.int64)  # default: mask token
-    perm[plan.visible_ids] = np.arange(n_visible)
-    x = tc.gather_rows(stacked, perm)
-    spec_table = tokenizer.spec_enc_table(meta, d)
-    x = tc.add(x, _positional_rows(tensors, tokenizer.token_order(P, Q, K),
-                                   Q, spec_table))
+    x = tc.place_rows(latents, ~plan.token_masked.ravel(),
+                      tensors["mask_token"])
+    x = tc.add(x, _positional_rows(params, plan.P, plan.Q, meta, tensors))
+    config = params.config
     x = _run_stack(x, tensors, "dec", config.n_dec_layers, config)
     flat = tc.add_rowvec(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
-    return _unpatchify(flat, P, Q, K)
+    return _unpatchify(flat, plan.P, plan.Q, plan.K)
 
 
 def _unpatchify(flat, P, Q, K):
@@ -224,17 +216,12 @@ def _unpatchify(flat, P, Q, K):
 
 def embed_for(params, grid, meta, tensors):
     """Token embeddings: patch projection + spatial row + wavelength encoding."""
-    if grid.P > params.P or grid.Q > params.Q:
-        raise ValueError(
-            f"grid {grid.P}x{grid.Q} exceeds spatial table {params.P}x{params.Q}")
     if meta.lambdas.shape != (grid.K,):
         raise ValueError("spectral meta does not match grid K")
     proj = tc.add_rowvec(tc.matmul(tc.Tensor(grid.patches),
                                    tensors["patch_proj_w"]),
                          tensors["patch_proj_b"])
-    spec_table = tokenizer.spec_enc_table(meta, params.config.d_model)
-    pos = _positional_rows(tensors, grid.order, params.Q, spec_table)
-    return tc.add(proj, pos)
+    return tc.add(proj, _positional_rows(params, grid.P, grid.Q, meta, tensors))
 
 
 def masked_forward(params, grid, meta, plan, tensors):
@@ -242,7 +229,7 @@ def masked_forward(params, grid, meta, plan, tensors):
     emb = embed_for(params, grid, meta, tensors)
     visible, _ = masking.apply_mask(emb, plan)
     latents = encode(visible, tensors, params.config)
-    return decode(latents, plan, tensors, params.config, meta)
+    return decode(latents, plan, tensors, params, meta)
 
 
 def features(windows, params, tensors=None):
@@ -297,27 +284,40 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; a malformed one raises a ValueError naming it."""
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        if header.get("magic") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        config = ModelConfig(**header["config"])
-        shapes = param_shapes(config, header["P"], header["Q"],
-                              header["n_classes"])
-        if list(shapes.keys()) != header["param_order"]:
-            raise ValueError("checkpoint parameter order mismatch")
-        arrays = {}
-        for name, shape in shapes.items():
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"checkpoint truncated in {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError("trailing bytes in checkpoint")
+        try:
+            return _read_checkpoint(fh)
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint header lacks {exc}") from None
+        except (ValueError, TypeError, struct.error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(fh):
+    (hlen,) = struct.unpack("<I", fh.read(4))
+    blob = fh.read(hlen)
+    if len(blob) != hlen:
+        raise ValueError(f"header of {hlen} bytes runs past the end of file")
+    header = json.loads(blob.decode())
+    if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
+        raise ValueError("not a checkpoint file")
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {header['version']}")
+    config = ModelConfig(**header["config"])
+    shapes = param_shapes(config, header["P"], header["Q"],
+                          header["n_classes"])
+    if list(shapes.keys()) != header["param_order"]:
+        raise ValueError("checkpoint parameter order mismatch")
+    arrays = {}
+    for name, shape in shapes.items():
+        count = int(np.prod(shape))
+        buf = fh.read(count * 8)
+        if len(buf) != count * 8:
+            raise ValueError(f"checkpoint truncated in {name}")
+        arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    if fh.read(1):
+        raise ValueError("trailing bytes in checkpoint")
     return ModelParams(config=config, P=header["P"], Q=header["Q"],
                        K=header["K"], n_classes=header["n_classes"],
                        seed=header["seed"], arrays=arrays)

@@ -2,9 +2,10 @@
 
 Small, CPU-only engine: enough operations for a transformer
 encoder/decoder, the reconstruction losses, and an AdamW optimizer.
-All arithmetic is 64-bit. Broadcasting is limited to
-scalar-with-tensor, plus the leading window axes that the encoder ops
-accept (numpy semantics; backward sums over the broadcast axes).
+All arithmetic is 64-bit. `add` broadcasts as numpy does, and its
+backward sums over the broadcast axes; `sub`, `mul` and `div` take equal
+shapes or a scalar. Row layout is boolean masks: `gather_rows` selects
+rows and `place_rows`, its transpose, puts them back among fill rows.
 """
 
 import numpy as np
@@ -28,11 +29,6 @@ class DomainError(ValueError):
     """Operand values lie outside the operation's domain."""
 
 
-def _as_array(data):
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A float64 array plus the bookkeeping for reverse-mode gradients."""
 
@@ -40,7 +36,7 @@ class Tensor:
                  "_owns_grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -135,36 +131,40 @@ def _result(data, parents, backward):
     return out
 
 
-def _binary_shapes(a, b, op, trailing=False):
-    """Equal shapes or a scalar operand; with trailing, also an operand
-    whose shape is the other's trailing axes."""
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        return
-    short, long = sorted((a.data.shape, b.data.shape), key=len)
-    if trailing and long[len(long) - len(short):] == short:
-        return
-    raise ShapeError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
+def _binary_shapes(a, b, op):
+    """Equal shapes or a scalar operand."""
+    if a.data.shape != b.data.shape and a.data.ndim and b.data.ndim:
+        raise ShapeError(
+            f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
 def _reduce_to(grad, shape):
-    """Undo a broadcast: sum grad over the axes its operand was spread along."""
+    """Undo a broadcast: sum grad over the leading axes its operand lacks,
+    then over the axes where the operand has extent 1."""
     if grad.shape == shape:
         return grad
     if not shape:
         return np.sum(grad).reshape(shape)
-    return np.sum(grad.reshape((-1,) + shape), axis=0)
+    lead = grad.ndim - len(shape)
+    if lead:
+        grad = np.sum(grad.reshape((-1,) + grad.shape[lead:]), axis=0)
+    spread = tuple(i for i, n in enumerate(shape) if n == 1 != grad.shape[i])
+    return np.sum(grad, axis=spread, keepdims=True) if spread else grad
 
 
 # -- elementwise ---------------------------------------------------------
 
 
 def add(a, b):
-    """Elementwise sum; either operand may also match the other's trailing
-    axes, e.g. (T, d) positional rows added to (B, T, d) embeddings."""
+    """Elementwise sum with numpy broadcasting, e.g. (T, d) positional rows
+    added to (B, T, d) embeddings, or (K, d) rows to (n, 1, d) ones."""
     a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b, "add", trailing=True)
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise ShapeError(
+            f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast"
+        ) from None
 
     def backward(g):
         if a.requires_grad:
@@ -172,7 +172,7 @@ def add(a, b):
         if b.requires_grad:
             b._accumulate(_reduce_to(g, b.data.shape))
 
-    return _result(a.data + b.data, (a, b), backward)
+    return _result(out, (a, b), backward)
 
 
 def sub(a, b):
@@ -347,34 +347,42 @@ def transpose(a, axes):
     return _result(a.data.transpose(axes).copy(), (a,), backward)
 
 
-def gather_rows(a, index):
-    """Select rows of a matrix; gradient scatter-adds over repeats."""
-    a = _wrap(a)
-    index = np.asarray(index, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a matrix, got {a.data.shape}")
+def gather_rows(a, keep):
+    """The rows of a matrix where the bool vector keep is True, in order."""
+    a, keep = _wrap(a), np.asarray(keep)
+    if a.data.ndim != 2 or keep.dtype != bool or keep.shape != a.shape[:1]:
+        raise ShapeError(f"gather_rows: {a.data.shape} matrix with a "
+                         f"{keep.dtype} {keep.shape} row mask")
 
     def backward(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            np.add.at(acc, index, g)
+            acc[keep] = g
             a._accumulate(acc)
 
-    return _result(a.data[index], (a,), backward)
+    return _result(a.data[keep], (a,), backward)
 
 
-def concat_rows(parts):
-    parts = [_wrap(p) for p in parts]
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def place_rows(rows, at, fill):
+    """The transpose of gather_rows: a matrix with the (n, d) rows, in
+    order, where the bool vector at is True and the (d,) fill elsewhere."""
+    rows, fill, at = _wrap(rows), _wrap(fill), np.asarray(at)
+    if (at.dtype != bool or at.ndim != 1 or rows.data.ndim != 2
+            or rows.shape[0] != np.count_nonzero(at)
+            or fill.shape != rows.shape[1:]):
+        raise ShapeError(f"place_rows: rows {rows.shape} at a {at.dtype} "
+                         f"{at.shape} mask, fill {fill.shape}")
+    out = np.empty((at.size,) + fill.shape)
+    out[at] = rows.data
+    out[~at] = fill.data
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[lo:hi])
+        if rows.requires_grad:
+            rows._accumulate(g[at])
+        if fill.requires_grad:
+            fill._accumulate(g[~at].sum(axis=0))
 
-    return _result(np.concatenate([p.data for p in parts], axis=0),
-                   tuple(parts), backward)
+    return _result(out, (rows, fill), backward)
 
 
 # -- linear algebra -------------------------------------------------------

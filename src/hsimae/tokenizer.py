@@ -29,8 +29,8 @@ class TokenGrid:
     P: int
     Q: int
     K: int
-    patches: np.ndarray        # (..., P*Q*K, 648), flattened i-outer, j-middle, b-inner
-    order: np.ndarray          # (P*Q*K, 3) rows of (p, q, k), 0-based
+    patches: np.ndarray        # (..., P*Q*K, 648), (p, q, k) in C order;
+                               # each flattened i-outer, j-middle, b-inner
     cropped_values: np.ndarray  # (..., 9P, 9Q, 8K), the loss target region
     cropped: tuple             # (rows, cols, bands) dropped past floor multiples
 
@@ -81,7 +81,7 @@ def partition(cube):
     blocks = region.reshape(*lead, P, PATCH_H, Q, PATCH_W, K, PATCH_B)
     patches = (blocks.transpose(*range(n), *(n + np.array([0, 2, 4, 1, 3, 5])))
                .copy().reshape(*lead, -1, PATCH_LEN))
-    return TokenGrid(P=P, Q=Q, K=K, patches=patches, order=token_order(P, Q, K),
+    return TokenGrid(P=P, Q=Q, K=K, patches=patches,
                      cropped_values=region.copy(), cropped=cropped)
 
 
@@ -93,11 +93,6 @@ def report_cropping(shape):
     if any(cropped):
         log.warning("cropping %d rows, %d cols, %d bands past patch multiples",
                     *cropped)
-
-
-def token_order(P, Q, K):
-    """(P*Q*K, 3) rows of (p, q, k) in token order."""
-    return np.indices((P, Q, K), dtype=np.int64).reshape(3, -1).T
 
 
 def _sin_cos_vector(arg_base, d):
@@ -117,15 +112,6 @@ def spec_enc(lam, d_spec):
     if lam <= 0:
         raise ValueError(f"wavelength must be positive, got {lam}")
     return _sin_cos_vector(2.0 * np.pi / lam, d_spec)
-
-
-def sinusoidal_pe(pos, d_model):
-    """Classic fixed sinusoidal position encoding."""
-    if d_model % 2:
-        raise ValueError(f"d_model must be even, got {d_model}")
-    if pos < 0:
-        raise ValueError("position must be non-negative")
-    return _sin_cos_vector(float(pos), d_model)
 
 
 def spec_enc_table(meta, d_spec):

@@ -108,8 +108,8 @@ def evaluate(pred, true):
     n_classes = int(max(pred.max(), true.max()))
     if min(pred.min(), true.min()) < 1:
         raise ValueError("class ids must be >= 1 (0 marks unlabeled pixels)")
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (true - 1, pred - 1), 1)
+    confusion = np.bincount((true - 1) * n_classes + pred - 1,
+                            minlength=n_classes ** 2).reshape(n_classes, -1)
     total = confusion.sum()
     p_o = np.trace(confusion) / total
     support = confusion.sum(axis=1)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ class TestReconstructCmd:
                     str(path), "--rho-s", "0", "--rho-b", "0"])
         assert code == cli.EXIT_DATA
         assert "rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob", [
+        b"",
+        b"\x01\x02\x03",
+        struct.pack("<I", 30) + b'{"magic": "hsimae-checkpoint"}',
+        struct.pack("<I", 1000) + b'{"magic": "hsimae-checkpoint"}',
+    ], ids=["empty", "three_bytes", "header_lacks_key", "prefix_too_long"])
+    def test_malformed_checkpoint_exits_two(self, small_cube, tmp_path,
+                                            capsys, blob):
+        path, _ = small_cube
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob)
+        code = run(["reconstruct", "--checkpoint", str(ckpt), "--data",
+                    str(path)])
+        assert code == cli.EXIT_DATA
+        assert str(ckpt) in capsys.readouterr().err
 
 
 class TestFinetuneEval:

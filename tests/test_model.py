@@ -97,10 +97,10 @@ class TestDecode:
         vis, _ = masking.apply_mask(emb, plan)
         latents = model.encode(vis, t, params.config)
         # perturbing the mask token must not change the output
-        out1 = model.decode(latents, plan, t, params.config, meta).data.copy()
+        out1 = model.decode(latents, plan, t, params, meta).data.copy()
         t2 = dict(t)
         t2["mask_token"] = tc.Tensor(t["mask_token"].data + 10.0)
-        out2 = model.decode(latents, plan, t2, params.config, meta).data
+        out2 = model.decode(latents, plan, t2, params, meta).data
         np.testing.assert_array_equal(out1, out2)
 
     def test_mask_token_used_when_masked(self):
@@ -109,10 +109,10 @@ class TestDecode:
         emb = model.embed_for(params, grid, meta, t)
         vis, _ = masking.apply_mask(emb, plan)
         latents = model.encode(vis, t, params.config)
-        out1 = model.decode(latents, plan, t, params.config, meta).data.copy()
+        out1 = model.decode(latents, plan, t, params, meta).data.copy()
         t2 = dict(t)
         t2["mask_token"] = tc.Tensor(t["mask_token"].data + 1.0)
-        out2 = model.decode(latents, plan, t2, params.config, meta).data
+        out2 = model.decode(latents, plan, t2, params, meta).data
         assert not np.array_equal(out1, out2)
 
     def test_unflatten_matches_partition(self):
@@ -129,8 +129,100 @@ class TestDecode:
         cube, grid, meta, params, plan = _setup()
         t = params.tensors()
         with pytest.raises(ValueError):
-            model.decode(tc.Tensor(np.zeros((3, 16))), plan, t,
-                         params.config, meta)
+            model.decode(tc.Tensor(np.zeros((3, 16))), plan, t, params, meta)
+
+
+def _spy_on_stacks(monkeypatch):
+    """Record each _run_stack call's input and output arrays by stack."""
+    seen, run_stack = {}, model._run_stack
+
+    def spy(x, t, stack, *args, **kwargs):
+        out = run_stack(x, t, stack, *args, **kwargs)
+        seen[stack] = (x.data, out.data)
+        return out
+
+    monkeypatch.setattr(model, "_run_stack", spy)
+    return seen
+
+
+def _index_gather(a, index):
+    """The index-table row gather that boolean masks replaced; its
+    backward scatter-adds over repeated rows."""
+    def backward(g):
+        if a.requires_grad:
+            acc = np.zeros_like(a.data)
+            np.add.at(acc, index, g)
+            a._accumulate(acc)
+
+    return tc._result(a.data[index], (a,), backward)
+
+
+def _concat_rows(parts):
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                p._accumulate(g[lo:hi])
+
+    return tc._result(np.concatenate([p.data for p in parts]), tuple(parts),
+                      backward)
+
+
+def _index_table_decode(latents, plan, t, params, meta):
+    """The decoder as index tables built it: the latents and a mask-token
+    row stacked and gathered by a permutation, plus spatial rows gathered
+    by (p, q, k) rows at the table's row stride and the wavelength rows."""
+    P, Q, K = plan.P, plan.Q, plan.K
+    cfg, n_visible = params.config, plan.visible_ids.size
+    stacked = _concat_rows(
+        [latents, tc.reshape(t["mask_token"], (1, cfg.d_model))])
+    perm = np.full(P * Q * K, n_visible)
+    perm[plan.visible_ids] = np.arange(n_visible)
+    order = np.indices((P, Q, K)).reshape(3, -1).T
+    spatial = _index_gather(t["spatial_pe"], order[:, 0] * params.Q + order[:, 1])
+    spectral = tokenizer.spec_enc_table(meta, cfg.d_model)[order[:, 2]]
+    x = tc.add(_index_gather(stacked, perm),
+               tc.add(spatial, tc.Tensor(spectral)))
+    x = model._run_stack(x, t, "dec", cfg.n_dec_layers, cfg)
+    flat = tc.add_rowvec(tc.matmul(x, t["recon_w"]), t["recon_b"])
+    return model._unpatchify(flat, P, Q, K)
+
+
+class TestDecoderLayout:
+    def test_decoder_reads_the_encoders_table_cells(self, monkeypatch):
+        # a 4x4-cell table under a 27x27 cube (3x3 cells): the decoder must
+        # add the table cells the encoder adds, not the table's first 9 rows
+        cube, grid, meta, _, plan = _setup(seed=6, rho=0.0)
+        params = model.init_params(model.micro_config(), 4, 4, grid.K, 3, 6)
+        params.arrays["spatial_pe"] = np.random.default_rng(6).normal(
+            size=(16, 16))
+        params.arrays["patch_proj_w"][:] = 0.0  # encoder input = positions
+        seen = _spy_on_stacks(monkeypatch)
+        model.masked_forward(params, grid, meta, plan, params.tensors())
+        (enc_in, enc_out), (dec_in, _) = seen["enc"], seen["dec"]
+        # nothing is masked, so the decoder input is latents + positions
+        np.testing.assert_allclose(dec_in - enc_out, enc_in, atol=1e-12)
+
+    @pytest.mark.parametrize("table", [(3, 3), (4, 5)])
+    def test_bit_identical_to_index_tables(self, table, monkeypatch):
+        _, grid, meta, _, plan = _setup(seed=3)
+        params = model.init_params(model.micro_config(), *table, grid.K, 3, 3)
+        rng = np.random.default_rng(3)
+        params.arrays["spatial_pe"] = rng.normal(size=(table[0] * table[1], 16))
+        latents = rng.normal(size=(plan.visible_ids.size, 16))
+        weight = tc.Tensor(rng.normal(size=(27, 27, 24)))
+        seen = _spy_on_stacks(monkeypatch)
+        results = []
+        for decode in (model.decode, _index_table_decode):
+            t = params.tensors()
+            lat = tc.Tensor(latents, requires_grad=True)
+            out = decode(lat, plan, t, params, meta)
+            tc.tsum(tc.mul(out, weight)).backward()
+            results.append([seen["dec"][0], out.data, lat.grad,
+                            t["spatial_pe"].grad, t["mask_token"].grad])
+        for new, old in zip(*results):
+            np.testing.assert_array_equal(new, old)
 
 
 class TestClassify:

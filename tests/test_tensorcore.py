@@ -162,11 +162,40 @@ class TestBackward:
         out.backward()
         np.testing.assert_allclose(x.grad, 2.0 * xv + 3.0, rtol=1e-12)
 
-    def test_gather_rows_accumulates_repeats(self):
+    def test_gather_rows_mask_backward(self):
         a = tc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        out = tc.tsum(tc.gather_rows(a, [0, 0, 2]))
-        out.backward()
-        np.testing.assert_array_equal(a.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+        out = tc.gather_rows(a, [True, False, True])
+        np.testing.assert_array_equal(out.data, [[0.0, 1.0], [4.0, 5.0]])
+        tc.tsum(tc.mul(out, tc.Tensor([[1.0, 2.0], [3.0, 4.0]]))).backward()
+        np.testing.assert_array_equal(a.grad, [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("keep", [[0, 2], [1, 0, 1], [True, False],
+                                      [[True], [False], [True]]])
+    def test_gather_rows_rejects_all_but_a_row_mask(self, keep):
+        with pytest.raises(tc.ShapeError, match="row mask"):
+            tc.gather_rows(tc.Tensor(np.zeros((3, 2))), keep)
+
+    def test_place_rows_is_the_transpose_of_gather_rows(self):
+        at = np.array([False, True, True, False, True])
+        rows = tc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        fill = tc.Tensor([-1.0, -2.0], requires_grad=True)
+        out = tc.place_rows(rows, at, fill)
+        np.testing.assert_array_equal(
+            out.data, [[-1, -2], [0, 1], [2, 3], [-1, -2], [4, 5]])
+        np.testing.assert_array_equal(tc.gather_rows(out, at).data, rows.data)
+        g = np.arange(10.0).reshape(5, 2)
+        tc.tsum(tc.mul(out, tc.Tensor(g))).backward()
+        np.testing.assert_array_equal(rows.grad, g[at])
+        np.testing.assert_array_equal(fill.grad, g[0] + g[3])
+
+    def test_place_rows_shape_errors(self):
+        rows, fill = tc.Tensor(np.zeros((2, 3))), tc.Tensor(np.zeros(3))
+        with pytest.raises(tc.ShapeError, match=r"rows \(2, 3\) at a bool \(3,\)"):
+            tc.place_rows(rows, [True, True, True], fill)
+        with pytest.raises(tc.ShapeError):
+            tc.place_rows(rows, [True, False, True], tc.Tensor(np.zeros(2)))
+        with pytest.raises(tc.ShapeError, match="int"):
+            tc.place_rows(rows, [0, 2], fill)
 
 
 def _slice_cols(a, lo, hi):
@@ -191,6 +220,14 @@ def _concat_cols(parts):
                       tuple(parts), backward)
 
 
+_KEEP = np.array([True, False, True])
+_AT = np.array([False, True, True, False, True, False])  # 3 rows, 3 fills
+
+
+def _square(x):
+    return tc.mul(x, x)
+
+
 OPS = {
     "add": (lambda x, y: tc.tsum(tc.mul(tc.add(x, y), tc.add(x, y))), 2, (3, 4)),
     "sub": (lambda x, y: tc.tsum(tc.mul(tc.sub(x, y), tc.sub(x, y))), 2, (3, 4)),
@@ -211,10 +248,10 @@ OPS = {
     "transpose_axes": (lambda x: tc.tsum(tc.mul(
         tc.transpose(x, (0, 3, 1, 4, 2, 5)),
         tc.Tensor(np.arange(48.0).reshape(2, 2, 1, 2, 3, 2)))), 1, (2, 1, 3, 2, 2, 2)),
-    "gather": (lambda x: tc.tsum(tc.mul(tc.gather_rows(x, [0, 2, 2]),
-                                        tc.gather_rows(x, [0, 2, 2]))), 1, (3, 4)),
-    "concat": (lambda x, y: tc.tsum(tc.mul(tc.concat_rows([x, y]),
-                                           tc.concat_rows([x, y]))), 2, (3, 4)),
+    "gather": (lambda x: tc.tsum(tc.mul(tc.gather_rows(x, _KEEP),
+                                        tc.gather_rows(x, _KEEP))), 1, (3, 4)),
+    "place_rows": (lambda x, y: _weighted(_square(tc.place_rows(
+        x, _AT, tc.tsum(y, axis=0)))), 2, (3, 4)),
     "add_rowvec": (lambda x, y: tc.tsum(tc.mul(tc.add_rowvec(x, tc.tsum(y, axis=0)),
                                                tc.add_rowvec(x, tc.tsum(y, axis=0)))), 2, (3, 4)),
     # the head split and merge of the per-head reference graph
@@ -263,6 +300,9 @@ BATCHED_OPS = {
     "add_trailing": (lambda x, y: tc.add(_weighted(tc.add(x, y)),
                                          _weighted(tc.add(y, x))),
                      [(2, 3, 4), (3, 4)]),
+    "add_spread": (lambda x, y: tc.add(_weighted(tc.add(x, y)),
+                                       _weighted(tc.add(y, x))),
+                   [(4, 1, 3), (2, 3)]),
     "transpose_last_two": (lambda x: _weighted(tc.transpose(x, (0, 2, 1))),
                            [(2, 3, 4)]),
     "tmean_rows": (lambda x: _weighted(tc.tmean(x, axis=-2)), [(2, 3, 4)]),
@@ -390,8 +430,15 @@ class TestLeadingAxes:
         with pytest.raises(tc.ShapeError):
             tc.matmul(tc.Tensor(np.zeros((2, 3, 4))),
                       tc.Tensor(np.zeros((3, 4, 5))))
-        with pytest.raises(tc.ShapeError):
+        with pytest.raises(tc.ShapeError, match="do not broadcast"):
             tc.add(tc.Tensor(np.zeros((2, 3, 4))), tc.Tensor(np.zeros((2, 4))))
+
+    def test_only_add_broadcasts(self):
+        x, y = tc.Tensor(np.zeros((4, 1, 3))), tc.Tensor(np.ones((2, 3)))
+        assert tc.add(x, y).shape == (4, 2, 3)
+        for op in (tc.sub, tc.mul, tc.div):
+            with pytest.raises(tc.ShapeError, match="mismatch"):
+                op(x, y)
 
 
 def test_arccos_gradient_away_from_clamp():

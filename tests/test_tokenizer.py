@@ -53,13 +53,12 @@ class TestPartition:
             one = tokenizer.partition(hsidata.HsiCube(
                 values=stack.values[n], wavelengths=stack.wavelengths))
             np.testing.assert_array_equal(grid.patches[n], one.patches)
-            np.testing.assert_array_equal(grid.order, one.order)
 
     def test_every_voxel_in_exactly_one_patch(self):
         cube = _cube(20, 19, 17, seed=3)
         grid = tokenizer.partition(cube)
         counts = np.zeros((20, 19, 17), dtype=int)
-        for t, (p, q, k) in enumerate(grid.order):
+        for t, (p, q, k) in enumerate(np.ndindex(grid.P, grid.Q, grid.K)):
             for i in range(9 * p, 9 * (p + 1)):
                 for j in range(9 * q, 9 * (q + 1)):
                     for b in range(8 * k, 8 * (k + 1)):
@@ -123,22 +122,25 @@ class TestSpecEnc:
 
 
 class TestSinusoidalPe:
+    """The interleaved sin/cos vector under the wavelength encoding."""
+
     def test_pos_zero(self):
-        v = tokenizer.sinusoidal_pe(0, 6)
+        v = tokenizer._sin_cos_vector(0.0, 6)
         np.testing.assert_array_equal(v, [0, 1, 0, 1, 0, 1])
 
     def test_pos_one_d2(self):
-        v = tokenizer.sinusoidal_pe(1, 2)
+        v = tokenizer._sin_cos_vector(1.0, 2)
         np.testing.assert_allclose(v, [np.sin(1.0), np.cos(1.0)], rtol=1e-12)
 
     def test_norm_identity(self):
         for pos in [0, 1, 7, 100]:
-            v = tokenizer.sinusoidal_pe(pos, 16)
+            v = tokenizer._sin_cos_vector(float(pos), 16)
             assert np.sum(v * v) == pytest.approx(8.0, abs=1e-12)
 
     def test_odd_dim_rejected(self):
-        with pytest.raises(ValueError):
-            tokenizer.sinusoidal_pe(1, 5)
+        # the encoding pairs sin with cos, so the model width must be even
+        with pytest.raises(ValueError, match="even"):
+            model.ModelConfig(d_model=5, n_heads=1)
 
 
 class TestEmbedTokens:
@@ -170,7 +172,7 @@ class TestEmbedTokens:
         for t in tensors.values():
             t.data[:] = 0.0
         out = model.embed_for(params, grid, meta, tensors)
-        for t, (p, q, k) in enumerate(grid.order):
+        for t, (p, q, k) in enumerate(np.ndindex(grid.P, grid.Q, grid.K)):
             np.testing.assert_allclose(out.data[t],
                                        tokenizer.spec_enc(meta.lambdas[k], 8))
 
