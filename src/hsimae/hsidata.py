@@ -12,6 +12,8 @@ The HSC container (little-endian):
 Wavelengths are micrometers everywhere in this package.
 """
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -82,11 +84,33 @@ class NormStats:
             raise ValueError("std entries must be strictly positive")
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file whose bytes replace `path` only once the block ends.
+
+    They go to a temporary file in the same directory, which is synced to
+    disk and then renamed over `path`. A write that fails leaves the old
+    file as it was and removes the temporary one; a process killed
+    mid-write leaves the old file and a `*.tmp` file beside it.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_cube(cube, path):
-    """Write an HSC file; bit-exact round-trip with load_cube."""
+    """Write an HSC file, atomically; bit-exact round-trip with load_cube."""
     h, w, b = cube.values.shape
     flag = 1 if cube.labels is not None else 0
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIB", h, w, b, flag))
         fh.write(cube.wavelengths.astype("<f8").tobytes())

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import masking, tokenizer
 from . import tensorcore as tc
+from .hsidata import atomic_write
 from .tokenizer import PATCH_B, PATCH_H, PATCH_LEN, PATCH_W
 
 CHECKPOINT_MAGIC = "hsimae-checkpoint"
@@ -267,6 +268,8 @@ def classify(windows, params, tensors=None):
 
 
 def save_checkpoint(params, path):
+    """Write a checkpoint atomically: a failed or interrupted save leaves
+    the previous file at `path` intact."""
     header = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -276,7 +279,7 @@ def save_checkpoint(params, path):
         "param_order": list(params.arrays.keys()),
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for arr in params.arrays.values():

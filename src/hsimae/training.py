@@ -7,6 +7,7 @@ model on 9 x 9 full-band windows centered on labeled pixels.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +137,6 @@ class TrainSettings:
     augment: bool = True
     jitter_sigma: float = 0.01
     fixed_plan: bool = False
-    checkpoint_every: int = 0  # 0 = final checkpoint only
     ft_epochs: int = 20
 
 
@@ -174,46 +174,46 @@ def pretrain(cubes, config, settings, run_seed,
                                seed=masking.derive_seed(run_seed, "init"))
     state = OptimState()
     log_entries = []
-    for step in range(settings.steps):
-        cube_id = step % len(cubes)
-        epoch = step // len(cubes)
-        cube = cubes[cube_id]
-        if settings.augment:
-            cube = augment(cube, masking.derive_seed(run_seed, "aug", step),
-                           jitter_sigma=settings.jitter_sigma)
-        cube, _ = hsidata.normalize(cube)
-        grid = tokenizer.partition(cube)
-        meta = tokenizer.spectral_meta(cube.wavelengths, grid.K)
-        if settings.fixed_plan:
-            plan_seed = masking.derive_seed(run_seed, "plan", 0, 0, 0)
-        else:
-            plan_seed = masking.derive_seed(run_seed, "plan", epoch, step, cube_id)
-        plan = _plan_for(grid, settings, plan_seed)
-        tensors = params.tensors()
-        recon = model.masked_forward(params, grid, meta, plan, tensors)
-        mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
-        try:
-            total, report = loss.rec_loss(grid.cropped_values, recon, mask,
-                                          alpha=settings.alpha)
-        except FloatingPointError as exc:
-            raise FloatingPointError(
-                f"non-finite loss at step {step}; plan: {plan.to_json()}") from exc
-        total.backward()
-        grads = {name: t.grad for name, t in tensors.items()
-                 if t.grad is not None}
-        adamw_step(params.arrays, grads, state, settings.hyper)
-        log_entries.append({"step": step, "l_mse": report.l_mse,
-                            "l_sam": report.l_sam, "l_rec": report.l_rec,
-                            "seed": plan.seed})
-        if (checkpoint_path and settings.checkpoint_every
-                and (step + 1) % settings.checkpoint_every == 0):
-            model.save_checkpoint(params, checkpoint_path)
+    # one line per step, flushed, so a run that stops early leaves its
+    # log up to the last completed step
+    with open(log_path or os.devnull, "w") as log:
+        for step in range(settings.steps):
+            cube_id = step % len(cubes)
+            epoch = step // len(cubes)
+            cube = cubes[cube_id]
+            if settings.augment:
+                cube = augment(cube,
+                               masking.derive_seed(run_seed, "aug", step),
+                               jitter_sigma=settings.jitter_sigma)
+            cube, _ = hsidata.normalize(cube)
+            grid = tokenizer.partition(cube)
+            meta = tokenizer.spectral_meta(cube.wavelengths, grid.K)
+            if settings.fixed_plan:
+                plan_seed = masking.derive_seed(run_seed, "plan", 0, 0, 0)
+            else:
+                plan_seed = masking.derive_seed(run_seed, "plan", epoch, step,
+                                                cube_id)
+            plan = _plan_for(grid, settings, plan_seed)
+            tensors = params.tensors()
+            recon = model.masked_forward(params, grid, meta, plan, tensors)
+            mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
+            try:
+                total, report = loss.rec_loss(grid.cropped_values, recon, mask,
+                                              alpha=settings.alpha)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"non-finite loss at step {step}; "
+                                         f"plan: {plan.to_json()}") from exc
+            total.backward()
+            grads = {name: t.grad for name, t in tensors.items()
+                     if t.grad is not None}
+            adamw_step(params.arrays, grads, state, settings.hyper)
+            entry = {"step": step, "l_mse": report.l_mse, "l_sam": report.l_sam,
+                     "l_rec": report.l_rec, "seed": plan.seed}
+            log_entries.append(entry)
+            log.write(json.dumps(entry) + "\n")
+            log.flush()
     if checkpoint_path:
         model.save_checkpoint(params, checkpoint_path)
-    if log_path:
-        with open(log_path, "w") as fh:
-            for entry in log_entries:
-                fh.write(json.dumps(entry) + "\n")
     return params, log_entries
 
 

@@ -30,6 +30,22 @@ class TestHscFormat:
         hsidata.save_cube(hsidata.load_cube(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "c.hsc"
+        hsidata.save_cube(_random_cube(seed=1), path)
+        before = path.read_bytes()
+
+        class Unwritable(np.ndarray):  # fails as a full disk would
+            def astype(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        cube = _random_cube(seed=2)
+        cube.values = cube.values.view(Unwritable)  # after the header
+        with pytest.raises(OSError, match="disk full"):
+            hsidata.save_cube(cube, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.hsc"]
+
     def test_unlabeled_omits_label_section(self, tmp_path):
         cube = _random_cube(labeled=False)
         path = tmp_path / "c.hsc"

@@ -295,6 +295,13 @@ class TestBatchedWindows:
                                           model.classify(single, params).data)
 
 
+class _UnwritableArray(np.ndarray):
+    """An array whose serialization fails, as a full disk would."""
+
+    def astype(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = model.init_params(model.micro_config(), 3, 3, 3, 4, seed=9)
@@ -312,6 +319,19 @@ class TestCheckpoint:
         model.save_checkpoint(params, p1)
         model.save_checkpoint(model.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=1)
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(params, path)
+        before = path.read_bytes()
+        other = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=2)
+        name = list(other.arrays)[-1]  # fails after the header and most arrays
+        other.arrays[name] = other.arrays[name].view(_UnwritableArray)
+        with pytest.raises(OSError, match="disk full"):
+            model.save_checkpoint(other, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"

@@ -1,7 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from hsimae import tensorcore as tc
 from fdcheck import finite_diff_grad, assert_grads_close
@@ -78,6 +84,60 @@ class TestElementwise:
         out = tc.gelu(tc.Tensor(1.0))
         assert float(out.data) == pytest.approx(expected, abs=1e-12)
         assert float(out.data) == pytest.approx(0.8413, abs=1e-4)
+
+
+def _assert_erf_matches_scipy(x):
+    """Bit-identical for |x| <= 1 (and NaN), within 1 ulp beyond."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = tc.erf(x)
+    want = scipy_erf(x)
+    near = ~(np.abs(x) > 1.0)
+    assert np.array_equal(got[near], want[near], equal_nan=True)
+    # erf keeps the sign of x, so same-sign bit patterns count ulps
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    ulps = np.abs(got[~near].view(np.int64) - want[~near].view(np.int64))
+    assert ulps.max(initial=0) <= 1
+
+
+class TestErf:
+    @pytest.mark.parametrize("scale", [0.05, 0.7, 1.5, 8.0])
+    def test_matches_scipy_on_normal_draws(self, scale):
+        x = np.random.default_rng(zlib.crc32(str(scale).encode()))
+        x = x.standard_normal(1_000_000) * scale
+        _assert_erf_matches_scipy(x)
+
+    def test_edge_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        past_one = np.nextafter(1.0, 2.0)
+        x = np.array([0.0, -0.0, 1.0, -1.0, past_one, -past_one, 6.0, -6.0,
+                      np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -2e-308])
+        _assert_erf_matches_scipy(x)
+        y = tc.erf(x)
+        assert np.array_equal(np.signbit(y[:2]), [False, True])
+        assert np.array_equal(y[6:10], [1.0, -1.0, 1.0, -1.0])
+        assert np.isnan(y[10])
+
+    def test_keeps_shape(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert tc.erf(x).shape == (2, 3, 4)
+        assert tc.erf(np.float64(0.5)).shape == ()
+        assert tc.erf(x[:, ::2]).tolist() == scipy_erf(x[:, ::2]).tolist()
+
+    def test_cli_loads_no_scipy(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        out = str(tmp_path / "c.hsc")
+        code = ("import sys\n"
+                "from hsimae import cli\n"
+                "assert cli.main(['gen-synth', '--h', '9', '--w', '9', "
+                f"'--b', '8', '--classes', '2', '--out', {out!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] == 'scipy'))\n")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestSoftmax:

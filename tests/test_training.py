@@ -201,6 +201,30 @@ class TestPretrain:
         loaded = model.load_checkpoint(ckpt)
         assert loaded.config == params.config
 
+    def test_log_streams_each_completed_step(self, tmp_path, monkeypatch):
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
+        full = tmp_path / "full.jsonl"
+        training.pretrain([cube], model.micro_config(), _short_settings(),
+                          run_seed=1, log_path=full)
+        cut = tmp_path / "cut.jsonl"
+        real_step, done, seen = training.adamw_step, [], []
+
+        def fail_at_step_3(*args):
+            if len(done) == 3:
+                seen.append(cut.read_text())  # the log while still open
+                raise FloatingPointError("stopped at step 3")
+            real_step(*args)
+            done.append(1)
+
+        monkeypatch.setattr(training, "adamw_step", fail_at_step_3)
+        with pytest.raises(FloatingPointError, match="step 3"):
+            training.pretrain([cube], model.micro_config(), _short_settings(),
+                              run_seed=1, log_path=cut,
+                              checkpoint_path=tmp_path / "m.ckpt")
+        first_3 = "".join(full.read_text().splitlines(keepends=True)[:3])
+        assert seen == [first_3] and cut.read_text() == first_3
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_deterministic_runs(self, tmp_path):
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=2)
         out = []
