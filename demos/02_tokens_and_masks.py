@@ -22,13 +22,12 @@ print(f"grid: P={grid.P} Q={grid.Q} K={grid.K} -> {grid.n_tokens} tokens "
 print("cropped (rows, cols, bands):", grid.cropped)
 
 # Every spectral group of 8 bands gets one representative wavelength.
-meta = tokenizer.spectral_meta(normed.wavelengths, grid.K)
-print("group mean wavelengths:", np.round(meta.lambdas, 3))
+print("group mean wavelengths:", np.round(grid.lambdas, 3))
 
 # The wavelength encoding is an interleaved sin/cos stack whose squared
 # norm is d/2 by the sin^2 + cos^2 identity -- for every wavelength.
-for lam in meta.lambdas:
-    enc = tokenizer.spec_enc(lam, 64)
+table = tokenizer.wavelength_table(grid.lambdas, 64)
+for lam, enc in zip(grid.lambdas, table):
     print(f"  lambda {lam:.3f} um: ||enc||^2 = {enc @ enc:.12f}")
 
 # Dual masking: half the spatial cells and half the spectral groups.

@@ -29,9 +29,8 @@ print(f"loss ratio final/first: {log[-1]['l_rec'] / log[0]['l_rec']:.3f}")
 # Reconstruct with a fresh mask and score it per pixel.
 normed, _ = hsidata.normalize(cube)
 grid = tokenizer.partition(normed)
-meta = tokenizer.spectral_meta(normed.wavelengths, grid.K)
 plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, 0.5, 0.5, seed=99)
-recon = model.masked_forward(params, grid, meta, plan,
+recon = model.masked_forward(params, grid, plan,
                              params.tensors(trainable=set()))
 vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
 _, report = loss.rec_loss(grid.cropped_values, recon, vox, alpha=0.5)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-synth, pretrain, finetune, eval, reconstruct, inspect.
-Options can come from a JSON config file (--config); explicit flags win.
+pretrain and finetune options can also come from a JSON config file
+(--config); explicit flags win.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
 failure.
 """
@@ -146,25 +147,25 @@ def cmd_reconstruct(args):
     normed, stats = hsidata.normalize(cube)
     grid = tokenizer.partition(normed)
     tokenizer.report_cropping(normed.values.shape)
-    meta = tokenizer.spectral_meta(normed.wavelengths, grid.K)
     plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K,
                                     args.rho_s, args.rho_b, args.seed)
     if not plan.masked_ids.size:
         raise ValueError(
             "mask ratios leave nothing masked, so the masked MSE is "
             "undefined; pass nonzero --rho-s or --rho-b")
-    recon = model.masked_forward(params, grid, meta, plan,
+    recon = model.masked_forward(params, grid, plan,
                                  params.tensors(trainable=set()))
     mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
     _, report = loss.rec_loss(grid.cropped_values, recon, mask,
                               alpha=args.alpha)
     print(report.to_json())
     if args.out:
-        band_stats = hsidata.NormStats(mean=stats.mean[:8 * grid.K],
-                                       std=stats.std[:8 * grid.K])
+        bands = grid.cropped_values.shape[-1]
+        band_stats = hsidata.NormStats(mean=stats.mean[:bands],
+                                       std=stats.std[:bands])
         out_cube = hsidata.denormalize(
             hsidata.HsiCube(values=recon.data,
-                            wavelengths=cube.wavelengths[:8 * grid.K]),
+                            wavelengths=cube.wavelengths[:bands]),
             band_stats)
         hsidata.save_cube(out_cube, args.out)
         print(f"wrote {args.out}")
@@ -198,12 +199,14 @@ def build_parser():
                                  "hyperspectral cubes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=0)
 
+    def add_config(p):
+        p.add_argument("--config", help="JSON config file; flags override it")
+
     p = sub.add_parser("gen-synth", help="generate a labeled synthetic cube")
-    common(p)
+    add_seed(p)
     p.add_argument("--h", dest="height", type=int, required=True)
     p.add_argument("--w", dest="width", type=int, required=True)
     p.add_argument("--b", dest="bands", type=int, required=True)
@@ -214,7 +217,8 @@ def build_parser():
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("pretrain", help="masked-reconstruction pre-training")
-    common(p)
+    add_seed(p)
+    add_config(p)
     p.add_argument("--data", nargs="+", required=True, help="HSC cube files")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", help="JSON-lines loss log path")
@@ -229,7 +233,8 @@ def build_parser():
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="train the classifier on labeled pixels")
-    common(p)
+    add_seed(p)
+    add_config(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True, help="CSV i,j,label,split")
@@ -243,14 +248,13 @@ def build_parser():
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="score a prediction CSV against truth")
-    common(p)
     p.add_argument("--pred", required=True, help="CSV i,j,label")
     p.add_argument("--true", required=True, help="CSV i,j,label")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reconstruct",
                        help="mask, reconstruct, and report losses for one cube")
-    common(p)
+    add_seed(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--rho-s", type=float, default=0.5)
@@ -261,7 +265,6 @@ def build_parser():
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("inspect", help="print cube header facts")
-    common(p)
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_inspect)
 

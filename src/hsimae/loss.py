@@ -57,19 +57,6 @@ def mse_masked(y, y_hat, mask):
     return tc.scale(tc.tsum(tc.mul(diff, diff)), 1.0 / n)
 
 
-def sam_pixel(y, y_hat):
-    """Spectral angle (radians) between one pixel's true and predicted spectra."""
-    y, y_hat = _wrap_const(y), _wrap_const(y_hat)
-    ny = float(np.linalg.norm(y.data))
-    nyh = float(np.linalg.norm(y_hat.data))
-    if ny <= ZERO_NORM_EPS or nyh <= ZERO_NORM_EPS:
-        raise ValueError("zero-norm spectrum has no spectral angle")
-    dot = tc.tsum(tc.mul(y, y_hat))
-    norm_prod = tc.mul(tc.sqrt(tc.tsum(tc.mul(y, y))),
-                       tc.sqrt(tc.tsum(tc.mul(y_hat, y_hat))))
-    return tc.arccos(tc.div(dot, norm_prod))
-
-
 def _pixel_norms(y2, yh2):
     """Row norms of (pixels, bands) spectra, and which pixels have an angle.
 

@@ -145,16 +145,16 @@ def init_params(config, P, Q, K, n_classes, seed):
 
 
 def _attention(x, t, pre, config):
-    q = tc.add_rowvec(tc.matmul(x, t[pre + "wq"]), t[pre + "bq"])
-    k = tc.add_rowvec(tc.matmul(x, t[pre + "wk"]), t[pre + "bk"])
-    v = tc.add_rowvec(tc.matmul(x, t[pre + "wv"]), t[pre + "bv"])
+    q = tc.add(tc.matmul(x, t[pre + "wq"]), t[pre + "bq"])
+    k = tc.add(tc.matmul(x, t[pre + "wk"]), t[pre + "bk"])
+    v = tc.add(tc.matmul(x, t[pre + "wv"]), t[pre + "bv"])
     heads = tc.attention(q, k, v, config.n_heads)
-    return tc.add_rowvec(tc.matmul(heads, t[pre + "wo"]), t[pre + "bo"])
+    return tc.add(tc.matmul(heads, t[pre + "wo"]), t[pre + "bo"])
 
 
 def _feed_forward(x, t, pre):
-    h = tc.gelu(tc.add_rowvec(tc.matmul(x, t[pre + "ff1_w"]), t[pre + "ff1_b"]))
-    return tc.add_rowvec(tc.matmul(h, t[pre + "ff2_w"]), t[pre + "ff2_b"])
+    h = tc.gelu(tc.add(tc.matmul(x, t[pre + "ff1_w"]), t[pre + "ff1_b"]))
+    return tc.add(tc.matmul(h, t[pre + "ff2_w"]), t[pre + "ff2_b"])
 
 
 def _run_stack(x, t, stack, n_layers, config, eps=1e-6):
@@ -175,7 +175,7 @@ def encode(visible_embeddings, tensors, config):
                       config.n_enc_layers, config)
 
 
-def _positional_rows(params, P, Q, meta, tensors):
+def _positional_rows(params, P, Q, lambdas, tensors):
     """(P*Q*K, d) rows in token order: each of the spatial table's
     [:P, :Q] cells plus the wavelength encoding of every spectral group."""
     if P > params.P or Q > params.Q:
@@ -184,16 +184,16 @@ def _positional_rows(params, P, Q, meta, tensors):
     d = params.config.d_model
     cells = (np.arange(params.P)[:, None] < P) & (np.arange(params.Q) < Q)
     spatial = tc.gather_rows(tensors["spatial_pe"], cells.ravel())
-    spectral = tc.Tensor(tokenizer.spec_enc_table(meta, d))
+    spectral = tc.Tensor(tokenizer.wavelength_table(lambdas, d))
     rows = tc.add(tc.reshape(spatial, (P * Q, 1, d)), spectral)
-    return tc.reshape(rows, (P * Q * meta.lambdas.size, d))
+    return tc.reshape(rows, (P * Q * lambdas.size, d))
 
 
-def decode(latents, plan, tensors, params, meta):
+def decode(latents, plan, tensors, params, lambdas):
     """Reconstruct the cropped cube from visible-token latents.
 
-    Returns a Tensor of shape (9P, 9Q, 8K) covering every token,
-    visible and masked alike.
+    `lambdas` are the grid's (K,) group wavelengths. Returns a Tensor of
+    shape (9P, 9Q, 8K) covering every token, visible and masked alike.
     """
     n_visible = plan.visible_ids.size
     if latents.data.shape[0] != n_visible:
@@ -201,10 +201,10 @@ def decode(latents, plan, tensors, params, meta):
             f"latents rows {latents.data.shape[0]} != visible {n_visible}")
     x = tc.place_rows(latents, ~plan.token_masked.ravel(),
                       tensors["mask_token"])
-    x = tc.add(x, _positional_rows(params, plan.P, plan.Q, meta, tensors))
+    x = tc.add(x, _positional_rows(params, plan.P, plan.Q, lambdas, tensors))
     config = params.config
     x = _run_stack(x, tensors, "dec", config.n_dec_layers, config)
-    flat = tc.add_rowvec(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
+    flat = tc.add(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
     return _unpatchify(flat, plan.P, plan.Q, plan.K)
 
 
@@ -215,22 +215,20 @@ def _unpatchify(flat, P, Q, K):
     return tc.reshape(cube, (PATCH_H * P, PATCH_W * Q, PATCH_B * K))
 
 
-def embed_for(params, grid, meta, tensors):
+def embed_for(params, grid, tensors):
     """Token embeddings: patch projection + spatial row + wavelength encoding."""
-    if meta.lambdas.shape != (grid.K,):
-        raise ValueError("spectral meta does not match grid K")
-    proj = tc.add_rowvec(tc.matmul(tc.Tensor(grid.patches),
-                                   tensors["patch_proj_w"]),
-                         tensors["patch_proj_b"])
-    return tc.add(proj, _positional_rows(params, grid.P, grid.Q, meta, tensors))
+    proj = tc.add(tc.matmul(tc.Tensor(grid.patches), tensors["patch_proj_w"]),
+                  tensors["patch_proj_b"])
+    return tc.add(proj, _positional_rows(params, grid.P, grid.Q, grid.lambdas,
+                                         tensors))
 
 
-def masked_forward(params, grid, meta, plan, tensors):
+def masked_forward(params, grid, plan, tensors):
     """Embed every token, encode the plan's visible ones, decode the cube."""
-    emb = embed_for(params, grid, meta, tensors)
+    emb = embed_for(params, grid, tensors)
     visible, _ = masking.apply_mask(emb, plan)
     latents = encode(visible, tensors, params.config)
-    return decode(latents, plan, tensors, params, meta)
+    return decode(latents, plan, tensors, params, grid.lambdas)
 
 
 def features(windows, params, tensors=None):
@@ -241,10 +239,9 @@ def features(windows, params, tensors=None):
     Without tensors, parameters are frozen and no graph is recorded.
     """
     grid = tokenizer.partition(windows)
-    meta = tokenizer.spectral_meta(windows.wavelengths, grid.K)
     if tensors is None:
         tensors = params.tensors(trainable=set())
-    latents = encode(embed_for(params, grid, meta, tensors), tensors,
+    latents = encode(embed_for(params, grid, tensors), tensors,
                      params.config)
     return tc.tmean(latents, axis=-2)
 
@@ -253,7 +250,7 @@ def head(pooled, tensors):
     """Class logits (..., n_classes) of pooled features (..., d)."""
     *lead, d = pooled.shape
     rows = tc.reshape(pooled, (*lead, 1, d))  # one vector-matrix product each
-    logits = tc.add_rowvec(tc.matmul(rows, tensors["cls_w"]), tensors["cls_b"])
+    logits = tc.add(tc.matmul(rows, tensors["cls_w"]), tensors["cls_b"])
     return tc.reshape(logits, (*lead, logits.shape[-1]))
 
 

@@ -366,22 +366,6 @@ def arccos(a):
     return _result(np.arccos(clamped), (a,), backward)
 
 
-def add_rowvec(a, v):
-    """Add a length-n vector to every row of an (..., m, n) array."""
-    a, v = _wrap(a), _wrap(v)
-    if a.data.ndim < 2 or v.data.shape != (a.data.shape[-1],):
-        raise ShapeError(
-            f"add_rowvec: {a.data.shape} with vector {v.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if v.requires_grad:
-            v._accumulate(_reduce_to(g, v.data.shape))
-
-    return _result(a.data + v.data, (a, v), backward)
-
-
 # -- reductions and shape ops --------------------------------------------
 
 

@@ -33,36 +33,11 @@ class TokenGrid:
                                # each flattened i-outer, j-middle, b-inner
     cropped_values: np.ndarray  # (..., 9P, 9Q, 8K), the loss target region
     cropped: tuple             # (rows, cols, bands) dropped past floor multiples
+    lambdas: np.ndarray        # (K,) mean band-center wavelength of each group
 
     @property
     def n_tokens(self):
         return self.P * self.Q * self.K
-
-
-@dataclass
-class SpectralMeta:
-    """Per-group mean wavelengths (micrometers) and angular frequencies."""
-
-    lambdas: np.ndarray  # (K,)
-    omegas: np.ndarray   # (K,), exactly 2*pi/lambda
-
-    def __post_init__(self):
-        if np.any(self.lambdas <= 0):
-            raise ValueError("group wavelengths must be positive")
-
-
-def mean_wavelength(band_centers):
-    """Arithmetic mean of the 8 band-center wavelengths of one group."""
-    band_centers = np.asarray(band_centers, dtype=np.float64)
-    if band_centers.shape != (PATCH_B,) or np.any(band_centers <= 0):
-        raise ValueError(f"need {PATCH_B} positive band centers")
-    return float(band_centers.mean())
-
-
-def spectral_meta(wavelengths, K):
-    lambdas = np.array([mean_wavelength(wavelengths[PATCH_B * k:PATCH_B * (k + 1)])
-                        for k in range(K)])
-    return SpectralMeta(lambdas=lambdas, omegas=2.0 * np.pi / lambdas)
 
 
 def partition(cube):
@@ -81,8 +56,10 @@ def partition(cube):
     blocks = region.reshape(*lead, P, PATCH_H, Q, PATCH_W, K, PATCH_B)
     patches = (blocks.transpose(*range(n), *(n + np.array([0, 2, 4, 1, 3, 5])))
                .copy().reshape(*lead, -1, PATCH_LEN))
+    lambdas = cube.wavelengths[:PATCH_B * K].reshape(K, PATCH_B).mean(axis=1)
     return TokenGrid(P=P, Q=Q, K=K, patches=patches,
-                     cropped_values=region.copy(), cropped=cropped)
+                     cropped_values=region.copy(), cropped=cropped,
+                     lambdas=lambdas)
 
 
 def report_cropping(shape):
@@ -95,24 +72,12 @@ def report_cropping(shape):
                     *cropped)
 
 
-def _sin_cos_vector(arg_base, d):
-    """Interleaved [sin_0, cos_0, sin_1, cos_1, ...] over d/2 frequencies."""
-    i = np.arange(d // 2)
-    args = arg_base / (10000.0 ** (2.0 * i / d))
-    out = np.empty(d)
-    out[0::2] = np.sin(args)
-    out[1::2] = np.cos(args)
+def wavelength_table(lambdas, d):
+    """(K, d) wavelength encodings: row k interleaves [sin_0, cos_0, sin_1,
+    cos_1, ...] of (2*pi/lambdas[k]) / 10000**(2i/d) over d/2 frequencies."""
+    scales = 10000.0 ** (2.0 * np.arange(d // 2) / d)
+    args = (2.0 * np.pi / lambdas)[:, None] / scales
+    out = np.empty((lambdas.size, d))
+    out[:, 0::2] = np.sin(args)
+    out[:, 1::2] = np.cos(args)
     return out
-
-
-def spec_enc(lam, d_spec):
-    """Wavelength encoding: sin/cos of omega scaled over d_spec/2 frequencies."""
-    if d_spec % 2 or d_spec < 2:
-        raise ValueError(f"d_spec must be even and >= 2, got {d_spec}")
-    if lam <= 0:
-        raise ValueError(f"wavelength must be positive, got {lam}")
-    return _sin_cos_vector(2.0 * np.pi / lam, d_spec)
-
-
-def spec_enc_table(meta, d_spec):
-    return np.stack([spec_enc(lam, d_spec) for lam in meta.lambdas])

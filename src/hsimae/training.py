@@ -187,7 +187,6 @@ def pretrain(cubes, config, settings, run_seed,
                                jitter_sigma=settings.jitter_sigma)
             cube, _ = hsidata.normalize(cube)
             grid = tokenizer.partition(cube)
-            meta = tokenizer.spectral_meta(cube.wavelengths, grid.K)
             if settings.fixed_plan:
                 plan_seed = masking.derive_seed(run_seed, "plan", 0, 0, 0)
             else:
@@ -195,7 +194,7 @@ def pretrain(cubes, config, settings, run_seed,
                                                 cube_id)
             plan = _plan_for(grid, settings, plan_seed)
             tensors = params.tensors()
-            recon = model.masked_forward(params, grid, meta, plan, tensors)
+            recon = model.masked_forward(params, grid, plan, tensors)
             mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
             try:
                 total, report = loss.rec_loss(grid.cropped_values, recon, mask,

@@ -239,3 +239,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["pretrain"])  # missing required args
         assert exc.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen-synth", "--h", "27", "--w", "27", "--b", "24",
+          "--classes", "3", "--out", "c.hsc"], "--config"),
+        (["eval", "--pred", "p.csv", "--true", "t.csv"], "--config"),
+        (["eval", "--pred", "p.csv", "--true", "t.csv"], "--seed"),
+        (["reconstruct", "--checkpoint", "m.ckpt", "--data", "c.hsc"],
+         "--config"),
+        (["inspect", "--data", "c.hsc"], "--config"),
+        (["inspect", "--data", "c.hsc"], "--seed"),
+    ])
+    def test_flag_not_read_by_command_exits_one(self, argv, flag, capsys):
+        # only the commands that read --config or --seed accept it
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [flag, "1"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

@@ -13,10 +13,9 @@ def _setup(config=None, seed=0, rho=0.5):
     config = config or model.micro_config()
     cube, _ = hsidata.normalize(_cube(seed=seed))
     grid = tokenizer.partition(cube)
-    meta = tokenizer.spectral_meta(cube.wavelengths, grid.K)
     params = model.init_params(config, grid.P, grid.Q, grid.K, 3, seed=seed)
     plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, rho, rho, seed=seed)
-    return cube, grid, meta, params, plan
+    return cube, grid, params, plan
 
 
 class TestInitParams:
@@ -85,34 +84,34 @@ class TestEncode:
 
 class TestDecode:
     def test_output_extents(self):
-        cube, grid, meta, params, plan = _setup()
-        out = model.masked_forward(params, grid, meta, plan, params.tensors())
+        cube, grid, params, plan = _setup()
+        out = model.masked_forward(params, grid, plan, params.tensors())
         assert out.data.shape == (27, 27, 24)
         assert np.all(np.isfinite(out.data))
 
     def test_no_mask_tokens_at_rho_zero(self):
-        cube, grid, meta, params, plan = _setup(rho=0.0)
+        cube, grid, params, plan = _setup(rho=0.0)
         t = params.tensors()
-        emb = model.embed_for(params, grid, meta, t)
+        emb = model.embed_for(params, grid, t)
         vis, _ = masking.apply_mask(emb, plan)
         latents = model.encode(vis, t, params.config)
         # perturbing the mask token must not change the output
-        out1 = model.decode(latents, plan, t, params, meta).data.copy()
+        out1 = model.decode(latents, plan, t, params, grid.lambdas).data.copy()
         t2 = dict(t)
         t2["mask_token"] = tc.Tensor(t["mask_token"].data + 10.0)
-        out2 = model.decode(latents, plan, t2, params, meta).data
+        out2 = model.decode(latents, plan, t2, params, grid.lambdas).data
         np.testing.assert_array_equal(out1, out2)
 
     def test_mask_token_used_when_masked(self):
-        cube, grid, meta, params, plan = _setup(rho=0.5)
+        cube, grid, params, plan = _setup(rho=0.5)
         t = params.tensors()
-        emb = model.embed_for(params, grid, meta, t)
+        emb = model.embed_for(params, grid, t)
         vis, _ = masking.apply_mask(emb, plan)
         latents = model.encode(vis, t, params.config)
-        out1 = model.decode(latents, plan, t, params, meta).data.copy()
+        out1 = model.decode(latents, plan, t, params, grid.lambdas).data.copy()
         t2 = dict(t)
         t2["mask_token"] = tc.Tensor(t["mask_token"].data + 1.0)
-        out2 = model.decode(latents, plan, t2, params, meta).data
+        out2 = model.decode(latents, plan, t2, params, grid.lambdas).data
         assert not np.array_equal(out1, out2)
 
     def test_unflatten_matches_partition(self):
@@ -126,10 +125,11 @@ class TestDecode:
         np.testing.assert_array_equal(flat.grad, grid.patches)
 
     def test_latent_row_mismatch(self):
-        cube, grid, meta, params, plan = _setup()
+        cube, grid, params, plan = _setup()
         t = params.tensors()
         with pytest.raises(ValueError):
-            model.decode(tc.Tensor(np.zeros((3, 16))), plan, t, params, meta)
+            model.decode(tc.Tensor(np.zeros((3, 16))), plan, t, params,
+                         grid.lambdas)
 
 
 def _spy_on_stacks(monkeypatch):
@@ -169,7 +169,7 @@ def _concat_rows(parts):
                       backward)
 
 
-def _index_table_decode(latents, plan, t, params, meta):
+def _index_table_decode(latents, plan, t, params, lambdas):
     """The decoder as index tables built it: the latents and a mask-token
     row stacked and gathered by a permutation, plus spatial rows gathered
     by (p, q, k) rows at the table's row stride and the wavelength rows."""
@@ -181,11 +181,11 @@ def _index_table_decode(latents, plan, t, params, meta):
     perm[plan.visible_ids] = np.arange(n_visible)
     order = np.indices((P, Q, K)).reshape(3, -1).T
     spatial = _index_gather(t["spatial_pe"], order[:, 0] * params.Q + order[:, 1])
-    spectral = tokenizer.spec_enc_table(meta, cfg.d_model)[order[:, 2]]
+    spectral = tokenizer.wavelength_table(lambdas, cfg.d_model)[order[:, 2]]
     x = tc.add(_index_gather(stacked, perm),
                tc.add(spatial, tc.Tensor(spectral)))
     x = model._run_stack(x, t, "dec", cfg.n_dec_layers, cfg)
-    flat = tc.add_rowvec(tc.matmul(x, t["recon_w"]), t["recon_b"])
+    flat = tc.add(tc.matmul(x, t["recon_w"]), t["recon_b"])
     return model._unpatchify(flat, P, Q, K)
 
 
@@ -193,20 +193,20 @@ class TestDecoderLayout:
     def test_decoder_reads_the_encoders_table_cells(self, monkeypatch):
         # a 4x4-cell table under a 27x27 cube (3x3 cells): the decoder must
         # add the table cells the encoder adds, not the table's first 9 rows
-        cube, grid, meta, _, plan = _setup(seed=6, rho=0.0)
+        cube, grid, _, plan = _setup(seed=6, rho=0.0)
         params = model.init_params(model.micro_config(), 4, 4, grid.K, 3, 6)
         params.arrays["spatial_pe"] = np.random.default_rng(6).normal(
             size=(16, 16))
         params.arrays["patch_proj_w"][:] = 0.0  # encoder input = positions
         seen = _spy_on_stacks(monkeypatch)
-        model.masked_forward(params, grid, meta, plan, params.tensors())
+        model.masked_forward(params, grid, plan, params.tensors())
         (enc_in, enc_out), (dec_in, _) = seen["enc"], seen["dec"]
         # nothing is masked, so the decoder input is latents + positions
         np.testing.assert_allclose(dec_in - enc_out, enc_in, atol=1e-12)
 
     @pytest.mark.parametrize("table", [(3, 3), (4, 5)])
     def test_bit_identical_to_index_tables(self, table, monkeypatch):
-        _, grid, meta, _, plan = _setup(seed=3)
+        _, grid, _, plan = _setup(seed=3)
         params = model.init_params(model.micro_config(), *table, grid.K, 3, 3)
         rng = np.random.default_rng(3)
         params.arrays["spatial_pe"] = rng.normal(size=(table[0] * table[1], 16))
@@ -217,7 +217,7 @@ class TestDecoderLayout:
         for decode in (model.decode, _index_table_decode):
             t = params.tensors()
             lat = tc.Tensor(latents, requires_grad=True)
-            out = decode(lat, plan, t, params, meta)
+            out = decode(lat, plan, t, params, grid.lambdas)
             tc.tsum(tc.mul(out, weight)).backward()
             results.append([seen["dec"][0], out.data, lat.grad,
                             t["spatial_pe"].grad, t["mask_token"].grad])

@@ -312,8 +312,8 @@ OPS = {
                                         tc.gather_rows(x, _KEEP))), 1, (3, 4)),
     "place_rows": (lambda x, y: _weighted(_square(tc.place_rows(
         x, _AT, tc.tsum(y, axis=0)))), 2, (3, 4)),
-    "add_rowvec": (lambda x, y: tc.tsum(tc.mul(tc.add_rowvec(x, tc.tsum(y, axis=0)),
-                                               tc.add_rowvec(x, tc.tsum(y, axis=0)))), 2, (3, 4)),
+    "add_rowvec": (lambda x, y: tc.tsum(tc.mul(tc.add(x, tc.tsum(y, axis=0)),
+                                               tc.add(x, tc.tsum(y, axis=0)))), 2, (3, 4)),
     # the head split and merge of the per-head reference graph
     "slice_cols": (lambda x: tc.tsum(tc.mul(_slice_cols(x, 1, 3),
                                             _slice_cols(x, 1, 3))), 1, (3, 4)),
@@ -355,7 +355,7 @@ BATCHED_OPS = {
                             [(2, 3, 4), (4, 5)]),
     "matmul_batched_right": (lambda x, y: _weighted(tc.matmul(x, y)),
                              [(2, 3, 4), (2, 4, 5)]),
-    "add_rowvec_leading": (lambda x, v: _weighted(tc.add_rowvec(x, v)),
+    "add_rowvec_leading": (lambda x, v: _weighted(tc.add(x, v)),
                            [(2, 3, 4), (4,)]),
     "add_trailing": (lambda x, y: tc.add(_weighted(tc.add(x, y)),
                                          _weighted(tc.add(y, x))),

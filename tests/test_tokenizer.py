@@ -69,32 +69,47 @@ class TestPartition:
         assert np.all(counts == 0)
 
 
+def _lambdas(centers):
+    """Group wavelengths partition gives a cube with these band centers."""
+    centers = np.asarray(centers)
+    cube = hsidata.HsiCube(values=np.zeros((9, 9, centers.size)),
+                           wavelengths=centers)
+    return tokenizer.partition(cube).lambdas
+
+
+def _table_row(lam, d):
+    return tokenizer.wavelength_table(np.array([lam]), d)[0]
+
+
 class TestMeanWavelength:
     def test_constant(self):
-        assert tokenizer.mean_wavelength(np.full(8, 1.0)) == 1.0
+        # centers symmetric about 1.0, each exact in binary
+        assert _lambdas(1.0 + (np.arange(8) - 3.5) / 8)[0] == 1.0
 
     def test_arithmetic(self):
         centers = 0.4 + 0.01 * np.arange(8)
-        assert tokenizer.mean_wavelength(centers) == pytest.approx(0.435)
+        assert _lambdas(centers)[0] == pytest.approx(0.435)
 
     def test_within_range(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            centers = np.sort(rng.uniform(0.4, 2.5, size=8))
-            m = tokenizer.mean_wavelength(centers)
-            assert centers.min() <= m <= centers.max()
+            centers = np.sort(rng.uniform(0.4, 2.5, size=24))
+            groups = centers.reshape(3, 8)
+            m = _lambdas(centers)
+            assert np.all(groups.min(axis=1) <= m)
+            assert np.all(m <= groups.max(axis=1))
 
 
 class TestSpecEnc:
     def test_unit_omega(self):
-        v = tokenizer.spec_enc(2.0 * np.pi, 8)
+        v = _table_row(2.0 * np.pi, 8)
         assert v[0] == pytest.approx(np.sin(1.0), abs=1e-6)
         assert v[1] == pytest.approx(np.cos(1.0), abs=1e-6)
         assert v[0] == pytest.approx(0.841471, abs=1e-6)
         assert v[1] == pytest.approx(0.540302, abs=1e-6)
 
     def test_second_frequency_pair(self):
-        v = tokenizer.spec_enc(2.0 * np.pi, 4)
+        v = _table_row(2.0 * np.pi, 4)
         arg = 1.0 / 10000.0 ** 0.5
         assert v[2] == pytest.approx(np.sin(arg), abs=1e-9)
         assert v[3] == pytest.approx(np.cos(arg), abs=1e-9)
@@ -104,37 +119,41 @@ class TestSpecEnc:
     @pytest.mark.parametrize("d", [2, 8, 64])
     def test_norm_identity(self, d):
         rng = np.random.default_rng(d)
-        for lam in rng.uniform(0.35, 2.6, size=10):
-            v = tokenizer.spec_enc(lam, d)
-            assert np.sum(v * v) == pytest.approx(d / 2, abs=1e-12)
+        table = tokenizer.wavelength_table(rng.uniform(0.35, 2.6, size=10), d)
+        np.testing.assert_allclose(np.sum(table * table, axis=1), d / 2,
+                                   rtol=0, atol=1e-12)
 
     def test_injective_over_band_range(self):
         lams = np.arange(0.35, 2.6, 0.001)  # 1 nm spacing
-        vecs = np.stack([tokenizer.spec_enc(l, 2) for l in lams])
+        vecs = tokenizer.wavelength_table(lams, 2)
         d = np.linalg.norm(np.diff(vecs, axis=0), axis=1)
         assert np.all(d > 1e-6)
 
     def test_invalid_args(self):
+        # the table itself checks nothing: an odd width is rejected by
+        # the model config, a non-positive wavelength by the cube
         with pytest.raises(ValueError):
-            tokenizer.spec_enc(1.0, 3)
+            model.ModelConfig(d_model=3, n_heads=1)
         with pytest.raises(ValueError):
-            tokenizer.spec_enc(-1.0, 4)
+            hsidata.HsiCube(values=np.zeros((9, 9, 8)),
+                            wavelengths=np.linspace(-1.0, 1.0, 8))
 
 
 class TestSinusoidalPe:
-    """The interleaved sin/cos vector under the wavelength encoding."""
+    """The interleaved sin/cos rows of the wavelength table; a wavelength
+    of 2*pi/x gives argument x at the first frequency."""
 
     def test_pos_zero(self):
-        v = tokenizer._sin_cos_vector(0.0, 6)
+        v = _table_row(np.inf, 6)
         np.testing.assert_array_equal(v, [0, 1, 0, 1, 0, 1])
 
     def test_pos_one_d2(self):
-        v = tokenizer._sin_cos_vector(1.0, 2)
+        v = _table_row(2.0 * np.pi, 2)
         np.testing.assert_allclose(v, [np.sin(1.0), np.cos(1.0)], rtol=1e-12)
 
     def test_norm_identity(self):
-        for pos in [0, 1, 7, 100]:
-            v = tokenizer._sin_cos_vector(float(pos), 16)
+        for lam in [np.inf, 2.0 * np.pi, 2.0 * np.pi / 7, 2.0 * np.pi / 100]:
+            v = _table_row(lam, 16)
             assert np.sum(v * v) == pytest.approx(8.0, abs=1e-12)
 
     def test_odd_dim_rejected(self):
@@ -149,43 +168,35 @@ class TestEmbedTokens:
     def _setup(self, d=6, seed=0):
         cube = _cube(27, 27, 24, seed=seed)
         grid = tokenizer.partition(cube)
-        meta = tokenizer.spectral_meta(cube.wavelengths, grid.K)
         params = model.init_params(model.ModelConfig(d_model=d, n_heads=2),
                                    grid.P, grid.Q, grid.K, 2, seed=seed)
         rng = np.random.default_rng(seed + 1)
         tensors = {"patch_proj_w": tc.Tensor(rng.normal(size=(648, d))),
                    "patch_proj_b": tc.Tensor(rng.normal(size=d)),
                    "spatial_pe": tc.Tensor(rng.normal(size=(grid.P * grid.Q, d)))}
-        return grid, meta, params, tensors
+        return grid, params, tensors
 
     def test_output_shape(self):
-        grid, meta, params, tensors = self._setup()
-        out = model.embed_for(params, grid, meta, tensors)
+        grid, params, tensors = self._setup()
+        out = model.embed_for(params, grid, tensors)
         assert out.data.shape == (27, 6)
-        bad = tokenizer.spectral_meta(np.linspace(0.4, 2.5, 16), 2)
-        with pytest.raises(ValueError, match="grid K"):
-            model.embed_for(params, grid, bad, tensors)
 
     def test_zero_patch_zero_table_gives_specenc(self):
-        grid, meta, params, tensors = self._setup(d=8)
+        grid, params, tensors = self._setup(d=8)
         grid.patches[:] = 0.0
         for t in tensors.values():
             t.data[:] = 0.0
-        out = model.embed_for(params, grid, meta, tensors)
+        out = model.embed_for(params, grid, tensors)
+        table = tokenizer.wavelength_table(grid.lambdas, 8)
         for t, (p, q, k) in enumerate(np.ndindex(grid.P, grid.Q, grid.K)):
-            np.testing.assert_allclose(out.data[t],
-                                       tokenizer.spec_enc(meta.lambdas[k], 8))
+            np.testing.assert_allclose(out.data[t], table[k])
 
     def test_same_patch_different_group_differ_by_specenc(self):
-        grid, meta, params, tensors = self._setup(d=8)
+        grid, params, tensors = self._setup(d=8)
         t0, t1 = np.ravel_multi_index(([1, 1], [2, 2], [0, 2]),
                                       (grid.P, grid.Q, grid.K))
         grid.patches[t1] = grid.patches[t0]
-        out = model.embed_for(params, grid, meta, tensors).data
-        delta = tokenizer.spec_enc(meta.lambdas[0], 8) - tokenizer.spec_enc(
-            meta.lambdas[2], 8)
-        np.testing.assert_allclose(out[t0] - out[t1], delta, atol=1e-12)
-
-    def test_spectral_meta_omega(self):
-        meta = tokenizer.spectral_meta(np.linspace(0.4, 2.5, 24), 3)
-        np.testing.assert_array_equal(meta.omegas, 2.0 * np.pi / meta.lambdas)
+        out = model.embed_for(params, grid, tensors).data
+        table = tokenizer.wavelength_table(grid.lambdas, 8)
+        np.testing.assert_allclose(out[t0] - out[t1], table[0] - table[2],
+                                   atol=1e-12)
