@@ -16,7 +16,7 @@ from hsimae import hsidata, loss, masking, model, tokenizer, training
 cube = hsidata.gen_synthetic(27, 27, 24, n_classes=3, seed=7)
 
 settings = training.TrainSettings(steps=300, fixed_plan=True, augment=False)
-params, log = training.pretrain([cube], model.desk_config(), settings,
+params, log = training.pretrain([cube], model.ModelConfig(), settings,
                                 run_seed=0)
 
 print(f"model: {params.n_params} parameters "

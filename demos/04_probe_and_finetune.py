@@ -24,9 +24,8 @@ held = hsidata.gen_synthetic(27, 27, 24, 4, seed=999, endmember_seed=555)
 # show. Spatial-only masking converges fastest at this budget.
 cfg = model.ModelConfig(d_model=8, n_heads=2, d_ff=32,
                         n_enc_layers=2, n_dec_layers=1)
-settings = training.TrainSettings(
-    steps=2000, rho_s=0.5, rho_b=0.0,
-    hyper=training.AdamHyper(lr=2e-3, weight_decay=0.05))
+settings = training.TrainSettings(steps=2000, rho_s=0.5, rho_b=0.0,
+                                  lr=2e-3, weight_decay=0.05)
 pretrained, log = training.pretrain(corpus, cfg, settings, run_seed=5)
 print(f"pre-trained 2000 steps, final l_rec {log[-1]['l_rec']:.3f}")
 

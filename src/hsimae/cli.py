@@ -8,6 +8,7 @@ failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -29,43 +30,43 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+SECTIONS = {"model": model.ModelConfig, "train": training.TrainSettings}
+
+
 def _load_config(path):
+    """The --config file as {section: {field: value}}, each key and value
+    type checked against its dataclass; an int may stand for a float."""
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: the top level is not a JSON object")
+    for section, values in config.items():
+        if section not in SECTIONS:
+            raise ValueError(f"{path}: unknown section '{section}'")
+        if not isinstance(values, dict):
+            raise ValueError(f"{path}: section '{section}' is not an object")
+        types = {f.name: f.type for f in dataclasses.fields(SECTIONS[section])}
+        for key, value in values.items():
+            if key not in types:
+                raise ValueError(f"{path}: {section} has no key '{key}'")
+            kind = types[key]
+            if type(value) is not kind and (kind, type(value)) != (float, int):
+                raise ValueError(f"{path}: {section}.{key} must be "
+                                 f"{kind.__name__}, got {json.dumps(value)}")
+    return config
 
 
-def _pick(args, config, section, key, default):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return config.get(section, {}).get(key, default)
-
-
-def _model_config(args, config):
-    return model.ModelConfig(
-        d_model=int(_pick(args, config, "model", "d_model", 64)),
-        n_enc_layers=int(_pick(args, config, "model", "n_enc_layers", 4)),
-        n_dec_layers=int(_pick(args, config, "model", "n_dec_layers", 2)),
-        n_heads=int(_pick(args, config, "model", "n_heads", 4)),
-        d_ff=int(_pick(args, config, "model", "d_ff", 256)))
-
-
-def _train_settings(args, config):
-    hyper = training.AdamHyper(
-        lr=float(_pick(args, config, "train", "lr", 1e-3)),
-        weight_decay=float(_pick(args, config, "train", "weight_decay", 0.05)))
-    return training.TrainSettings(
-        steps=int(_pick(args, config, "train", "steps", 300)),
-        alpha=float(_pick(args, config, "train", "alpha", 0.5)),
-        rho_s=float(_pick(args, config, "train", "rho_s", 0.5)),
-        rho_b=float(_pick(args, config, "train", "rho_b", 0.5)),
-        hyper=hyper,
-        augment=not getattr(args, "no_augment", False),
-        fixed_plan=getattr(args, "fixed_plan", False),
-        ft_epochs=int(_pick(args, config, "train", "ft_epochs", 20)))
+def _settings(section, args):
+    """The section's dataclass: its defaults, overlaid by the section of
+    the --config file, then by every flag whose dest is a field name."""
+    cls = SECTIONS[section]
+    values = _load_config(args.config).get(section, {})
+    for f in dataclasses.fields(cls):
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    return cls(**values)
 
 
 def cmd_gen_synth(args):
@@ -82,10 +83,9 @@ def cmd_gen_synth(args):
 
 
 def cmd_pretrain(args):
-    config = _load_config(args.config)
     cubes = [hsidata.load_cube(p) for p in args.data]
     params, log = training.pretrain(
-        cubes, _model_config(args, config), _train_settings(args, config),
+        cubes, _settings("model", args), _settings("train", args),
         run_seed=args.seed, log_path=args.log, checkpoint_path=args.out)
     last = log[-1]
     print(f"pretrained {len(log)} steps; final l_rec={last['l_rec']:.6f} "
@@ -95,12 +95,11 @@ def cmd_pretrain(args):
 
 
 def cmd_finetune(args):
-    config = _load_config(args.config)
     params = model.load_checkpoint(args.checkpoint)
     cube = hsidata.load_cube(args.data)
     split = training.read_split(args.split)
     report, tuned = training.finetune(params, cube, split, args.mode,
-                                      _train_settings(args, config),
+                                      _settings("train", args),
                                       run_seed=args.seed)
     if args.out:
         model.save_checkpoint(tuned, args.out)
@@ -116,23 +115,13 @@ def cmd_finetune(args):
     return EXIT_OK
 
 
-def _read_labels_csv(path):
-    labels = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("i,"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: bad label row {line!r}")
-            labels[(int(parts[0]), int(parts[1]))] = int(parts[2])
-    return labels
+def _read_labels(path):
+    return {(i, j): label for _, (i, j, label), _ in training.read_rows(path)}
 
 
 def cmd_eval(args):
-    pred = _read_labels_csv(args.pred)
-    true = _read_labels_csv(args.true)
+    pred = _read_labels(args.pred)
+    true = _read_labels(args.true)
     keys = sorted(set(pred) & set(true))
     if not keys:
         raise ValueError("prediction and truth share no pixels")
@@ -228,8 +217,9 @@ def build_parser():
     p.add_argument("--rho-b", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--d-model", type=int)
-    p.add_argument("--no-augment", action="store_true")
-    p.add_argument("--fixed-plan", action="store_true")
+    p.add_argument("--no-augment", dest="augment", action="store_false",
+                   default=None)
+    p.add_argument("--fixed-plan", action="store_true", default=None)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="train the classifier on labeled pixels")
@@ -257,9 +247,10 @@ def build_parser():
     add_seed(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rho-s", type=float, default=0.5)
-    p.add_argument("--rho-b", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.5)
+    train = training.TrainSettings
+    p.add_argument("--rho-s", type=float, default=train.rho_s)
+    p.add_argument("--rho-b", type=float, default=train.rho_b)
+    p.add_argument("--alpha", type=float, default=train.alpha)
     p.add_argument("--out", help="reconstructed cube (HSC, de-normalized)")
     p.add_argument("--sam-map", help="per-pixel angle map (single-band HSC)")
     p.set_defaults(func=cmd_reconstruct)

@@ -11,7 +11,7 @@ latents of an unmasked encoding pass.
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,7 @@ class ModelConfig:
             raise ValueError("d_model must be even (wavelength encoding pairs)")
 
     def to_dict(self):
-        return {"d_model": self.d_model, "n_enc_layers": self.n_enc_layers,
-                "n_dec_layers": self.n_dec_layers, "n_heads": self.n_heads,
-                "d_ff": self.d_ff}
-
-
-def desk_config():
-    return ModelConfig()
+        return asdict(self)
 
 
 def micro_config():
@@ -157,14 +151,14 @@ def _feed_forward(x, t, pre):
     return tc.add(tc.matmul(h, t[pre + "ff2_w"]), t[pre + "ff2_b"])
 
 
-def _run_stack(x, t, stack, n_layers, config, eps=1e-6):
+def _run_stack(x, t, stack, n_layers, config):
     for i in range(n_layers):
         pre = f"{stack}{i}_"
-        normed = tc.layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"], eps)
+        normed = tc.layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"])
         x = tc.add(x, _attention(normed, t, pre, config))
-        normed = tc.layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"], eps)
+        normed = tc.layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"])
         x = tc.add(x, _feed_forward(normed, t, pre))
-    return tc.layer_norm(x, t[f"{stack}_lnf_g"], t[f"{stack}_lnf_b"], eps)
+    return tc.layer_norm(x, t[f"{stack}_lnf_g"], t[f"{stack}_lnf_b"])
 
 
 def encode(visible_embeddings, tensors, config):

@@ -16,13 +16,9 @@ from . import hsidata, loss, masking, model, tokenizer
 from . import tensorcore as tc
 
 
-@dataclass
-class AdamHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.05
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -32,7 +28,7 @@ class OptimState:
     t: int = 0
 
 
-def adamw_step(arrays, grads, state, hyper):
+def adamw_step(arrays, grads, state, lr, weight_decay):
     """One AdamW update, in place on `arrays`, for every name in `grads`.
 
     Weight decay is decoupled: each updated parameter is first scaled
@@ -51,15 +47,15 @@ def adamw_step(arrays, grads, state, hyper):
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
-        if hyper.weight_decay:
-            p *= 1.0 - hyper.lr * hyper.weight_decay
-        m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
-        v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * g * g
-        m_hat = m / (1.0 - hyper.beta1 ** t)
-        v_hat = v / (1.0 - hyper.beta2 ** t)
-        p -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+        if weight_decay:
+            p *= 1.0 - lr * weight_decay
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def augment(cube, seed, jitter_sigma=0.01):
@@ -133,9 +129,9 @@ class TrainSettings:
     alpha: float = 0.5
     rho_s: float = 0.5
     rho_b: float = 0.5
-    hyper: AdamHyper = field(default_factory=AdamHyper)
+    lr: float = 1e-3
+    weight_decay: float = 0.05
     augment: bool = True
-    jitter_sigma: float = 0.01
     fixed_plan: bool = False
     ft_epochs: int = 20
 
@@ -183,8 +179,7 @@ def pretrain(cubes, config, settings, run_seed,
             cube = cubes[cube_id]
             if settings.augment:
                 cube = augment(cube,
-                               masking.derive_seed(run_seed, "aug", step),
-                               jitter_sigma=settings.jitter_sigma)
+                               masking.derive_seed(run_seed, "aug", step))
             cube, _ = hsidata.normalize(cube)
             grid = tokenizer.partition(cube)
             if settings.fixed_plan:
@@ -205,7 +200,8 @@ def pretrain(cubes, config, settings, run_seed,
             total.backward()
             grads = {name: t.grad for name, t in tensors.items()
                      if t.grad is not None}
-            adamw_step(params.arrays, grads, state, settings.hyper)
+            adamw_step(params.arrays, grads, state, settings.lr,
+                       settings.weight_decay)
             entry = {"step": step, "l_mse": report.l_mse, "l_sam": report.l_sam,
                      "l_rec": report.l_rec, "seed": plan.seed}
             log_entries.append(entry)
@@ -216,34 +212,50 @@ def pretrain(cubes, config, settings, run_seed,
     return params, log_entries
 
 
-def extract_windows(cube, half=4):
+def extract_windows(cube):
     """Every 9 x 9 full-band window of the cube, edges replicate-padded.
 
     Returns a read-only view (H, W, 9, 9, bands) whose [i, j] is the
     window centred on pixel (i, j): the cube is padded once, and only
     the windows picked out of the view are copied.
     """
-    padded = np.pad(cube.values, ((half, half), (half, half), (0, 0)),
+    size = (tokenizer.PATCH_H, tokenizer.PATCH_W)
+    padded = np.pad(cube.values, [(n // 2, n // 2) for n in size] + [(0, 0)],
                     mode="edge")
-    size = 2 * half + 1
-    view = np.lib.stride_tricks.sliding_window_view(padded, (size, size),
-                                                    axis=(0, 1))
+    view = np.lib.stride_tricks.sliding_window_view(padded, size, axis=(0, 1))
     return view.transpose(0, 1, 3, 4, 2)
 
 
-def read_split(path):
-    """CSV rows `i,j,label,split` with split in {train, test}."""
-    train, test = [], []
+def read_rows(path):
+    """Yield `path:line`, (i, j, label) and the fields after the label of
+    each CSV row `i,j,label,...`, skipping blank lines and a header line
+    starting `i,`. A non-integer i, j or label, or a pixel listed twice,
+    raises a ValueError naming `path:line`."""
+    seen = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("i,"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 4 or parts[3] not in ("train", "test"):
-                raise ValueError(f"{path}:{lineno}: bad split row {line!r}")
-            entry = (int(parts[0]), int(parts[1]), int(parts[2]))
-            (train if parts[3] == "train" else test).append(entry)
+            at = f"{path}:{lineno}"
+            fields = line.split(",")
+            try:
+                i, j, label = (int(f) for f in fields[:3])
+            except ValueError:
+                raise ValueError(f"{at}: bad i,j,label in {line!r}") from None
+            if (i, j) in seen:
+                raise ValueError(f"{at}: pixel ({i}, {j}) is listed twice")
+            seen.add((i, j))
+            yield at, (i, j, label), fields[3:]
+
+
+def read_split(path):
+    """CSV rows `i,j,label,split` with split in {train, test}."""
+    train, test = [], []
+    for at, row, rest in read_rows(path):
+        if rest not in (["train"], ["test"]):
+            raise ValueError(f"{at}: bad split row, expected train or test")
+        (train if rest == ["train"] else test).append(row)
     return train, test
 
 
@@ -364,7 +376,8 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
             ce.backward()
             grads = {name: t.grad for name, t in tensors.items()
                      if t.grad is not None}
-            adamw_step(params.arrays, grads, state, settings.hyper)
+            adamw_step(params.arrays, grads, state, settings.lr,
+                       settings.weight_decay)
     logits = encoded(model.classify, test_rows)
     return (evaluate(np.argmax(logits, axis=1) + 1,
                      [label for _, _, label in test_rows]), params)

@@ -181,7 +181,7 @@ class TestOverfitSingleCube:
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=7)
         settings = training.TrainSettings(steps=300, fixed_plan=True,
                                           augment=False)
-        _, log = training.pretrain([cube], model.desk_config(), settings,
+        _, log = training.pretrain([cube], model.ModelConfig(), settings,
                                    run_seed=0)
         assert log[-1]["l_rec"] <= 0.10 * log[0]["l_rec"]
         assert time.monotonic() - t0 < 600.0
@@ -196,11 +196,10 @@ class TestTransferSignal:
         corpus = [hsidata.gen_synthetic(27, 27, 24, 4, seed=100 + i,
                                         endmember_seed=EM_SEED)
                   for i in range(8)]
-        hyper = training.AdamHyper(lr=2e-3, weight_decay=0.05)
         pre, _ = training.pretrain(
             corpus, cfg,
-            training.TrainSettings(steps=2000, rho_s=0.5, rho_b=0.0,
-                                   hyper=hyper),
+            training.TrainSettings(steps=2000, rho_s=0.5, rho_b=0.0, lr=2e-3,
+                                   weight_decay=0.05),
             run_seed=5)
 
         held = hsidata.gen_synthetic(27, 27, 24, 4, seed=999,

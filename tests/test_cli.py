@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from hsimae import cli, hsidata, model
+from hsimae import cli, hsidata, model, training
 
 
 def run(argv):
@@ -113,6 +114,73 @@ class TestPretrainCmd:
         assert not ckpt.exists()
 
 
+class TestConfig:
+    @pytest.mark.parametrize("config, named", [
+        ([1], "top level"),
+        ({"model": 5}, "'model'"),
+        ({"train": {"steps": None}}, "train.steps"),
+        ({"train": {"steps": [3]}}, "train.steps"),
+        ({"model": {"dmodel": 16}}, "'dmodel'"),
+        ({"trian": {"steps": 2}}, "'trian'"),
+        ({"train": {"beta1": 0.5}}, "'beta1'"),
+        ({"model": {"d_model": 16.9}}, "model.d_model"),
+        ({"train": {"lr": "0.01"}}, "train.lr"),
+        ({"train": {"steps": True}}, "train.steps"),
+        ({"train": {"augment": 1}}, "train.augment"),
+    ], ids=["list", "section_number", "null", "list_value", "unknown_key",
+            "unknown_section", "adam_constant", "float_for_int",
+            "string_for_float", "bool_for_int", "int_for_bool"])
+    def test_malformed_config_exits_two_without_checkpoint(
+            self, small_cube, tmp_path, capsys, config, named):
+        path, _ = small_cube
+        cfg, ckpt = tmp_path / "cfg.json", tmp_path / "m.ckpt"
+        cfg.write_text(json.dumps(config))
+        code = run(["pretrain", "--config", str(cfg), "--data", str(path),
+                    "--out", str(ckpt), "--steps", "1"])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(cfg) in err and named in err
+        assert not ckpt.exists()
+
+    @staticmethod
+    def _built(tmp_path, config, flags=()):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = cli.build_parser().parse_args(
+            ["pretrain", "--config", str(cfg), "--data", "c.hsc",
+             "--out", "m.ckpt", *flags])
+        return cli._settings("model", args), cli._settings("train", args)
+
+    def test_empty_config_builds_the_defaults(self, tmp_path):
+        assert self._built(tmp_path, {}) == (model.ModelConfig(),
+                                             training.TrainSettings())
+
+    def test_every_field_round_trips(self, tmp_path):
+        config = {
+            "model": {"d_model": 24, "n_enc_layers": 3, "n_dec_layers": 1,
+                      "n_heads": 3, "d_ff": 48},
+            "train": {"steps": 7, "alpha": 0.25, "rho_s": 0.4, "rho_b": 0.6,
+                      "lr": 0.002, "weight_decay": 0.1, "augment": False,
+                      "fixed_plan": True, "ft_epochs": 3},
+        }
+        built = self._built(tmp_path, config)
+        for section, settings in zip(("model", "train"), built):
+            default = dataclasses.asdict(type(settings)())
+            assert set(config[section]) == set(default)
+            assert all(config[section][k] != default[k] for k in default)
+            assert dataclasses.asdict(settings) == config[section]
+
+    def test_flags_win_over_config(self, tmp_path):
+        config = {"train": {"augment": True, "fixed_plan": False, "lr": 0.5},
+                  "model": {"d_model": 32}}
+        cfg, settings = self._built(
+            tmp_path, config,
+            ["--no-augment", "--fixed-plan", "--lr", "0.01", "--d-model", "8"])
+        assert cfg.d_model == 8
+        assert (settings.augment, settings.fixed_plan, settings.lr) == (
+            False, True, 0.01)
+
+
 class TestReconstructCmd:
     def test_reports_and_dumps(self, small_cube, tmp_path, capsys):
         path, _ = small_cube
@@ -216,6 +284,39 @@ class TestFinetuneEval:
         assert run(argv) == cli.EXIT_DATA
         assert "ft_epochs must be >= 0, got -2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("row, named", [
+        ("1,2,x,train", ":3: bad i,j,label in '1,2,x,train'"),
+        ("0,0,1,test", ":3: pixel (0, 0) is listed twice"),
+    ])
+    def test_bad_split_exits_two_before_any_file(self, small_cube, tmp_path,
+                                                 capsys, row, named):
+        path, _ = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        split = tmp_path / "bad.csv"
+        split.write_text(f"i,j,label,split\n0,0,1,train\n{row}\n")
+        outs = [tmp_path / name for name in ("t.ckpt", "r.json", "p.csv")]
+        code = run(["finetune", "--checkpoint", str(ckpt), "--data", str(path),
+                    "--split", str(split), "--out", str(outs[0]),
+                    "--report", str(outs[1]), "--pred-out", str(outs[2])])
+        assert code == cli.EXIT_DATA
+        assert f"{split}{named}" in capsys.readouterr().err
+        assert not any(out.exists() for out in outs)
+
+    @pytest.mark.parametrize("row, named", [
+        ("1,2,x", ":3: bad i,j,label in '1,2,x'"),
+        ("1,2", ":3: bad i,j,label in '1,2'"),
+        ("0,0,2", ":3: pixel (0, 0) is listed twice"),
+    ])
+    def test_bad_label_csv_exits_two(self, tmp_path, capsys, row, named):
+        pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+        pred.write_text(f"i,j,label\n0,0,1\n{row}\n")
+        true.write_text("i,j,label\n0,0,1\n1,2,1\n")
+        assert run(["eval", "--pred", str(pred),
+                    "--true", str(true)]) == cli.EXIT_DATA
+        assert f"{pred}{named}" in capsys.readouterr().err
 
     def test_eval_identical_csvs(self, tmp_path, capsys):
         csv = tmp_path / "labels.csv"

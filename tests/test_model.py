@@ -26,7 +26,7 @@ class TestInitParams:
             assert np.array_equal(a.arrays[k], b.arrays[k])
 
     def test_closed_form_count(self):
-        cfg = model.desk_config()
+        cfg = model.ModelConfig()
         params = model.init_params(cfg, 3, 3, 3, 4, seed=0)
         d, f, n = cfg.d_model, cfg.d_ff, 4
         per_block = 2 * d + 4 * (d * d + d) + 2 * d + d * f + f + f * d + d
@@ -37,7 +37,7 @@ class TestInitParams:
         assert params.n_params == expected
 
     def test_finite_and_truncated(self):
-        params = model.init_params(model.desk_config(), 2, 2, 2, 2, seed=1)
+        params = model.init_params(model.ModelConfig(), 2, 2, 2, 2, seed=1)
         for k, arr in params.arrays.items():
             assert np.all(np.isfinite(arr))
         assert np.abs(params.arrays["patch_proj_w"]).max() <= 0.04
@@ -268,7 +268,7 @@ class TestClassify:
 
 class TestBatchedWindows:
     @pytest.mark.parametrize("h, b, config", [
-        (27, 24, model.desk_config()),    # 3-token windows
+        (27, 24, model.ModelConfig()),    # 3-token windows
         (18, 96, model.micro_config()),   # 12-token windows
     ])
     def test_stack_equals_one_window_at_a_time(self, h, b, config):

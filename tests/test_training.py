@@ -10,22 +10,22 @@ class TestAdamW:
     def test_zero_grad_no_decay(self):
         arrays = {"w": np.array([1.0, -2.0])}
         state = training.OptimState()
-        hyper = training.AdamHyper(weight_decay=0.0)
-        training.adamw_step(arrays, {"w": np.zeros(2)}, state, hyper)
+        training.adamw_step(arrays, {"w": np.zeros(2)}, state, lr=1e-3,
+                            weight_decay=0.0)
         np.testing.assert_array_equal(arrays["w"], [1.0, -2.0])
 
     def test_zero_grad_decay_only(self):
         arrays = {"w": np.array([1.0, -2.0])}
         state = training.OptimState()
-        hyper = training.AdamHyper(lr=0.01, weight_decay=0.1)
-        training.adamw_step(arrays, {"w": np.zeros(2)}, state, hyper)
+        training.adamw_step(arrays, {"w": np.zeros(2)}, state, lr=0.01,
+                            weight_decay=0.1)
         np.testing.assert_allclose(arrays["w"], [0.999, -1.998], rtol=1e-12)
 
     def test_first_step_formula(self):
         arrays = {"w": np.array([0.5])}
         state = training.OptimState()
-        hyper = training.AdamHyper(lr=1e-3, weight_decay=0.0)
-        training.adamw_step(arrays, {"w": np.array([1.0])}, state, hyper)
+        training.adamw_step(arrays, {"w": np.array([1.0])}, state, lr=1e-3,
+                            weight_decay=0.0)
         # bias-corrected m_hat = v_hat = 1 at t = 1
         expected = 0.5 - 1e-3 * 1.0 / (1.0 + 1e-8)
         assert arrays["w"][0] == pytest.approx(expected, rel=1e-15)
@@ -34,14 +34,13 @@ class TestAdamW:
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
         arrays = {"w": np.array([0.3])}
         state = training.OptimState()
-        hyper = training.AdamHyper(lr=lr, beta1=b1, beta2=b2, eps=eps,
-                                   weight_decay=0.0)
         # hand-coded scalar Adam
         w, m, v = 0.3, 0.0, 0.0
         rng = np.random.default_rng(0)
         for t in range(1, 11):
             g = float(rng.normal())
-            training.adamw_step(arrays, {"w": np.array([g])}, state, hyper)
+            training.adamw_step(arrays, {"w": np.array([g])}, state, lr,
+                                weight_decay=0.0)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             w -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
@@ -51,7 +50,8 @@ class TestAdamW:
         arrays = {"w": np.array([1.0])}
         with pytest.raises(FloatingPointError, match="'w'"):
             training.adamw_step(arrays, {"w": np.array([np.nan])},
-                                training.OptimState(), training.AdamHyper())
+                                training.OptimState(), lr=1e-3,
+                                weight_decay=0.05)
 
 
 class TestAugment:
@@ -317,12 +317,11 @@ class TestFinetune:
 
     def test_cached_probe_equals_per_window_loop(self):
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=6)
-        params = model.init_params(model.desk_config(), 3, 3, 3, 3, seed=2)
+        params = model.init_params(model.ModelConfig(), 3, 3, 3, 3, seed=2)
         rows = training.make_split(cube, 0.1, seed=4)
         split = ([(i, j, c) for i, j, c, s in rows if s == "train"],
                  [(i, j, c) for i, j, c, s in rows if s == "test"][:40])
-        settings = _short_settings(ft_epochs=3,
-                                   hyper=training.AdamHyper(lr=0.01))
+        settings = _short_settings(ft_epochs=3, lr=0.01)
         report, tuned = training.finetune(params, cube, split, "probe",
                                           settings, run_seed=5)
         ref_report, ref = _per_window_probe(params, cube, split, settings,
@@ -398,7 +397,8 @@ def _per_window_probe(params, cube, split, settings, run_seed):
             ce = training._cross_entropy(logits, label - 1)
             ce.backward()
             grads = {name: tensors[name].grad for name in trainable}
-            training.adamw_step(params.arrays, grads, state, settings.hyper)
+            training.adamw_step(params.arrays, grads, state, settings.lr,
+                                settings.weight_decay)
     preds = [int(np.argmax(model.classify(window(i, j), params).data)) + 1
              for i, j, _ in test_rows]
     return training.evaluate(preds, [c for _, _, c in test_rows]), params
