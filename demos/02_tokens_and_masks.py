@@ -16,10 +16,13 @@ from hsimae import hsidata, masking, tokenizer
 cube = hsidata.gen_synthetic(36, 36, 32, n_classes=3, seed=1)
 normed, _ = hsidata.normalize(cube)
 
+# 36 x 36 x 32 is a whole number of patches, so report_cropping, which
+# warns about rows, columns and bands past the patch multiples, is silent.
 grid = tokenizer.partition(normed)
-print(f"grid: P={grid.P} Q={grid.Q} K={grid.K} -> {grid.n_tokens} tokens "
+tokenizer.report_cropping(normed.values.shape)
+n_tokens = grid.patches.shape[-2]
+print(f"grid: P={grid.P} Q={grid.Q} K={grid.K} -> {n_tokens} tokens "
       f"of length {tokenizer.PATCH_LEN}")
-print("cropped (rows, cols, bands):", grid.cropped)
 
 # Every spectral group of 8 bands gets one representative wavelength.
 print("group mean wavelengths:", np.round(grid.lambdas, 3))
@@ -36,8 +39,8 @@ for lam, enc in zip(grid.lambdas, table):
 plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, 0.5, 0.5, seed=3)
 print(f"masked cells {plan.cell_masked.sum()}/{grid.P * grid.Q}, "
       f"masked groups {plan.group_masked.sum()}/{grid.K}")
-print(f"visible tokens {plan.visible_ids.size}/{grid.n_tokens} "
-      f"({100 * plan.visible_ids.size / grid.n_tokens:.0f}%)")
+print(f"visible tokens {plan.visible_ids.size}/{n_tokens} "
+      f"({100 * plan.visible_ids.size / n_tokens:.0f}%)")
 
 # The voxel mask marks exactly the voxels of masked tokens; the masked
 # MSE term of the training loss averages over these and nothing else.

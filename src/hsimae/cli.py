@@ -35,11 +35,16 @@ SECTIONS = {"model": model.ModelConfig, "train": training.TrainSettings}
 
 def _load_config(path):
     """The --config file as {section: {field: value}}, each key and value
-    type checked against its dataclass; an int may stand for a float."""
+    type checked against its dataclass; an int may stand for a float.
+    NaN, Infinity and -Infinity, which json accepts, are rejected."""
     if not path:
         return {}
+
+    def non_finite(word):
+        raise ValueError(f"{path}: {word} is not a finite number")
+
     with open(path) as fh:
-        config = json.load(fh)
+        config = json.load(fh, parse_constant=non_finite)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: the top level is not a JSON object")
     for section, values in config.items():
@@ -115,16 +120,23 @@ def cmd_finetune(args):
     return EXIT_OK
 
 
-def _read_labels(path):
-    return {(i, j): label for _, (i, j, label), _ in training.read_rows(path)}
-
-
 def cmd_eval(args):
-    pred = _read_labels(args.pred)
-    true = _read_labels(args.true)
-    keys = sorted(set(pred) & set(true))
-    if not keys:
-        raise ValueError("prediction and truth share no pixels")
+    """Score every prediction against the truth. Truth rows whose fourth
+    field is train are not scored; every other truth pixel needs a
+    prediction, and every prediction a scored truth row."""
+    pred = {(i, j): label
+            for _, (i, j, label), _ in training.read_rows(args.pred)}
+    true = {(i, j): label
+            for _, (i, j, label), rest in training.read_rows(args.true)
+            if rest[:1] != ["train"]}
+    for lacking, have, want in (("truth pixels have no prediction", true, pred),
+                                ("predicted pixels have no scored truth row",
+                                 pred, true)):
+        missing = [k for k in have if k not in want]
+        if missing:
+            raise ValueError(f"{len(missing)} {lacking}, the first at "
+                             f"{missing[0]}")
+    keys = sorted(true)
     report = training.evaluate([pred[k] for k in keys], [true[k] for k in keys])
     print(report.to_json())
     return EXIT_OK

@@ -220,8 +220,7 @@ def embed_for(params, grid, tensors):
 def masked_forward(params, grid, plan, tensors):
     """Embed every token, encode the plan's visible ones, decode the cube."""
     emb = embed_for(params, grid, tensors)
-    visible, _ = masking.apply_mask(emb, plan)
-    latents = encode(visible, tensors, params.config)
+    latents = encode(masking.apply_mask(emb, plan), tensors, params.config)
     return decode(latents, plan, tensors, params, grid.lambdas)
 
 
@@ -278,7 +277,8 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; a malformed one raises a ValueError naming it."""
+    """Read a checkpoint; a malformed one, or one holding a NaN or an
+    infinity, raises a ValueError naming it."""
     with open(path, "rb") as fh:
         try:
             return _read_checkpoint(fh)
@@ -310,6 +310,8 @@ def _read_checkpoint(fh):
         if len(buf) != count * 8:
             raise ValueError(f"checkpoint truncated in {name}")
         arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"non-finite values in {name}")
     if fh.read(1):
         raise ValueError("trailing bytes in checkpoint")
     return ModelParams(config=config, P=header["P"], Q=header["Q"],

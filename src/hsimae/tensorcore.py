@@ -2,10 +2,10 @@
 
 Small, CPU-only engine: enough operations for a transformer
 encoder/decoder, the reconstruction losses, and an AdamW optimizer.
-All arithmetic is 64-bit. `add` broadcasts as numpy does, and its
-backward sums over the broadcast axes; `sub`, `mul` and `div` take equal
-shapes or a scalar. Row layout is boolean masks: `gather_rows` selects
-rows and `place_rows`, its transpose, puts them back among fill rows.
+All arithmetic is 64-bit. `add`, `sub`, `mul` and `div` broadcast as
+numpy does, and their backward sums over the broadcast axes. Row layout
+is boolean masks: `gather_rows` selects rows and `place_rows`, its
+transpose, puts them back among fill rows.
 The error function behind GELU is Cephes' `ndtr.c` erf (Moshier, 1989),
 the algorithm scipy.special.erf runs: bit-identical to it for |x| <= 1,
 and within 1 ulp beyond, where numpy's exp may round differently from
@@ -79,10 +79,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -130,23 +126,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _wrap(other):
     if isinstance(other, Tensor):
@@ -161,13 +140,6 @@ def _result(data, parents, backward):
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def _binary_shapes(a, b, op):
-    """Equal shapes or a scalar operand."""
-    if a.data.shape != b.data.shape and a.data.ndim and b.data.ndim:
-        raise ShapeError(
-            f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
 def _reduce_to(grad, shape):
@@ -187,64 +159,48 @@ def _reduce_to(grad, shape):
 # -- elementwise ---------------------------------------------------------
 
 
-def add(a, b):
-    """Elementwise sum with numpy broadcasting, e.g. (T, d) positional rows
-    added to (B, T, d) embeddings, or (K, d) rows to (n, 1, d) ones."""
+def _broadcast_op(op, a, b, fn, grad_a, grad_b):
+    """fn(a, b) under numpy broadcasting. grad_a(g, a, b) and
+    grad_b(g, a, b) are each operand's gradient at the output's shape,
+    summed back over the axes that operand was broadcast along."""
     a, b = _wrap(a), _wrap(b)
     try:
-        out = a.data + b.data
+        out = fn(a.data, b.data)
     except ValueError:
         raise ShapeError(
-            f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast"
+            f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
         ) from None
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.data.shape))
+            a._accumulate(_reduce_to(grad_a(g, a.data, b.data), a.data.shape))
         if b.requires_grad:
-            b._accumulate(_reduce_to(g, b.data.shape))
+            b._accumulate(_reduce_to(grad_b(g, a.data, b.data), b.data.shape))
 
     return _result(out, (a, b), backward)
 
 
+def add(a, b):
+    """Elementwise sum, e.g. (T, d) positional rows added to (B, T, d)
+    embeddings, or (K, d) rows to (n, 1, d) ones."""
+    return _broadcast_op("add", a, b, np.add,
+                         lambda g, x, y: g, lambda g, x, y: g)
+
+
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b, "sub")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(-g, b.data.shape))
-
-    return _result(a.data - b.data, (a, b), backward)
+    return _broadcast_op("sub", a, b, np.subtract,
+                         lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b, "mul")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.data, b.data.shape))
-
-    return _result(a.data * b.data, (a, b), backward)
+    return _broadcast_op("mul", a, b, np.multiply,
+                         lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b, "div")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(-g * a.data / (b.data * b.data),
-                                     b.data.shape))
-
-    return _result(a.data / b.data, (a, b), backward)
+    return _broadcast_op("div", a, b, np.true_divide,
+                         lambda g, x, y: g / y,
+                         lambda g, x, y: -g * x / (y * y))
 
 
 def scale(a, c):
@@ -586,7 +542,5 @@ def layer_norm(a, gain, bias, eps=1e-6):
 
 
 def check_finite(t, context=""):
-    data = t.data if isinstance(t, Tensor) else np.asarray(t)
-    if not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(t.data)):
         raise FloatingPointError(f"non-finite values encountered {context}")
-    return t

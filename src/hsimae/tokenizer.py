@@ -32,12 +32,7 @@ class TokenGrid:
     patches: np.ndarray        # (..., P*Q*K, 648), (p, q, k) in C order;
                                # each flattened i-outer, j-middle, b-inner
     cropped_values: np.ndarray  # (..., 9P, 9Q, 8K), the loss target region
-    cropped: tuple             # (rows, cols, bands) dropped past floor multiples
     lambdas: np.ndarray        # (K,) mean band-center wavelength of each group
-
-    @property
-    def n_tokens(self):
-        return self.P * self.Q * self.K
 
 
 def partition(cube):
@@ -50,7 +45,6 @@ def partition(cube):
     if h < PATCH_H or w < PATCH_W or b < PATCH_B:
         raise ValueError(f"cube {h}x{w}x{b} smaller than one patch")
     P, Q, K = h // PATCH_H, w // PATCH_W, b // PATCH_B
-    cropped = (h - PATCH_H * P, w - PATCH_W * Q, b - PATCH_B * K)
     region = cube.values[..., :PATCH_H * P, :PATCH_W * Q, :PATCH_B * K]
     n = len(lead)
     blocks = region.reshape(*lead, P, PATCH_H, Q, PATCH_W, K, PATCH_B)
@@ -58,8 +52,7 @@ def partition(cube):
                .copy().reshape(*lead, -1, PATCH_LEN))
     lambdas = cube.wavelengths[:PATCH_B * K].reshape(K, PATCH_B).mean(axis=1)
     return TokenGrid(P=P, Q=Q, K=K, patches=patches,
-                     cropped_values=region.copy(), cropped=cropped,
-                     lambdas=lambdas)
+                     cropped_values=region.copy(), lambdas=lambdas)
 
 
 def report_cropping(shape):

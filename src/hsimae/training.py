@@ -7,6 +7,7 @@ model on 9 x 9 full-band windows centered on labeled pixels.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -135,6 +136,21 @@ class TrainSettings:
     fixed_plan: bool = False
     ft_epochs: int = 20
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.ft_epochs < 0:
+            raise ValueError(f"ft_epochs must be >= 0, got {self.ft_epochs}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        for name in ("alpha", "rho_s", "rho_b"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(
+                    f"{name} must lie in [0, 1], got {getattr(self, name)}")
+
 
 def _plan_for(grid, settings, seed):
     return masking.sample_mask_plan(grid.P, grid.Q, grid.K,
@@ -151,8 +167,6 @@ def pretrain(cubes, config, settings, run_seed,
     """
     if not cubes:
         raise ValueError("need at least one cube")
-    if settings.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {settings.steps}")
     grids = [tokenizer.partition(c) for c in cubes]
     for c in cubes:
         tokenizer.report_cropping(c.values.shape)
@@ -311,8 +325,6 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
     """
     if mode not in ("probe", "full"):
         raise ValueError(f"mode must be 'probe' or 'full', got {mode}")
-    if settings.ft_epochs < 0:
-        raise ValueError(f"ft_epochs must be >= 0, got {settings.ft_epochs}")
     if cube.labels is None:
         raise ValueError("fine-tuning needs a labeled cube")
     train_rows, test_rows = split

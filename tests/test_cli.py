@@ -113,6 +113,27 @@ class TestPretrainCmd:
         assert "steps must be >= 1" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flags, config, named", [
+        (["--lr", "-0.5"], None, "lr must be finite and > 0, got -0.5"),
+        (["--lr", "inf"], None, "lr must be finite and > 0, got inf"),
+        ([], {"train": {"weight_decay": -0.1}},
+         "weight_decay must be finite and >= 0, got -0.1"),
+        (["--rho-b", "-0.25"], None, "rho_b must lie in [0, 1], got -0.25"),
+    ], ids=["negative_lr", "infinite_lr", "negative_decay", "rho_b"])
+    def test_bad_train_setting_exits_two_without_checkpoint(
+            self, small_cube, tmp_path, capsys, flags, config, named):
+        path, _ = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["pretrain", "--data", str(path), "--out", str(ckpt),
+                "--d-model", "16", "--steps", "1"] + flags
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestConfig:
     @pytest.mark.parametrize("config, named", [
@@ -127,9 +148,15 @@ class TestConfig:
         ({"train": {"lr": "0.01"}}, "train.lr"),
         ({"train": {"steps": True}}, "train.steps"),
         ({"train": {"augment": 1}}, "train.augment"),
+        # json.dumps writes these as the bare words NaN, Infinity, -Infinity
+        ({"train": {"lr": float("nan")}}, "NaN is not a finite number"),
+        ({"train": {"lr": float("inf")}}, "Infinity is not a finite number"),
+        ({"train": {"weight_decay": -float("inf")}},
+         "-Infinity is not a finite number"),
     ], ids=["list", "section_number", "null", "list_value", "unknown_key",
             "unknown_section", "adam_constant", "float_for_int",
-            "string_for_float", "bool_for_int", "int_for_bool"])
+            "string_for_float", "bool_for_int", "int_for_bool", "nan",
+            "infinity", "minus_infinity"])
     def test_malformed_config_exits_two_without_checkpoint(
             self, small_cube, tmp_path, capsys, config, named):
         path, _ = small_cube
@@ -263,6 +290,24 @@ class TestFinetuneEval:
         for key in ("confusion", "oa", "aa", "kappa"):
             assert scored[key] == report[key]
 
+    def test_non_finite_parameter_exits_two(self, small_cube, tmp_path,
+                                            capsys):
+        path, split = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        params = model.load_checkpoint(ckpt)
+        params.arrays["cls_w"][0, 1] = np.nan
+        model.save_checkpoint(params, ckpt)
+        report = tmp_path / "r.json"
+        code = run(["finetune", "--checkpoint", str(ckpt), "--data", str(path),
+                    "--split", str(split), "--epochs", "0",
+                    "--report", str(report)])
+        assert code == cli.EXIT_DATA
+        assert (f"{ckpt}: non-finite values in cls_w"
+                in capsys.readouterr().err)
+        assert not report.exists()
+
     @pytest.mark.parametrize("flags, config", [
         (["--epochs", "-2"], None),
         ([], {"train": {"ft_epochs": -2}}),
@@ -317,6 +362,23 @@ class TestFinetuneEval:
         assert run(["eval", "--pred", str(pred),
                     "--true", str(true)]) == cli.EXIT_DATA
         assert f"{pred}{named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pred_rows, true_rows, named", [
+        ("0,0,1", "0,0,1\n0,1,2\n1,0,1\n1,1,2",
+         "3 truth pixels have no prediction, the first at (0, 1)"),
+        ("0,0,1\n5,5,2", "0,0,1",
+         "1 predicted pixels have no scored truth row, the first at (5, 5)"),
+        ("0,0,1\n0,1,2", "0,0,1,test\n0,1,2,train",
+         "1 predicted pixels have no scored truth row, the first at (0, 1)"),
+    ], ids=["partial_prediction", "pixel_without_truth", "train_pixel"])
+    def test_eval_needs_one_prediction_per_scored_pixel(
+            self, tmp_path, capsys, pred_rows, true_rows, named):
+        pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+        pred.write_text(f"i,j,label\n{pred_rows}\n")
+        true.write_text(f"i,j,label\n{true_rows}\n")
+        assert run(["eval", "--pred", str(pred),
+                    "--true", str(true)]) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
 
     def test_eval_identical_csvs(self, tmp_path, capsys):
         csv = tmp_path / "labels.csv"

@@ -67,20 +67,21 @@ class TestApplyMask:
     def test_no_mask_is_identity(self):
         plan = masking.sample_mask_plan(2, 2, 2, 0.0, 0.0, seed=0)
         emb = tc.Tensor(np.arange(8.0 * 3).reshape(8, 3))
-        rows, ids = masking.apply_mask(emb, plan)
+        rows = masking.apply_mask(emb, plan)
         np.testing.assert_array_equal(rows.data, emb.data)
-        np.testing.assert_array_equal(ids, np.arange(8))
+        np.testing.assert_array_equal(plan.visible_ids, np.arange(8))
 
     def test_row_count(self):
         plan = masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=5)
         emb = tc.Tensor(np.random.default_rng(0).normal(size=(64, 3)))
-        rows, _ = masking.apply_mask(emb, plan)
+        rows = masking.apply_mask(emb, plan)
         assert rows.data.shape == (plan.visible_ids.size, 3)
 
     def test_scatter_gather_inverse_on_visible(self):
         plan = masking.sample_mask_plan(4, 4, 4, 0.5, 0.5, seed=5)
         emb = np.random.default_rng(1).normal(size=(64, 3))
-        rows, ids = masking.apply_mask(tc.Tensor(emb), plan)
+        rows = masking.apply_mask(tc.Tensor(emb), plan)
+        ids = plan.visible_ids
         restored = np.zeros_like(emb)
         restored[ids] = rows.data
         np.testing.assert_array_equal(restored[ids], emb[ids])

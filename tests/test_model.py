@@ -93,8 +93,8 @@ class TestDecode:
         cube, grid, params, plan = _setup(rho=0.0)
         t = params.tensors()
         emb = model.embed_for(params, grid, t)
-        vis, _ = masking.apply_mask(emb, plan)
-        latents = model.encode(vis, t, params.config)
+        latents = model.encode(masking.apply_mask(emb, plan), t,
+                               params.config)
         # perturbing the mask token must not change the output
         out1 = model.decode(latents, plan, t, params, grid.lambdas).data.copy()
         t2 = dict(t)
@@ -106,8 +106,8 @@ class TestDecode:
         cube, grid, params, plan = _setup(rho=0.5)
         t = params.tensors()
         emb = model.embed_for(params, grid, t)
-        vis, _ = masking.apply_mask(emb, plan)
-        latents = model.encode(vis, t, params.config)
+        latents = model.encode(masking.apply_mask(emb, plan), t,
+                               params.config)
         out1 = model.decode(latents, plan, t, params, grid.lambdas).data.copy()
         t2 = dict(t)
         t2["mask_token"] = tc.Tensor(t["mask_token"].data + 1.0)

@@ -314,6 +314,13 @@ OPS = {
         x, _AT, tc.tsum(y, axis=0)))), 2, (3, 4)),
     "add_rowvec": (lambda x, y: tc.tsum(tc.mul(tc.add(x, tc.tsum(y, axis=0)),
                                                tc.add(x, tc.tsum(y, axis=0)))), 2, (3, 4)),
+    # broadcast operands of the other binary ops, derived from y: (4,) as
+    # the minuend, (1, 4) as a factor, (3, 1) as a denominator >= 0.5
+    "sub_rowvec": (lambda x, y: _weighted(tc.sub(tc.tsum(y, axis=0), x)), 2, (3, 4)),
+    "mul_rowvec": (lambda x, y: _weighted(tc.mul(
+        x, tc.tsum(y, axis=0, keepdims=True))), 2, (3, 4)),
+    "div_colvec": (lambda x, y: _weighted(tc.div(x, tc.add(
+        _square(tc.tsum(y, axis=1, keepdims=True)), tc.Tensor(0.5)))), 2, (3, 4)),
     # the head split and merge of the per-head reference graph
     "slice_cols": (lambda x: tc.tsum(tc.mul(_slice_cols(x, 1, 3),
                                             _slice_cols(x, 1, 3))), 1, (3, 4)),
@@ -493,12 +500,18 @@ class TestLeadingAxes:
         with pytest.raises(tc.ShapeError, match="do not broadcast"):
             tc.add(tc.Tensor(np.zeros((2, 3, 4))), tc.Tensor(np.zeros((2, 4))))
 
-    def test_only_add_broadcasts(self):
-        x, y = tc.Tensor(np.zeros((4, 1, 3))), tc.Tensor(np.ones((2, 3)))
-        assert tc.add(x, y).shape == (4, 2, 3)
-        for op in (tc.sub, tc.mul, tc.div):
-            with pytest.raises(tc.ShapeError, match="mismatch"):
-                op(x, y)
+    def test_every_binary_op_broadcasts(self):
+        x = np.arange(1.0, 13.0).reshape(4, 1, 3)
+        y = np.arange(2.0, 8.0).reshape(2, 3)
+        for name, ref in (("add", np.add), ("sub", np.subtract),
+                          ("mul", np.multiply), ("div", np.divide)):
+            op = getattr(tc, name)
+            out = op(tc.Tensor(x), tc.Tensor(y))
+            assert out.shape == (4, 2, 3)
+            np.testing.assert_array_equal(out.data, ref(x, y))
+            with pytest.raises(tc.ShapeError, match=rf"{name}: shapes "
+                               r"\(2, 3, 4\) and \(2, 4\) do not broadcast"):
+                op(tc.Tensor(np.ones((2, 3, 4))), tc.Tensor(np.ones((2, 4))))
 
 
 def test_arccos_gradient_away_from_clamp():

@@ -20,12 +20,16 @@ class TestPartition:
     def test_indian_pines_dims(self):
         grid = tokenizer.partition(_cube(145, 145, 224, seed=1))
         assert (grid.P, grid.Q, grid.K) == (16, 16, 28)
-        assert grid.n_tokens == 7168
+        assert grid.patches.shape[-2] == 7168
 
-    def test_single_token_with_crop(self):
-        grid = tokenizer.partition(_cube(10, 10, 9))
-        assert grid.n_tokens == 1
-        assert grid.cropped == (1, 1, 1)
+    def test_single_token_with_crop(self, caplog):
+        cube = _cube(10, 10, 9)
+        grid = tokenizer.partition(cube)
+        assert grid.patches.shape[-2] == 1
+        with caplog.at_level("WARNING", logger="hsimae.tokenizer"):
+            tokenizer.report_cropping(cube.values.shape)
+        assert caplog.messages == [
+            "cropping 1 rows, 1 cols, 1 bands past patch multiples"]
         assert grid.cropped_values.shape == (9, 9, 8)
 
     def test_too_small(self):

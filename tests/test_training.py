@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,27 @@ def _short_settings(**kw):
     defaults = dict(steps=5, ft_epochs=2)
     defaults.update(kw)
     return training.TrainSettings(**defaults)
+
+
+class TestTrainSettings:
+    # field, a value outside its range, the nearest end of the range
+    @pytest.mark.parametrize("field, bad, end, named", [
+        ("steps", 0, 1, "steps must be >= 1, got 0"),
+        ("ft_epochs", -1, 0, "ft_epochs must be >= 0, got -1"),
+        ("lr", 0.0, 1e-300, "lr must be finite and > 0, got 0.0"),
+        ("lr", float("nan"), 1e300, "lr must be finite and > 0, got nan"),
+        ("weight_decay", float("inf"), 1e300,
+         "weight_decay must be finite and >= 0, got inf"),
+        ("weight_decay", -1e-9, 0.0,
+         "weight_decay must be finite and >= 0, got -1e-09"),
+        ("alpha", -0.5, 0.0, "alpha must lie in [0, 1], got -0.5"),
+        ("rho_s", 1.5, 1.0, "rho_s must lie in [0, 1], got 1.5"),
+        ("rho_b", float("nan"), 1.0, "rho_b must lie in [0, 1], got nan"),
+    ])
+    def test_each_field_checked(self, field, bad, end, named):
+        assert getattr(training.TrainSettings(**{field: end}), field) == end
+        with pytest.raises(ValueError, match=re.escape(named)):
+            training.TrainSettings(**{field: bad})
 
 
 class TestPretrain:
