@@ -44,7 +44,10 @@ def _load_config(path):
         raise ValueError(f"{path}: {word} is not a finite number")
 
     with open(path) as fh:
-        config = json.load(fh, parse_constant=non_finite)
+        try:
+            config = json.load(fh, parse_constant=non_finite)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: the top level is not a JSON object")
     for section, values in config.items():
@@ -246,6 +249,8 @@ def build_parser():
     p.add_argument("--pred-out",
                    help="CSV i,j,label of the predicted class of each test pixel")
     p.add_argument("--epochs", dest="ft_epochs", type=int)
+    p.add_argument("--batch", dest="ft_batch", type=int,
+                   help="train windows per AdamW step")
     p.add_argument("--lr", type=float)
     p.set_defaults(func=cmd_finetune)
 

@@ -135,12 +135,15 @@ class TrainSettings:
     augment: bool = True
     fixed_plan: bool = False
     ft_epochs: int = 20
+    ft_batch: int = 4
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.ft_epochs < 0:
             raise ValueError(f"ft_epochs must be >= 0, got {self.ft_epochs}")
+        if self.ft_batch < 1:
+            raise ValueError(f"ft_batch must be >= 1, got {self.ft_batch}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.weight_decay < math.inf:
@@ -297,14 +300,15 @@ def make_split(cube, train_fraction, seed):
     return rows
 
 
-def _cross_entropy(logits, label):
-    """-log softmax(logits)[label] of one row of logits, stable via max
+def _cross_entropy(logits, labels):
+    """Mean over the rows of (B, C) logits of -log softmax(row)[label],
+    for (B,) class ids `labels`; the softmax is stable via max
     subtraction."""
     probs = tc.softmax(logits)
     onehot = np.zeros(logits.data.shape)
-    onehot[..., label] = 1.0
-    p = tc.tsum(tc.mul(probs, tc.Tensor(onehot)))
-    return tc.scale(tc.log(p), -1.0)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    p = tc.tsum(tc.mul(probs, tc.Tensor(onehot)), axis=-1)
+    return tc.scale(tc.tsum(tc.log(p)), -1.0 / len(labels))
 
 
 PROBE_PARAMS = ("cls_w", "cls_b")
@@ -317,11 +321,13 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
     """Train the classifier on labeled windows; returns (ClassReport, params).
 
     mode 'probe' updates only the classifier head; 'full' updates every
-    parameter, one window per step. `split` is (train_rows, test_rows)
-    of (i, j, label). The probe encodes each train window once, with the
-    encoder frozen, and trains the head on those cached features; both
-    modes classify the test windows in chunks of about CHUNK_TOKENS
-    token rows, without recording a graph.
+    parameter. Each epoch walks the shuffled train rows in batches of
+    settings.ft_batch windows (the last may be shorter): one mean
+    cross-entropy and one AdamW step per batch. `split` is (train_rows,
+    test_rows) of (i, j, label). The probe encodes each train window
+    once, with the encoder frozen, and trains the head on those cached
+    features; both modes classify the test windows in chunks of about
+    CHUNK_TOKENS token rows, without recording a graph.
     """
     if mode not in ("probe", "full"):
         raise ValueError(f"mode must be 'probe' or 'full', got {mode}")
@@ -371,20 +377,22 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
         cached = encoded(model.features, train_rows)
     state = OptimState()
     order = np.arange(len(train_rows))
+    labels = np.array([label - 1 for _, _, label in train_rows])
     rng = np.random.default_rng(masking.derive_seed(run_seed, "order"))
     for epoch in range(settings.ft_epochs):
         rng.shuffle(order)
-        for idx in order:
+        for lo in range(0, len(order), settings.ft_batch):
+            idx = order[lo:lo + settings.ft_batch]
             if mode == "probe":
                 tensors = {name: tc.Tensor(params.arrays[name],
                                            requires_grad=True)
                            for name in PROBE_PARAMS}
-                logits = model.head(tc.Tensor(cached[idx:idx + 1]), tensors)
+                logits = model.head(tc.Tensor(cached[idx]), tensors)
             else:
                 tensors = params.tensors()
-                logits = model.classify(windows(train_rows[idx:idx + 1]),
+                logits = model.classify(windows([train_rows[i] for i in idx]),
                                         params, tensors)
-            ce = _cross_entropy(logits, train_rows[idx][2] - 1)
+            ce = _cross_entropy(logits, labels[idx])
             ce.backward()
             grads = {name: t.grad for name, t in tensors.items()
                      if t.grad is not None}

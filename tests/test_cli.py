@@ -153,15 +153,18 @@ class TestConfig:
         ({"train": {"lr": float("inf")}}, "Infinity is not a finite number"),
         ({"train": {"weight_decay": -float("inf")}},
          "-Infinity is not a finite number"),
+        # a string is written as it is: text that is not JSON
+        ('{"train": {"lr": 0.1,}}', "line 1 column 22"),
     ], ids=["list", "section_number", "null", "list_value", "unknown_key",
             "unknown_section", "adam_constant", "float_for_int",
             "string_for_float", "bool_for_int", "int_for_bool", "nan",
-            "infinity", "minus_infinity"])
+            "infinity", "minus_infinity", "not_json"])
     def test_malformed_config_exits_two_without_checkpoint(
             self, small_cube, tmp_path, capsys, config, named):
         path, _ = small_cube
         cfg, ckpt = tmp_path / "cfg.json", tmp_path / "m.ckpt"
-        cfg.write_text(json.dumps(config))
+        text = config if isinstance(config, str) else json.dumps(config)
+        cfg.write_text(text)
         code = run(["pretrain", "--config", str(cfg), "--data", str(path),
                     "--out", str(ckpt), "--steps", "1"])
         assert code == cli.EXIT_DATA
@@ -188,7 +191,7 @@ class TestConfig:
                       "n_heads": 3, "d_ff": 48},
             "train": {"steps": 7, "alpha": 0.25, "rho_s": 0.4, "rho_b": 0.6,
                       "lr": 0.002, "weight_decay": 0.1, "augment": False,
-                      "fixed_plan": True, "ft_epochs": 3},
+                      "fixed_plan": True, "ft_epochs": 3, "ft_batch": 2},
         }
         built = self._built(tmp_path, config)
         for section, settings in zip(("model", "train"), built):
@@ -314,6 +317,21 @@ class TestFinetuneEval:
     ])
     def test_negative_epochs_exit_two(self, small_cube, tmp_path, capsys,
                                       flags, config):
+        self._bad_setting_exits_two(small_cube, tmp_path, capsys, flags,
+                                    config, "ft_epochs must be >= 0, got -2")
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--batch", "0"], None),
+        ([], {"train": {"ft_batch": 0}}),
+    ])
+    def test_zero_batch_exits_two(self, small_cube, tmp_path, capsys,
+                                  flags, config):
+        self._bad_setting_exits_two(small_cube, tmp_path, capsys, flags,
+                                    config, "ft_batch must be >= 1, got 0")
+
+    @staticmethod
+    def _bad_setting_exits_two(small_cube, tmp_path, capsys, flags, config,
+                               named):
         path, split = small_cube
         ckpt = tmp_path / "m.ckpt"
         run(["pretrain", "--data", str(path), "--out", str(ckpt),
@@ -327,7 +345,7 @@ class TestFinetuneEval:
             cfg.write_text(json.dumps(config))
             argv += ["--config", str(cfg)]
         assert run(argv) == cli.EXIT_DATA
-        assert "ft_epochs must be >= 0, got -2" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("row, named", [

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hsimae import hsidata, masking, model, training
+from hsimae import tensorcore as tc
+from fdcheck import assert_grads_close, finite_diff_grad
 
 
 class TestAdamW:
@@ -191,6 +193,7 @@ class TestTrainSettings:
     @pytest.mark.parametrize("field, bad, end, named", [
         ("steps", 0, 1, "steps must be >= 1, got 0"),
         ("ft_epochs", -1, 0, "ft_epochs must be >= 0, got -1"),
+        ("ft_batch", 0, 1, "ft_batch must be >= 1, got 0"),
         ("lr", 0.0, 1e-300, "lr must be finite and > 0, got 0.0"),
         ("lr", float("nan"), 1e300, "lr must be finite and > 0, got nan"),
         ("weight_decay", float("inf"), 1e300,
@@ -312,6 +315,23 @@ class TestCropWarning:
         assert "0 rows, 0 cols, 4 bands" in lines[0].getMessage()
 
 
+class TestCrossEntropy:
+    def test_mean_and_gradient_over_a_batch(self):
+        logits = np.random.default_rng(3).uniform(-2.0, 2.0, size=(3, 4))
+        labels = np.array([2, 0, 2])
+
+        def ce(x):
+            return training._cross_entropy(tc.Tensor(x), labels).data
+
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(ce(logits),
+                                   -log_p[[0, 1, 2], labels].mean(), rtol=1e-12)
+        x = tc.Tensor(logits, requires_grad=True)
+        training._cross_entropy(x, labels).backward()
+        assert_grads_close(x.grad, finite_diff_grad(ce, [logits], wrt=0))
+
+
 class TestFinetune:
     def test_probe_updates_only_head(self):
         cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=3)
@@ -337,13 +357,14 @@ class TestFinetune:
                                       _short_settings(ft_epochs=15))
         assert report.oa >= 90.0
 
-    def test_cached_probe_equals_per_window_loop(self):
+    @pytest.mark.parametrize("ft_batch", [1, 4])
+    def test_cached_probe_equals_per_window_loop(self, ft_batch):
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=6)
         params = model.init_params(model.ModelConfig(), 3, 3, 3, 3, seed=2)
         rows = training.make_split(cube, 0.1, seed=4)
         split = ([(i, j, c) for i, j, c, s in rows if s == "train"],
                  [(i, j, c) for i, j, c, s in rows if s == "test"][:40])
-        settings = _short_settings(ft_epochs=3, lr=0.01)
+        settings = _short_settings(ft_epochs=3, lr=0.01, ft_batch=ft_batch)
         report, tuned = training.finetune(params, cube, split, "probe",
                                           settings, run_seed=5)
         ref_report, ref = _per_window_probe(params, cube, split, settings,
@@ -352,6 +373,37 @@ class TestFinetune:
             np.testing.assert_array_equal(tuned.arrays[name], ref.arrays[name])
         assert report.to_json() == ref_report.to_json()
         np.testing.assert_array_equal(report.pred, ref_report.pred)
+
+    def test_one_step_per_batch_and_each_row_once_per_epoch(
+            self, monkeypatch):
+        cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=3)
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=0)
+        rows = training.make_split(cube, 0.5, seed=0)
+        train = [(i, j, c) for i, j, c, s in rows if s == "train"][:7]
+        test = [(i, j, c) for i, j, c, s in rows if s == "test"][:5]
+        calls = []  # the window centres of each classify call, and "step"
+        real_classify, real_step = model.classify, training.adamw_step
+
+        def classify(windows, *args):
+            calls.append(windows.values[:, 4, 4].copy())
+            return real_classify(windows, *args)
+
+        def step(*args):
+            calls.append("step")
+            real_step(*args)
+
+        monkeypatch.setattr(model, "classify", classify)
+        monkeypatch.setattr(training, "adamw_step", step)
+        training.finetune(params, cube, (train, test), "full",
+                          _short_settings(ft_epochs=2, ft_batch=4))
+        batches = [calls[n - 1] for n, c in enumerate(calls)
+                   if isinstance(c, str)]
+        assert [len(b) for b in batches] == [4, 3, 4, 3]
+        normed, _ = hsidata.normalize(cube)
+        at = {normed.values[i, j].tobytes(): (i, j) for i, j, _ in train}
+        for epoch in (batches[:2], batches[2:]):
+            seen = [at[centre.tobytes()] for b in epoch for centre in b]
+            assert sorted(seen) == sorted((i, j) for i, j, _ in train)
 
     @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_negative_epochs_rejected(self, mode):
@@ -395,8 +447,9 @@ class TestFinetune:
 
 
 def _per_window_probe(params, cube, split, settings, run_seed):
-    """The probe as one graph per window per epoch: encode the window,
-    pool, classify, backward, AdamW on the head. The reference that the
+    """The probe as one graph per batch of windows per epoch: encode the
+    batch's stacked windows, pool, classify, backward, AdamW on the head.
+    At ft_batch 1 that is one graph per window. The reference that the
     feature-cached probe must reproduce bit for bit."""
     train_rows, test_rows = split
     params = params.copy()
@@ -406,17 +459,22 @@ def _per_window_probe(params, cube, split, settings, run_seed):
     def window(i, j):
         return hsidata.HsiCube(values=view[i, j], wavelengths=cube.wavelengths)
 
+    def stack(batch):
+        ii, jj = np.array([(i, j) for i, j, _ in batch]).T
+        return hsidata.HsiCube(values=view[ii, jj],
+                               wavelengths=cube.wavelengths)
+
     state = training.OptimState()
     order = np.arange(len(train_rows))
     rng = np.random.default_rng(masking.derive_seed(run_seed, "order"))
     trainable = set(training.PROBE_PARAMS)
     for _ in range(settings.ft_epochs):
         rng.shuffle(order)
-        for idx in order:
-            i, j, label = train_rows[idx]
+        for lo in range(0, len(order), settings.ft_batch):
+            batch = [train_rows[i] for i in order[lo:lo + settings.ft_batch]]
             tensors = params.tensors(trainable=trainable)
-            logits = model.classify(window(i, j), params, tensors)
-            ce = training._cross_entropy(logits, label - 1)
+            logits = model.classify(stack(batch), params, tensors)
+            ce = training._cross_entropy(logits, [c - 1 for *_, c in batch])
             ce.backward()
             grads = {name: tensors[name].grad for name in trainable}
             training.adamw_step(params.arrays, grads, state, settings.lr,
