@@ -135,7 +135,7 @@ class TrainSettings:
     augment: bool = True
     fixed_plan: bool = False
     ft_epochs: int = 20
-    ft_batch: int = 4
+    ft_batch: int = 2
 
     def __post_init__(self):
         if self.steps < 1:
@@ -323,11 +323,13 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
     mode 'probe' updates only the classifier head; 'full' updates every
     parameter. Each epoch walks the shuffled train rows in batches of
     settings.ft_batch windows (the last may be shorter): one mean
-    cross-entropy and one AdamW step per batch. `split` is (train_rows,
-    test_rows) of (i, j, label). The probe encodes each train window
-    once, with the encoder frozen, and trains the head on those cached
-    features; both modes classify the test windows in chunks of about
-    CHUNK_TOKENS token rows, without recording a graph.
+    cross-entropy and one AdamW step per batch, at the learning rate
+    settings.lr * sqrt(ft_batch) (Adam's square-root rule for scaling
+    the rate with the batch). `split` is (train_rows, test_rows) of
+    (i, j, label). The probe encodes each train window once, with the
+    encoder frozen, and trains the head on those cached features; both
+    modes classify the test windows in chunks of about CHUNK_TOKENS
+    token rows, without recording a graph.
     """
     if mode not in ("probe", "full"):
         raise ValueError(f"mode must be 'probe' or 'full', got {mode}")
@@ -379,6 +381,7 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
     order = np.arange(len(train_rows))
     labels = np.array([label - 1 for _, _, label in train_rows])
     rng = np.random.default_rng(masking.derive_seed(run_seed, "order"))
+    lr = settings.lr * math.sqrt(settings.ft_batch)
     for epoch in range(settings.ft_epochs):
         rng.shuffle(order)
         for lo in range(0, len(order), settings.ft_batch):
@@ -396,8 +399,7 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
             ce.backward()
             grads = {name: t.grad for name, t in tensors.items()
                      if t.grad is not None}
-            adamw_step(params.arrays, grads, state, settings.lr,
-                       settings.weight_decay)
+            adamw_step(params.arrays, grads, state, lr, settings.weight_decay)
     logits = encoded(model.classify, test_rows)
     return (evaluate(np.argmax(logits, axis=1) + 1,
                      [label for _, _, label in test_rows]), params)

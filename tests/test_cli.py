@@ -191,7 +191,7 @@ class TestConfig:
                       "n_heads": 3, "d_ff": 48},
             "train": {"steps": 7, "alpha": 0.25, "rho_s": 0.4, "rho_b": 0.6,
                       "lr": 0.002, "weight_decay": 0.1, "augment": False,
-                      "fixed_plan": True, "ft_epochs": 3, "ft_batch": 2},
+                      "fixed_plan": True, "ft_epochs": 3, "ft_batch": 3},
         }
         built = self._built(tmp_path, config)
         for section, settings in zip(("model", "train"), built):

@@ -382,15 +382,17 @@ class TestFinetune:
         train = [(i, j, c) for i, j, c, s in rows if s == "train"][:7]
         test = [(i, j, c) for i, j, c, s in rows if s == "test"][:5]
         calls = []  # the window centres of each classify call, and "step"
+        rates = []
         real_classify, real_step = model.classify, training.adamw_step
 
         def classify(windows, *args):
             calls.append(windows.values[:, 4, 4].copy())
             return real_classify(windows, *args)
 
-        def step(*args):
+        def step(arrays, grads, state, lr, weight_decay):
             calls.append("step")
-            real_step(*args)
+            rates.append(lr)
+            real_step(arrays, grads, state, lr, weight_decay)
 
         monkeypatch.setattr(model, "classify", classify)
         monkeypatch.setattr(training, "adamw_step", step)
@@ -399,6 +401,7 @@ class TestFinetune:
         batches = [calls[n - 1] for n, c in enumerate(calls)
                    if isinstance(c, str)]
         assert [len(b) for b in batches] == [4, 3, 4, 3]
+        assert rates == [2.0 * training.TrainSettings.lr] * 4  # lr * sqrt(4)
         normed, _ = hsidata.normalize(cube)
         at = {normed.values[i, j].tobytes(): (i, j) for i, j, _ in train}
         for epoch in (batches[:2], batches[2:]):
@@ -447,10 +450,11 @@ class TestFinetune:
 
 
 def _per_window_probe(params, cube, split, settings, run_seed):
-    """The probe as one graph per batch of windows per epoch: encode the
-    batch's stacked windows, pool, classify, backward, AdamW on the head.
-    At ft_batch 1 that is one graph per window. The reference that the
-    feature-cached probe must reproduce bit for bit."""
+    """The probe as one graph per step: encode the step's windows, pool,
+    classify, backward, AdamW on the head. At ft_batch 1 that is one
+    single-window graph per train row at lr; above, one graph of the
+    batch's stacked windows at lr * sqrt(ft_batch). The reference that
+    the feature-cached probe must reproduce bit for bit."""
     train_rows, test_rows = split
     params = params.copy()
     normed, _ = hsidata.normalize(cube)
@@ -468,17 +472,29 @@ def _per_window_probe(params, cube, split, settings, run_seed):
     order = np.arange(len(train_rows))
     rng = np.random.default_rng(masking.derive_seed(run_seed, "order"))
     trainable = set(training.PROBE_PARAMS)
+
+    def step(cube_in, labels, lr):
+        tensors = params.tensors(trainable=trainable)
+        logits = model.classify(cube_in, params, tensors)  # (C,) or (B, C)
+        logits = tc.reshape(logits, (len(labels), logits.data.shape[-1]))
+        ce = training._cross_entropy(logits, labels)
+        ce.backward()
+        grads = {name: tensors[name].grad for name in trainable}
+        training.adamw_step(params.arrays, grads, state, lr,
+                            settings.weight_decay)
+
+    size = settings.ft_batch
     for _ in range(settings.ft_epochs):
         rng.shuffle(order)
-        for lo in range(0, len(order), settings.ft_batch):
-            batch = [train_rows[i] for i in order[lo:lo + settings.ft_batch]]
-            tensors = params.tensors(trainable=trainable)
-            logits = model.classify(stack(batch), params, tensors)
-            ce = training._cross_entropy(logits, [c - 1 for *_, c in batch])
-            ce.backward()
-            grads = {name: tensors[name].grad for name in trainable}
-            training.adamw_step(params.arrays, grads, state, settings.lr,
-                                settings.weight_decay)
+        if size == 1:
+            for idx in order:
+                i, j, label = train_rows[idx]
+                step(window(i, j), [label - 1], settings.lr)
+            continue
+        for lo in range(0, len(order), size):
+            batch = [train_rows[i] for i in order[lo:lo + size]]
+            step(stack(batch), [c - 1 for *_, c in batch],
+                 settings.lr * np.sqrt(size))
     preds = [int(np.argmax(model.classify(window(i, j), params).data)) + 1
              for i, j, _ in test_rows]
     return training.evaluate(preds, [c for _, _, c in test_rows]), params
