@@ -77,9 +77,10 @@ def sam_map(y, y_hat):
     h, w, b = y.shape
     y2, yh2 = y.reshape(h * w, b), y_hat.reshape(h * w, b)
     ny, nyh, valid = _pixel_norms(y2, yh2)
-    cos = np.sum(y2[valid] * yh2[valid], axis=1) / (ny[valid] * nyh[valid])
+    rows = slice(None) if valid.all() else valid  # no copy when all valid
+    cos = np.sum(y2[rows] * yh2[rows], axis=1) / (ny[rows] * nyh[rows])
     angles = np.zeros(h * w)
-    angles[valid] = np.arccos(np.clip(cos, -1.0, 1.0))
+    angles[rows] = np.arccos(np.clip(cos, -1.0, 1.0))
     return angles.reshape(h, w)
 
 
@@ -87,7 +88,8 @@ def sam_loss(y, y_hat):
     """Mean spectral angle over all pixels; returns (loss, excluded count).
 
     Pixels whose true or predicted spectrum has (near-)zero norm are
-    excluded from the average and counted instead of raising.
+    excluded from the average and counted instead of raising; only then
+    are the spectra gathered into new rows.
     """
     y = _wrap_const(y)
     if y.data.shape != y_hat.data.shape:
@@ -101,11 +103,11 @@ def sam_loss(y, y_hat):
     excluded = n - n_valid
     if n_valid == 0:
         raise ValueError("every pixel has a zero-norm spectrum")
-    yv = tc.gather_rows(y2, valid)
-    yhv = tc.gather_rows(yh2, valid)
-    dots = tc.tsum(tc.mul(yv, yhv), axis=1)
-    norms = tc.mul(tc.sqrt(tc.tsum(tc.mul(yv, yv), axis=1)),
-                   tc.sqrt(tc.tsum(tc.mul(yhv, yhv), axis=1)))
+    if excluded:
+        y2, yh2 = tc.gather_rows(y2, valid), tc.gather_rows(yh2, valid)
+    dots = tc.tsum(tc.mul(y2, yh2), axis=1)
+    norms = tc.mul(tc.sqrt(tc.tsum(tc.mul(y2, y2), axis=1)),
+                   tc.sqrt(tc.tsum(tc.mul(yh2, yh2), axis=1)))
     angles = tc.arccos(tc.div(dots, norms))
     return tc.scale(tc.tsum(angles), 1.0 / n_valid), excluded
 

@@ -48,9 +48,9 @@ _ERF_PQ = (
 )
 # erf rounds to 1 for |x| >= 6; clipping there also covers +-inf
 _ERF_ONE_AT = 6.0
-# elements per erf block, so that its six float64 temporaries (1.5 MB)
-# stay in a 2 MB L2 cache
-_ERF_BLOCK = 1 << 15
+# elements per block of an elementwise or row-wise pass, so that its
+# float64 temporaries (six in erf, 1.5 MB) stay in a 2 MB L2 cache
+_BLOCK = 1 << 15
 
 
 class ShapeError(ValueError):
@@ -287,8 +287,8 @@ def erf(x):
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     out = np.empty_like(flat)
-    for i in range(0, flat.size, _ERF_BLOCK):
-        _erf_block(flat[i:i + _ERF_BLOCK], out[i:i + _ERF_BLOCK])
+    for i in range(0, flat.size, _BLOCK):
+        _erf_block(flat[i:i + _BLOCK], out[i:i + _BLOCK])
     return out.reshape(x.shape)
 
 
@@ -458,6 +458,15 @@ def softmax(a, axis=-1):
     return _result(out_data, (a,), backward)
 
 
+def _row_blocks(x):
+    """Consecutive blocks of whole rows of the C-contiguous array x, as
+    views of its (rows, n) form, each of at most _BLOCK elements or one
+    row. An array of at most _BLOCK elements is one block."""
+    rows = x.reshape(-1, x.shape[-1])
+    step = max(1, _BLOCK // rows.shape[1])
+    return [rows[i:i + step] for i in range(0, rows.shape[0], step)]
+
+
 def attention(q, k, v, n_heads):
     """Multi-head scaled dot-product attention, every head in one pass.
 
@@ -465,9 +474,13 @@ def attention(q, k, v, n_heads):
     (..., T, d/n_heads) heads, and softmax(q k^T / sqrt(d/n_heads)) v of
     every head is merged back into (..., T, d). Backward works from the
     saved probabilities alone, as FlashAttention's does (Dao et al.,
-    2022), without tiling. Each head's products and the softmax run in
-    the same order, on the same contiguous blocks, as a graph of one
-    slice, matmul, scale and softmax per head, so the bits agree.
+    2022). Each product is one batched matmul over every head; only the
+    row-wise passes (the softmax, and dS = P*(dP - rowsum(dP*P)) in
+    place in dP) go over the (..., T, T) scores in blocks of whole rows
+    that fit the L2 cache, and make no T x T temporary. Each head's
+    products and the softmax run in the same order, on the same
+    contiguous blocks, as a graph of one slice, matmul, scale and softmax
+    per head, so the bits agree.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     shape = q.data.shape
@@ -492,18 +505,21 @@ def attention(q, k, v, n_heads):
     kt = heads(k.data, (-1, -3, -2))  # k^T: (..., H, dh, T)
     vh = heads(v.data, (-2, -3, -1))
     p = qh @ kt
-    p *= c
-    p -= np.max(p, axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= np.sum(p, axis=-1, keepdims=True)
+    for s in _row_blocks(p):
+        s *= c
+        s -= np.max(s, axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= np.sum(s, axis=-1, keepdims=True)
 
     def backward(g):
         go = heads(g, (-2, -3, -1))
         if v.requires_grad:
             v._accumulate(merge(p.swapaxes(-1, -2) @ go))
-        dp = go @ vh.swapaxes(-1, -2)
-        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
-        ds *= c
+        ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place
+        for d, s in zip(_row_blocks(ds), _row_blocks(p)):
+            d -= np.sum(d * s, axis=-1, keepdims=True)
+            d *= s
+            d *= c
         if q.requires_grad:
             q._accumulate(merge(ds @ kt.swapaxes(-1, -2)))
         if k.requires_grad:

@@ -134,6 +134,50 @@ class TestSamLoss:
         with pytest.raises(ValueError):
             loss.sam_loss(np.zeros((2, 2, 4)), tc.Tensor(np.ones((2, 2, 4))))
 
+    @staticmethod
+    def _gathered_sam(y, y_hat):
+        """sam_loss as it was when every pixel went through gather_rows:
+        the bit-for-bit reference for the path without excluded pixels."""
+        h, w, b = y.shape
+        y2 = tc.reshape(tc.Tensor(y), (h * w, b))
+        yh2 = tc.reshape(y_hat, (h * w, b))
+        valid = np.ones(h * w, dtype=bool)
+        yv, yhv = tc.gather_rows(y2, valid), tc.gather_rows(yh2, valid)
+        dots = tc.tsum(tc.mul(yv, yhv), axis=1)
+        norms = tc.mul(tc.sqrt(tc.tsum(tc.mul(yv, yv), axis=1)),
+                       tc.sqrt(tc.tsum(tc.mul(yhv, yhv), axis=1)))
+        return tc.scale(tc.tsum(tc.arccos(tc.div(dots, norms))), 1.0 / (h * w))
+
+    def test_no_excluded_pixel_equals_gathered_path_without_gather(
+            self, monkeypatch):
+        y, yh = _pair(shape=(6, 5, 16), seed=8)
+        ref_hat = tc.Tensor(yh, requires_grad=True)
+        ref = self._gathered_sam(y, ref_hat)
+        ref.backward()
+        monkeypatch.setattr(tc, "gather_rows", _refuse_gather)
+        y_hat = tc.Tensor(yh, requires_grad=True)
+        out, excluded = loss.sam_loss(y, y_hat)
+        out.backward()
+        assert excluded == 0
+        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_array_equal(y_hat.grad, ref_hat.grad)
+
+    def test_excluded_pixels_are_gathered(self, monkeypatch):
+        y, yh = _pair(shape=(2, 2, 4), seed=6)
+        y[0, 0] = 0.0
+        calls, gather = [], tc.gather_rows
+        monkeypatch.setattr(tc, "gather_rows",
+                            lambda a, keep: calls.append(keep) or gather(a, keep))
+        y_hat = tc.Tensor(yh, requires_grad=True)
+        loss.sam_loss(y, y_hat)[0].backward()
+        assert len(calls) == 2
+        assert all(keep.tolist() == [False, True, True, True] for keep in calls)
+        assert not y_hat.grad[0, 0].any() and y_hat.grad[1:].all()
+
+
+def _refuse_gather(a, keep):
+    raise AssertionError("gather_rows called with no pixel excluded")
+
 
 def test_sam_map_matches_per_pixel_loop():
     y, yh = _pair(shape=(6, 5, 8), seed=7)
@@ -150,6 +194,16 @@ def test_sam_map_matches_per_pixel_loop():
     assert got.shape == (6, 5)
     assert got[0, 0] == 0.0 and got[2, 3] == 0.0
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_sam_map_without_excluded_pixels_equals_gathered_rows():
+    y, yh = _pair(shape=(6, 5, 16), seed=9)
+    y2, yh2 = y.reshape(30, 16), yh.reshape(30, 16)
+    valid = np.ones(30, dtype=bool)  # the boolean row copy sam_map skips
+    cos = (np.sum(y2[valid] * yh2[valid], axis=1)
+           / (np.linalg.norm(y2, axis=1) * np.linalg.norm(yh2, axis=1)))
+    ref = np.arccos(np.clip(cos, -1.0, 1.0)).reshape(6, 5)
+    np.testing.assert_array_equal(loss.sam_map(y, yh), ref)
 
 
 class TestRecLoss:

@@ -386,6 +386,18 @@ BATCHED_OPS = {
 
 @pytest.mark.parametrize("name", sorted(BATCHED_OPS))
 def test_batched_gradients_match_finite_differences(name):
+    _check_batched_gradients(name)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in BATCHED_OPS
+                                        if n.startswith("attention")))
+def test_attention_gradients_in_row_blocks(name, monkeypatch):
+    # two 3-wide score rows per block: some blocks end inside a head
+    monkeypatch.setattr(tc, "_BLOCK", 7)
+    _check_batched_gradients(name)
+
+
+def _check_batched_gradients(name):
     build, shapes = BATCHED_OPS[name]
     rng = np.random.default_rng(5)
     arrays = [rng.uniform(-2.0, 2.0, size=shape) for shape in shapes]
@@ -411,24 +423,59 @@ def _per_head_attention(q, k, v, n_heads):
     return _concat_cols(heads) if n_heads > 1 else heads[0]
 
 
+def _assert_matches_per_head_graph(shape, n_heads):
+    """tc.attention's output and q/k/v gradients equal the per-head
+    graph's bit for bit, and leave in C order."""
+    rng = np.random.default_rng(shape[-2] * 10 + n_heads)
+    arrays = [rng.normal(size=shape) for _ in range(3)]
+    weight = tc.Tensor(rng.normal(size=shape))
+    results = []
+    for attend in (tc.attention, _per_head_attention):
+        qkv = [tc.Tensor(a, requires_grad=True) for a in arrays]
+        out = attend(*qkv, n_heads)
+        tc.tsum(tc.mul(out, weight)).backward()
+        results.append([out.data] + [t.grad for t in qkv])
+    for fused, ref in zip(*results):
+        np.testing.assert_array_equal(fused, ref)
+    # the summation order of a bias gradient depends on the layout
+    assert all(g.flags.c_contiguous for g in results[0])
+
+
 class TestAttention:
+    # (200, 64) spans several row blocks at the default block size
     @pytest.mark.parametrize("shape", [(1, 64), (3, 64), (12, 64),
-                                       (5, 12, 64)])
+                                       (5, 12, 64), (200, 64)])
     @pytest.mark.parametrize("n_heads", [1, 4])
     def test_bit_identical_to_per_head_graph(self, shape, n_heads):
-        rng = np.random.default_rng(shape[-2] * 10 + n_heads)
-        arrays = [rng.normal(size=shape) for _ in range(3)]
-        weight = tc.Tensor(rng.normal(size=shape))
-        results = []
-        for attend in (tc.attention, _per_head_attention):
-            qkv = [tc.Tensor(a, requires_grad=True) for a in arrays]
-            out = attend(*qkv, n_heads)
-            tc.tsum(tc.mul(out, weight)).backward()
-            results.append([out.data] + [t.grad for t in qkv])
-        for fused, ref in zip(*results):
-            np.testing.assert_array_equal(fused, ref)
-        # the summation order of a bias gradient depends on the layout
-        assert all(g.flags.c_contiguous for g in results[0])
+        _assert_matches_per_head_graph(shape, n_heads)
+
+    # 89 // 12 = 7 and 96 // 12 = 8 rows of 12 scores per block: the
+    # first block ends inside head 0, and in a (5, 12, 64) stack of 4
+    # heads (48 rows per window) a block spans rows 42-48 of windows 0
+    # and 1, or one ends at row 48 between them
+    @pytest.mark.parametrize("shape", [(12, 64), (5, 12, 64)])
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("block", [89, 96])
+    def test_bit_identical_in_row_blocks(self, shape, n_heads, block,
+                                         monkeypatch):
+        monkeypatch.setattr(tc, "_BLOCK", block)
+        _assert_matches_per_head_graph(shape, n_heads)
+
+    def test_row_blocks_are_views_of_whole_rows(self, monkeypatch):
+        # 1 and 4 heads of 200 rows of 200 scores: 163 rows per block
+        assert len(tc._row_blocks(np.empty((1, 200, 200)))) == 2
+        assert len(tc._row_blocks(np.empty((4, 200, 200)))) == 5
+        monkeypatch.setattr(tc, "_BLOCK", 96)
+        scores = np.zeros((5, 4, 12, 12))
+        blocks = tc._row_blocks(scores)
+        assert [len(b) for b in blocks] == [8] * 30
+        for i, b in enumerate(blocks):
+            b += i
+        # block 6 starts at row 48, the first row of window 1
+        assert scores[1, 0, 0, 0] == 6.0 and scores[0, 3, 11, 11] == 5.0
+        assert len(tc._row_blocks(np.zeros((5, 4, 1, 1)))) == 1
+        monkeypatch.setattr(tc, "_BLOCK", 5)
+        assert [len(b) for b in tc._row_blocks(scores)] == [1] * 240
 
     def test_shape_errors(self):
         x, y = tc.Tensor(np.zeros((3, 4))), tc.Tensor(np.zeros((2, 4)))
