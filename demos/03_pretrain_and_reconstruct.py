@@ -11,7 +11,7 @@ about generalization.
 
 import numpy as np
 
-from hsimae import hsidata, loss, masking, model, tokenizer, training
+from hsimae import hsidata, masking, model, tokenizer, training
 
 cube = hsidata.gen_synthetic(27, 27, 24, n_classes=3, seed=7)
 
@@ -30,14 +30,12 @@ print(f"loss ratio final/first: {log[-1]['l_rec'] / log[0]['l_rec']:.3f}")
 normed, _ = hsidata.normalize(cube)
 grid = tokenizer.partition(normed)
 plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, 0.5, 0.5, seed=99)
-recon = model.masked_forward(params, grid, plan,
-                             params.tensors(trainable=set()))
-vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
-_, report = loss.rec_loss(grid.cropped_values, recon, vox, alpha=0.5)
+_, report, recon = training.masked_loss(params, grid, plan, 0.5,
+                                        params.tensors(trainable=set()))
 print("fresh-mask report:", report.to_json())
 
-# Spectral angles, band-averaged per pixel: small where the model
-# learned the scene's spectra, larger near class boundaries.
+# The error on the voxels hidden from the encoder, and on those it saw.
+vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
 err = grid.cropped_values - recon.data
 print("masked-voxel RMSE:", float(np.sqrt((err[vox] ** 2).mean())))
 print("visible-voxel RMSE:", float(np.sqrt((err[~vox] ** 2).mean())))

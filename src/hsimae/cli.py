@@ -153,15 +153,8 @@ def cmd_reconstruct(args):
     tokenizer.report_cropping(normed.values.shape)
     plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K,
                                     args.rho_s, args.rho_b, args.seed)
-    if not plan.masked_ids.size:
-        raise ValueError(
-            "mask ratios leave nothing masked, so the masked MSE is "
-            "undefined; pass nonzero --rho-s or --rho-b")
-    recon = model.masked_forward(params, grid, plan,
-                                 params.tensors(trainable=set()))
-    mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
-    _, report = loss.rec_loss(grid.cropped_values, recon, mask,
-                              alpha=args.alpha)
+    _, report, recon = training.masked_loss(params, grid, plan, args.alpha,
+                                            params.tensors(trainable=set()))
     print(report.to_json())
     if args.out:
         bands = grid.cropped_values.shape[-1]

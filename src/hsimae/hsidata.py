@@ -128,6 +128,9 @@ def load_cube(path):
     if len(raw) < 17:
         raise FormatError(f"truncated header at offset {len(raw)}")
     h, w, b, flag = struct.unpack_from("<IIIB", raw, 4)
+    for axis, n, at in (("H", h, 4), ("W", w, 8), ("B", b, 12)):
+        if n == 0:
+            raise FormatError(f"zero extent {axis} = 0 at offset {at}")
     off = 17
     need = b * 8
     if len(raw) < off + need:

@@ -155,9 +155,24 @@ class TrainSettings:
                     f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
-def _plan_for(grid, settings, seed):
-    return masking.sample_mask_plan(grid.P, grid.Q, grid.K,
-                                    settings.rho_s, settings.rho_b, seed)
+def masked_loss(params, grid, plan, alpha, tensors):
+    """(total, LossReport, reconstruction) of the pre-training objective:
+    MSE on the plan's masked voxels and spectral angle, weighted by
+    `alpha`. A plan that masks nothing is a ValueError naming the ratios."""
+    if not plan.masked_ids.size:
+        raise ValueError(f"mask ratios rho_s={plan.rho_s}, rho_b={plan.rho_b}"
+                         " leave no masked tokens; the masked MSE is undefined")
+    recon = model.masked_forward(params, grid, plan, tensors)
+    mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
+    total, report = loss.rec_loss(grid.cropped_values, recon, mask, alpha)
+    return total, report, recon
+
+
+def _descend(objective, tensors, arrays, state, lr, weight_decay):
+    """Backpropagate `objective`, then one AdamW step on every gradient."""
+    objective.backward()
+    adamw_step(arrays, {name: t.grad for name, t in tensors.items()
+                        if t.grad is not None}, state, lr, weight_decay)
 
 
 def pretrain(cubes, config, settings, run_seed,
@@ -177,10 +192,6 @@ def pretrain(cubes, config, settings, run_seed,
     if len(dims) != 1:
         raise ValueError(f"all cubes must share one token grid, got {dims}")
     P, Q, K = dims.pop()
-    probe_plan = _plan_for(grids[0], settings, seed=0)
-    if not probe_plan.masked_ids.size:
-        raise ValueError(
-            "mask ratios leave no masked tokens; the masked MSE is undefined")
     n_classes = max(2, max(int(c.labels.max()) if c.labels is not None else 0
                            for c in cubes))
     params = model.init_params(config, P, Q, K, n_classes,
@@ -204,21 +215,17 @@ def pretrain(cubes, config, settings, run_seed,
             else:
                 plan_seed = masking.derive_seed(run_seed, "plan", epoch, step,
                                                 cube_id)
-            plan = _plan_for(grid, settings, plan_seed)
+            plan = masking.sample_mask_plan(P, Q, K, settings.rho_s,
+                                            settings.rho_b, plan_seed)
             tensors = params.tensors()
-            recon = model.masked_forward(params, grid, plan, tensors)
-            mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
             try:
-                total, report = loss.rec_loss(grid.cropped_values, recon, mask,
-                                              alpha=settings.alpha)
+                total, report, _ = masked_loss(params, grid, plan,
+                                               settings.alpha, tensors)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"non-finite loss at step {step}; "
                                          f"plan: {plan.to_json()}") from exc
-            total.backward()
-            grads = {name: t.grad for name, t in tensors.items()
-                     if t.grad is not None}
-            adamw_step(params.arrays, grads, state, settings.lr,
-                       settings.weight_decay)
+            _descend(total, tensors, params.arrays, state, settings.lr,
+                     settings.weight_decay)
             entry = {"step": step, "l_mse": report.l_mse, "l_sam": report.l_sam,
                      "l_rec": report.l_rec, "seed": plan.seed}
             log_entries.append(entry)
@@ -395,11 +402,8 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
                 tensors = params.tensors()
                 logits = model.classify(windows([train_rows[i] for i in idx]),
                                         params, tensors)
-            ce = _cross_entropy(logits, labels[idx])
-            ce.backward()
-            grads = {name: t.grad for name, t in tensors.items()
-                     if t.grad is not None}
-            adamw_step(params.arrays, grads, state, lr, settings.weight_decay)
+            _descend(_cross_entropy(logits, labels[idx]), tensors,
+                     params.arrays, state, lr, settings.weight_decay)
     logits = encoded(model.classify, test_rows)
     return (evaluate(np.argmax(logits, axis=1) + 1,
                      [label for _, _, label in test_rows]), params)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hsimae import cli, hsidata, model, training
+from test_hsidata import hsc_bytes
+from test_training import nan_at_a_masked_voxel
 
 
 def run(argv):
@@ -59,6 +61,14 @@ class TestInspect:
 
     def test_missing_file(self, tmp_path):
         assert run(["inspect", "--data", str(tmp_path / "no.hsc")]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("shape, labeled", [((9, 9, 0), False),
+                                                ((0, 9, 8), True)])
+    def test_zero_extent_exits_two(self, tmp_path, capsys, shape, labeled):
+        path = tmp_path / "empty.hsc"
+        path.write_bytes(hsc_bytes(*shape, labeled))
+        assert run(["inspect", "--data", str(path)]) == cli.EXIT_DATA
+        assert "zero extent" in capsys.readouterr().err
 
 
 class TestPretrainCmd:
@@ -239,6 +249,37 @@ class TestReconstructCmd:
                     str(path), "--rho-s", "0", "--rho-b", "0"])
         assert code == cli.EXIT_DATA
         assert "rho" in capsys.readouterr().err
+
+    def test_zero_mask_error_is_pretrains(self, small_cube, tmp_path, capsys):
+        path, _ = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        zero = ["--rho-s", "0", "--rho-b", "0"]
+        pretrain = ["pretrain", "--data", str(path), "--out", str(ckpt),
+                    "--steps", "1", "--d-model", "16"]
+        assert run(pretrain + zero) == cli.EXIT_DATA
+        pretrain_err = capsys.readouterr().err
+        assert "rho_s=0.0, rho_b=0.0" in pretrain_err and not ckpt.exists()
+        run(pretrain)
+        capsys.readouterr()
+        code = run(["reconstruct", "--checkpoint", str(ckpt), "--data",
+                    str(path)] + zero)
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == pretrain_err
+
+    def test_non_finite_loss_exits_three(self, small_cube, tmp_path, capsys,
+                                         monkeypatch):
+        path, _ = small_cube
+        ckpt, recon = tmp_path / "m.ckpt", tmp_path / "recon.hsc"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        capsys.readouterr()
+        monkeypatch.setattr(model, "masked_forward",
+                            nan_at_a_masked_voxel(model.masked_forward, call=1))
+        code = run(["reconstruct", "--checkpoint", str(ckpt), "--data",
+                    str(path), "--out", str(recon)])
+        assert code == cli.EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not recon.exists()
 
     @pytest.mark.parametrize("blob", [
         b"",

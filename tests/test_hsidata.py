@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,28 @@ def _random_cube(h=6, w=5, b=8, labeled=True, seed=0):
     return hsidata.HsiCube(values=values, wavelengths=wavelengths, labels=labels)
 
 
+def hsc_bytes(h, w, b, labeled):
+    """An HSC file of an h x w x b cube, written field by field."""
+    raw = hsidata.MAGIC + struct.pack("<IIIB", h, w, b, int(labeled))
+    raw += np.linspace(0.4, 2.5, b).astype("<f8").tobytes()
+    raw += np.zeros(h * w * b, dtype="<f8").tobytes()
+    if labeled:
+        raw += np.ones(h * w, dtype="<u2").tobytes()
+    return raw
+
+
 class TestHscFormat:
+    @pytest.mark.parametrize("shape, labeled, named", [
+        ((0, 9, 8), True, "zero extent H = 0 at offset 4"),
+        ((9, 0, 8), False, "zero extent W = 0 at offset 8"),
+        ((9, 9, 0), False, "zero extent B = 0 at offset 12"),
+    ], ids=["H", "W", "B"])
+    def test_zero_extent_rejected(self, tmp_path, shape, labeled, named):
+        path = tmp_path / "c.hsc"
+        path.write_bytes(hsc_bytes(*shape, labeled))
+        with pytest.raises(hsidata.FormatError, match=named):
+            hsidata.load_cube(path)
+
     def test_round_trip_bit_exact(self, tmp_path):
         cube = _random_cube()
         path = tmp_path / "c.hsc"
@@ -86,7 +109,6 @@ class TestHscFormat:
         hsidata.save_cube(cube, path)
         raw = bytearray(path.read_bytes())
         # overwrite wavelength table with a constant
-        import struct
         for k in range(cube.bands):
             struct.pack_into("<d", raw, 17 + 8 * k, 1.0)
         path.write_bytes(bytes(raw))

@@ -182,6 +182,22 @@ class TestExtractWindow:
         np.testing.assert_array_equal(win[4, 4], cube.values[0, 0])
 
 
+def nan_at_a_masked_voxel(forward, call):
+    """`forward` (model.masked_forward), except that its `call`-th result
+    holds a NaN at one voxel the plan masks."""
+    calls = []
+
+    def wrapped(params, grid, plan, tensors):
+        out = forward(params, grid, plan, tensors)
+        calls.append(1)
+        if len(calls) == call:
+            mask = masking.voxel_mask(plan, *out.data.shape)
+            out.data[np.unravel_index(np.argmax(mask), mask.shape)] = np.nan
+        return out
+
+    return wrapped
+
+
 def _short_settings(**kw):
     defaults = dict(steps=5, ft_epochs=2)
     defaults.update(kw)
@@ -267,6 +283,31 @@ class TestPretrain:
         with pytest.raises(ValueError, match="no masked tokens"):
             training.pretrain([cube], model.micro_config(),
                               _short_settings(rho_s=0.0, rho_b=0.0), run_seed=0)
+
+    def test_zero_ratio_message_names_both_ratios(self, tmp_path):
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
+        ckpt = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match=re.escape(
+                "mask ratios rho_s=0.0, rho_b=0.0 leave no masked tokens")):
+            training.pretrain([cube], model.micro_config(),
+                              _short_settings(rho_s=0.0, rho_b=0.0), run_seed=0,
+                              checkpoint_path=ckpt)
+        assert not ckpt.exists()
+
+    def test_non_finite_loss_names_step_and_plan(self, tmp_path, monkeypatch):
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
+        log_path, ckpt = tmp_path / "loss.jsonl", tmp_path / "m.ckpt"
+        monkeypatch.setattr(model, "masked_forward",
+                            nan_at_a_masked_voxel(model.masked_forward, call=3))
+        with pytest.raises(FloatingPointError,
+                           match="non-finite loss at step 2; plan: ") as err:
+            training.pretrain([cube], model.micro_config(), _short_settings(),
+                              run_seed=1, log_path=log_path,
+                              checkpoint_path=ckpt)
+        plan = masking.MaskPlan.from_json(str(err.value).split("plan: ", 1)[1])
+        assert plan.seed == masking.derive_seed(1, "plan", 2, 2, 0)
+        assert len(log_path.read_text().splitlines()) == 2
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("steps", [0, -5])
     def test_bad_step_count_rejected_before_writing(self, tmp_path, steps):
