@@ -59,12 +59,11 @@ def adamw_step(arrays, grads, state, lr, weight_decay):
         p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def augment(cube, seed, jitter_sigma=0.01):
-    """Random horizontal/vertical flips plus per-band spectral jitter.
+def augment(cube, seed):
+    """Random horizontal and vertical flips, each with probability 1/2.
 
-    Each flip fires with probability 1/2; jitter adds one Gaussian
-    draw (sigma in normalized units) to every value of a band. Labels
-    flip together with the values.
+    Labels flip together with the values. The result may share arrays
+    with `cube`.
     """
     rng = np.random.default_rng(seed)
     values = cube.values
@@ -75,11 +74,8 @@ def augment(cube, seed, jitter_sigma=0.01):
     if rng.random() < 0.5:
         values = values[::-1, :, :]
         labels = None if labels is None else labels[::-1, :]
-    values = values.copy()
-    if jitter_sigma > 0:
-        values += rng.normal(0.0, jitter_sigma, size=cube.bands)
-    return hsidata.HsiCube(values=values, wavelengths=cube.wavelengths.copy(),
-                           labels=None if labels is None else labels.copy())
+    return hsidata.HsiCube(values=values, wavelengths=cube.wavelengths,
+                           labels=labels)
 
 
 @dataclass

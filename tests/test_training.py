@@ -64,7 +64,7 @@ class TestAugment:
     def test_identity_seed_exists(self):
         cube = self._cube()
         for seed in range(50):
-            out = training.augment(cube, seed, jitter_sigma=0.0)
+            out = training.augment(cube, seed)
             if np.array_equal(out.values, cube.values):
                 assert np.array_equal(out.labels, cube.labels)
                 return
@@ -76,16 +76,23 @@ class TestAugment:
         b = training.augment(cube, 7)
         assert np.array_equal(a.values, b.values)
 
+    def test_values_are_exactly_a_flip(self):
+        cube = self._cube(seed=4)
+        flips = [cube.values[::a, ::b] for a in (1, -1) for b in (1, -1)]
+        for seed in range(8):
+            out = training.augment(cube, seed)
+            assert any(np.array_equal(out.values, f) for f in flips)
+
     def test_flip_preserves_band_multisets(self):
         cube = self._cube(seed=1)
-        out = training.augment(cube, seed=3, jitter_sigma=0.0)
+        out = training.augment(cube, seed=3)
         for b in range(cube.bands):
             assert np.array_equal(np.sort(out.values[:, :, b], axis=None),
                                   np.sort(cube.values[:, :, b], axis=None))
 
     def test_labels_follow_values(self):
         cube = self._cube(seed=2)
-        out = training.augment(cube, seed=11, jitter_sigma=0.0)
+        out = training.augment(cube, seed=11)
         # pixel-label pairing must be preserved under whatever flip happened
         orig = {tuple(np.round(cube.values[i, j], 9)): cube.labels[i, j]
                 for i in range(cube.height) for j in range(cube.width)}
