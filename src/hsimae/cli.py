@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import hsidata, loss, masking, model, tokenizer, training
-from . import tensorcore as tc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -277,10 +276,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (hsidata.FormatError, tc.DomainError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as exc:

@@ -4,8 +4,8 @@ The HSC container (little-endian):
 
     magic  "HSC1"                      4 bytes
     H, W, B                            3 x u32
-    label-flag                         u8 (1 = labels present)
-    wavelengths (micrometers)          B x f64, strictly increasing
+    label-flag                         u8, 0 or 1 (1 = labels present)
+    wavelengths (micrometers)          B x f64, finite, > 0, strictly increasing
     values                             H*W*B x f64, i outer, j middle, b inner
     labels (if flag = 1)               H*W x u16, 0 = unlabeled
 
@@ -27,6 +27,11 @@ class FormatError(ValueError):
     """HSC file is malformed; message names the byte offset."""
 
 
+def _valid_wavelengths(w):
+    """Finite (so not NaN), positive and strictly increasing."""
+    return np.all(np.isfinite(w) & (w > 0)) and np.all(np.diff(w) > 0)
+
+
 @dataclass
 class HsiCube:
     """H x W x B radiance cube with band center wavelengths in micrometers.
@@ -36,7 +41,7 @@ class HsiCube:
     """
 
     values: np.ndarray          # (H, W, B) float64, or (N, H, W, B)
-    wavelengths: np.ndarray     # (B,) float64, strictly increasing
+    wavelengths: np.ndarray     # (B,) float64, see _valid_wavelengths
     labels: np.ndarray | None = None  # (H, W) uint16, 0 = unlabeled
 
     def __post_init__(self):
@@ -46,10 +51,13 @@ class HsiCube:
                                       or self.labels is not None):
             raise ValueError(f"values must be 3-D, or a 4-D stack of "
                              f"unlabeled windows, got {self.values.shape}")
+        if 0 in self.values.shape[-3:]:
+            raise ValueError(f"zero extent in shape {self.values.shape}")
         if self.wavelengths.shape != (self.values.shape[-1],):
             raise ValueError("wavelength count must equal band count")
-        if np.any(self.wavelengths <= 0) or np.any(np.diff(self.wavelengths) <= 0):
-            raise ValueError("wavelengths must be positive and strictly increasing")
+        if not _valid_wavelengths(self.wavelengths):
+            raise ValueError(
+                "wavelengths must be finite, positive and strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("cube values must be finite")
         if self.labels is not None:
@@ -131,30 +139,25 @@ def load_cube(path):
     for axis, n, at in (("H", h, 4), ("W", w, 8), ("B", b, 12)):
         if n == 0:
             raise FormatError(f"zero extent {axis} = 0 at offset {at}")
-    off = 17
-    need = b * 8
-    if len(raw) < off + need:
-        raise FormatError(f"truncated wavelength table at offset {len(raw)}")
-    wavelengths = np.frombuffer(raw, dtype="<f8", count=b, offset=off).copy()
-    if np.any(wavelengths <= 0) or np.any(np.diff(wavelengths) <= 0):
-        raise FormatError(f"non-increasing wavelengths at offset {off}")
-    off += need
-    need = h * w * b * 8
-    if len(raw) < off + need:
-        raise FormatError(f"truncated value payload at offset {len(raw)}")
+    if flag not in (0, 1):
+        raise FormatError(f"label flag {flag} at offset 16, expected 0 or 1")
+    table_end = 17 + b * 8
+    values_end = table_end + h * w * b * 8
+    end = values_end + flag * h * w * 2
+    for section, at in (("wavelength table", table_end),
+                        ("value payload", values_end), ("label section", end)):
+        if len(raw) < at:
+            raise FormatError(f"truncated {section} at offset {len(raw)}")
+    if len(raw) != end:
+        raise FormatError(f"trailing bytes at offset {end}")
+    wavelengths = np.frombuffer(raw, dtype="<f8", count=b, offset=17).copy()
+    if not _valid_wavelengths(wavelengths):
+        raise FormatError("wavelengths not finite, positive and strictly "
+                          "increasing at offset 17")
     values = np.frombuffer(raw, dtype="<f8", count=h * w * b,
-                           offset=off).reshape(h, w, b).copy()
-    off += need
-    labels = None
-    if flag:
-        need = h * w * 2
-        if len(raw) < off + need:
-            raise FormatError(f"truncated label section at offset {len(raw)}")
-        labels = np.frombuffer(raw, dtype="<u2", count=h * w,
-                               offset=off).reshape(h, w).copy()
-        off += need
-    if len(raw) != off:
-        raise FormatError(f"trailing bytes at offset {off}")
+                           offset=table_end).reshape(h, w, b).copy()
+    labels = (np.frombuffer(raw, dtype="<u2", count=h * w, offset=values_end)
+              .reshape(h, w).copy() if flag else None)
     return HsiCube(values=values, wavelengths=wavelengths, labels=labels)
 
 

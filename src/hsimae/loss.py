@@ -123,8 +123,7 @@ def rec_loss(y, y_hat, mask, alpha=0.5):
     l_sam, excluded = sam_loss(y, y_hat)
     total = tc.add(tc.scale(l_mse, alpha), tc.scale(l_sam, 1.0 - alpha))
     tc.check_finite(total, "in reconstruction loss")
-    y_arr = y.data if isinstance(y, tc.Tensor) else np.asarray(y)
-    h, w, _ = y_arr.shape
+    h, w, _ = y_hat.shape
     report = LossReport(
         l_mse=float(l_mse.data), l_sam=float(l_sam.data),
         l_rec=float(total.data), n_masked=int(np.asarray(mask).sum()),

@@ -95,10 +95,6 @@ def sample_mask_plan(P, Q, K, rho_s, rho_b, seed):
 
 def apply_mask(embeddings, plan):
     """The visible-token rows of (P*Q*K, d) embeddings, in token order."""
-    n = plan.P * plan.Q * plan.K
-    if embeddings.data.shape[0] != n:
-        raise ValueError(
-            f"embeddings have {embeddings.data.shape[0]} rows, expected {n}")
     return tc.gather_rows(embeddings, ~plan.token_masked.ravel())
 
 

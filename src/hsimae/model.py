@@ -189,10 +189,6 @@ def decode(latents, plan, tensors, params, lambdas):
     `lambdas` are the grid's (K,) group wavelengths. Returns a Tensor of
     shape (9P, 9Q, 8K) covering every token, visible and masked alike.
     """
-    n_visible = plan.visible_ids.size
-    if latents.data.shape[0] != n_visible:
-        raise ValueError(
-            f"latents rows {latents.data.shape[0]} != visible {n_visible}")
     x = tc.place_rows(latents, ~plan.token_masked.ravel(),
                       tensors["mask_token"])
     x = tc.add(x, _positional_rows(params, plan.P, plan.Q, lambdas, tensors))

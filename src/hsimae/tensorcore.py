@@ -227,18 +227,6 @@ def sqrt(a):
     return _result(out_data, (a,), backward)
 
 
-def log(a):
-    a = _wrap(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log of non-positive value")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _result(np.log(a.data), (a,), backward)
-
-
 def _numer_denom(x, table):
     """Numerator and denominator of the rational function `table` at the
     points x, each by Horner's rule, rounding as Cephes does."""
@@ -456,6 +444,32 @@ def softmax(a, axis=-1):
             a._accumulate(out_data * (g - inner))
 
     return _result(out_data, (a,), backward)
+
+
+def cross_entropy(logits, labels):
+    """Mean over the rows of (B, C) logits of -log softmax(row)[label] for
+    (B,) class ids, as logsumexp(row - max) - (row - max)[label]: no log of
+    an underflowed probability. Gradient: (softmax - onehot) / B."""
+    logits, labels = _wrap(logits), np.asarray(labels)
+    x = logits.data
+    if (x.ndim != 2 or labels.shape != x.shape[:1] or not labels.size
+            or labels.dtype.kind not in "iu"
+            or not np.all((labels >= 0) & (labels < x.shape[1]))):
+        raise ShapeError(f"cross_entropy: {x.shape} logits with "
+                         f"{labels.dtype} {labels.shape} class ids")
+    rows = np.arange(labels.size)
+    shifted = x - np.max(x, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=1)
+
+    def backward(g):
+        if logits.requires_grad:
+            grad = e / total[:, None]
+            grad[rows, labels] -= 1.0
+            logits._accumulate(grad * (g / labels.size))
+
+    return _result(np.mean(np.log(total) - shifted[rows, labels]),
+                   (logits,), backward)
 
 
 def _row_blocks(x):

@@ -303,17 +303,6 @@ def make_split(cube, train_fraction, seed):
     return rows
 
 
-def _cross_entropy(logits, labels):
-    """Mean over the rows of (B, C) logits of -log softmax(row)[label],
-    for (B,) class ids `labels`; the softmax is stable via max
-    subtraction."""
-    probs = tc.softmax(logits)
-    onehot = np.zeros(logits.data.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    p = tc.tsum(tc.mul(probs, tc.Tensor(onehot)), axis=-1)
-    return tc.scale(tc.tsum(tc.log(p)), -1.0 / len(labels))
-
-
 PROBE_PARAMS = ("cls_w", "cls_b")
 # Token rows per no-graph encoder chunk: enough windows to amortise the
 # per-op dispatch, few enough to keep a chunk's activations small.
@@ -328,11 +317,12 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
     settings.ft_batch windows (the last may be shorter): one mean
     cross-entropy and one AdamW step per batch, at the learning rate
     settings.lr * sqrt(ft_batch) (Adam's square-root rule for scaling
-    the rate with the batch). `split` is (train_rows, test_rows) of
-    (i, j, label). The probe encodes each train window once, with the
-    encoder frozen, and trains the head on those cached features; both
-    modes classify the test windows in chunks of about CHUNK_TOKENS
-    token rows, without recording a graph.
+    the rate with the batch). A non-finite loss or gradient raises a
+    FloatingPointError naming the epoch and the batch. `split` is
+    (train_rows, test_rows) of (i, j, label). The probe encodes each
+    train window once, with the encoder frozen, and trains the head on
+    those cached features; both modes classify the test windows in
+    chunks of about CHUNK_TOKENS token rows, without recording a graph.
     """
     if mode not in ("probe", "full"):
         raise ValueError(f"mode must be 'probe' or 'full', got {mode}")
@@ -398,8 +388,14 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
                 tensors = params.tensors()
                 logits = model.classify(windows([train_rows[i] for i in idx]),
                                         params, tensors)
-            _descend(_cross_entropy(logits, labels[idx]), tensors,
-                     params.arrays, state, lr, settings.weight_decay)
+            try:
+                objective = tc.cross_entropy(logits, labels[idx])
+                tc.check_finite(objective, "in the cross-entropy")
+                _descend(objective, tensors, params.arrays, state, lr,
+                         settings.weight_decay)
+            except FloatingPointError as exc:
+                at = f"epoch {epoch}, batch {lo // settings.ft_batch}"
+                raise FloatingPointError(f"{at}: {exc}") from exc
     logits = encoded(model.classify, test_rows)
     return (evaluate(np.argmax(logits, axis=1) + 1,
                      [label for _, _, label in test_rows]), params)

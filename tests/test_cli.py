@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -351,6 +352,25 @@ class TestFinetuneEval:
         assert (f"{ckpt}: non-finite values in cls_w"
                 in capsys.readouterr().err)
         assert not report.exists()
+
+    # where the run diverges depends on the BLAS thread count; at one
+    # thread, probe fails at epoch 1, batch 57 (a non-finite loss) and
+    # full at epoch 0, batch 14 (a non-finite gradient)
+    @pytest.mark.parametrize("mode", ["probe", "full"])
+    def test_diverging_finetune_exits_three(self, small_cube, tmp_path,
+                                            capsys, mode):
+        path, split = small_cube
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "tuned.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "2"])
+        capsys.readouterr()
+        code = run(["finetune", "--checkpoint", str(ckpt), "--data", str(path),
+                    "--split", str(split), "--mode", mode, "--epochs", "3",
+                    "--lr", "1000", "--out", str(out)])
+        assert code == cli.EXIT_NUMERIC
+        assert re.match(r"numeric failure: epoch \d+, batch \d+: non-finite",
+                        capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, config", [
         (["--epochs", "-2"], None),

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -107,12 +108,27 @@ class TestHscFormat:
         cube = _random_cube(labeled=False)
         path = tmp_path / "c.hsc"
         hsidata.save_cube(cube, path)
-        raw = bytearray(path.read_bytes())
-        # overwrite wavelength table with a constant
-        for k in range(cube.bands):
-            struct.pack_into("<d", raw, 17 + 8 * k, 1.0)
+        saved = path.read_bytes()
+        # a constant table, and the saved table with one NaN, which every
+        # comparison would pass
+        for table in (np.ones(cube.bands),
+                      np.where(np.arange(cube.bands) == 3, np.nan,
+                               cube.wavelengths)):
+            raw = bytearray(saved)
+            raw[17:17 + 8 * cube.bands] = table.astype("<f8").tobytes()
+            path.write_bytes(bytes(raw))
+            with pytest.raises(hsidata.FormatError,
+                               match="wavelengths .* at offset 17"):
+                hsidata.load_cube(path)
+
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_label_flag_must_be_zero_or_one(self, tmp_path, flag):
+        raw = bytearray(hsc_bytes(9, 9, 8, labeled=True))
+        raw[16] = flag
+        path = tmp_path / "c.hsc"
         path.write_bytes(bytes(raw))
-        with pytest.raises(hsidata.FormatError, match="wavelength"):
+        with pytest.raises(hsidata.FormatError,
+                           match=f"label flag {flag} at offset 16"):
             hsidata.load_cube(path)
 
 
@@ -184,6 +200,25 @@ class TestGenSynthetic:
             hsidata.gen_synthetic(9, 9, 7, 2, seed=0)
         with pytest.raises(ValueError):
             hsidata.gen_synthetic(9, 9, 8, 1, seed=0)
+
+
+class TestHsiCube:
+    @pytest.mark.parametrize("shape", [(0, 9, 8), (9, 0, 8), (9, 9, 0),
+                                       (2, 9, 0, 8)])
+    def test_zero_extent_rejected(self, shape):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"zero extent in shape {shape}")):
+            hsidata.HsiCube(values=np.zeros(shape),
+                            wavelengths=np.linspace(0.4, 2.5, shape[-1]))
+
+    @pytest.mark.parametrize("wavelengths", [
+        [0.4, np.nan, 0.6], [0.4, 0.5, np.inf], [0.0, 0.5, 0.6],
+        [0.4, 0.4, 0.6],
+    ], ids=["nan", "inf", "zero", "repeated"])
+    def test_bad_wavelengths_rejected(self, wavelengths):
+        with pytest.raises(ValueError, match="wavelengths must be finite"):
+            hsidata.HsiCube(values=np.zeros((2, 2, 3)),
+                            wavelengths=np.array(wavelengths))
 
 
 class TestWindowStack:

@@ -168,6 +168,24 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), rtol=1e-12)
 
 
+class TestCrossEntropy:
+    def test_finite_past_softmax_underflow(self):
+        # softmax(row)[0] underflows to 0 here; its log would be -inf
+        x = tc.Tensor(np.array([[0.0, 760.0]]), requires_grad=True)
+        out = tc.cross_entropy(x, [0])
+        assert float(out.data) == 760.0
+        out.backward()
+        np.testing.assert_array_equal(x.grad, [[-1.0, 1.0]])
+
+    @pytest.mark.parametrize("shape, labels", [
+        ((3,), [0, 1, 2]), ((2, 3), [0]), ((2, 3), [0, 3]), ((2, 3), [0, -1]),
+        ((2, 3), [0.0, 1.0]), ((0, 3), []),
+    ], ids=["1-D", "count", "past-C", "negative", "float", "empty"])
+    def test_shape_errors(self, shape, labels):
+        with pytest.raises(tc.ShapeError, match="cross_entropy"):
+            tc.cross_entropy(tc.Tensor(np.zeros(shape)), np.array(labels))
+
+
 class TestLayerNorm:
     def test_constant_vector(self):
         out = tc.layer_norm(tc.Tensor(np.full((2, 4), 7.0)),
@@ -296,7 +314,7 @@ OPS = {
     "scale": (lambda x: tc.tsum(tc.scale(x, -2.5)), 1, (3, 4)),
     "sqrt": (lambda x: tc.tsum(tc.sqrt(tc.add(tc.mul(x, x), tc.Tensor(np.full((3, 4), 0.5))))), 1, (3, 4)),
     "gelu": (lambda x: tc.tsum(tc.gelu(x)), 1, (3, 4)),
-    "log": (lambda x: tc.tsum(tc.log(tc.add(tc.mul(x, x), tc.Tensor(np.full((3, 4), 0.5))))), 1, (3, 4)),
+    "cross_entropy": (lambda x: tc.cross_entropy(x, [2, 0, 3]), 1, (3, 4)),
     "matmul": (lambda x, y: tc.tsum(tc.mul(tc.matmul(x, y), tc.matmul(x, y))), 2, (3, 3)),
     "softmax": (lambda x: tc.tsum(tc.mul(tc.softmax(x, axis=-1),
                                          tc.Tensor(np.arange(12.0).reshape(3, 4)))), 1, (3, 4)),

@@ -369,14 +369,14 @@ class TestCrossEntropy:
         labels = np.array([2, 0, 2])
 
         def ce(x):
-            return training._cross_entropy(tc.Tensor(x), labels).data
+            return tc.cross_entropy(tc.Tensor(x), labels).data
 
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         np.testing.assert_allclose(ce(logits),
                                    -log_p[[0, 1, 2], labels].mean(), rtol=1e-12)
         x = tc.Tensor(logits, requires_grad=True)
-        training._cross_entropy(x, labels).backward()
+        tc.cross_entropy(x, labels).backward()
         assert_grads_close(x.grad, finite_diff_grad(ce, [logits], wrt=0))
 
 
@@ -457,6 +457,17 @@ class TestFinetune:
             assert sorted(seen) == sorted((i, j) for i, j, _ in train)
 
     @pytest.mark.parametrize("mode", ["probe", "full"])
+    def test_non_finite_loss_names_epoch_and_batch(self, mode):
+        cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=5)
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=0)
+        params.arrays["cls_b"][1] = np.inf
+        rows = [(i, j, c) for i, j, c, _ in training.make_split(cube, 0.5, 0)]
+        with pytest.raises(FloatingPointError, match=r"^epoch 0, batch 0: "
+                           "non-finite values encountered in the cross"):
+            training.finetune(params, cube, (rows, rows), mode,
+                              _short_settings())
+
+    @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_negative_epochs_rejected(self, mode):
         cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=5)
         params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=0)
@@ -525,7 +536,7 @@ def _per_window_probe(params, cube, split, settings, run_seed):
         tensors = params.tensors(trainable=trainable)
         logits = model.classify(cube_in, params, tensors)  # (C,) or (B, C)
         logits = tc.reshape(logits, (len(labels), logits.data.shape[-1]))
-        ce = training._cross_entropy(logits, labels)
+        ce = tc.cross_entropy(logits, labels)
         ce.backward()
         grads = {name: tensors[name].grad for name in trainable}
         training.adamw_step(params.arrays, grads, state, lr,
