@@ -19,7 +19,7 @@ settings = training.TrainSettings(steps=300, fixed_plan=True, augment=False)
 params, log = training.pretrain([cube], model.ModelConfig(), settings,
                                 run_seed=0)
 
-print(f"model: {params.n_params} parameters "
+print(f"model: {params.flat.size} parameters "
       f"(d_model={params.config.d_model})")
 for entry in log[:: len(log) // 10]:
     print(f"  step {entry['step']:4d}  l_rec {entry['l_rec']:.4f}  "

@@ -154,8 +154,11 @@ def load_cube(path):
     if not _valid_wavelengths(wavelengths):
         raise FormatError("wavelengths not finite, positive and strictly "
                           "increasing at offset 17")
-    values = np.frombuffer(raw, dtype="<f8", count=h * w * b,
-                           offset=table_end).reshape(h, w, b).copy()
+    values = np.frombuffer(raw, dtype="<f8", count=h * w * b, offset=table_end)
+    if not (finite := np.isfinite(values)).all():
+        at = table_end + 8 * int(np.argmin(finite))
+        raise FormatError(f"non-finite value at offset {at}")
+    values = values.reshape(h, w, b).copy()
     labels = (np.frombuffer(raw, dtype="<u2", count=h * w, offset=values_end)
               .reshape(h, w).copy() if flag else None)
     return HsiCube(values=values, wavelengths=wavelengths, labels=labels)

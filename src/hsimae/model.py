@@ -11,7 +11,7 @@ latents of an unmasked encoding pass.
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -84,6 +84,22 @@ def param_shapes(config, P, Q, n_classes):
     return shapes
 
 
+class ParamStore(dict):
+    """Named views, in a fixed order, of one contiguous float64 vector
+    `flat`; spans[name] is the (lo, hi) range of a name's view in it.
+    Assigning to a name copies into its view: no entry leaves the store."""
+
+    def __init__(self, shapes, flat=None):
+        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()])
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        self.spans = dict(zip(shapes, zip(ends.tolist(), ends[1:].tolist())))
+        super().__init__((name, self.flat[lo:hi].reshape(shapes[name]))
+                         for name, (lo, hi) in self.spans.items())
+
+    def __setitem__(self, name, value):
+        self[name][...] = value  # numpy's broadcasting rule applies
+
+
 @dataclass
 class ModelParams:
     config: ModelConfig
@@ -92,7 +108,12 @@ class ModelParams:
     K: int
     n_classes: int
     seed: int
-    arrays: dict = field(default_factory=dict)  # name -> np.ndarray, fixed order
+    flat: np.ndarray | None = None  # every value, in param_shapes order
+
+    def __post_init__(self):
+        shapes = param_shapes(self.config, self.P, self.Q, self.n_classes)
+        self.arrays = ParamStore(shapes, self.flat)
+        self.flat = self.arrays.flat
 
     def tensors(self, trainable=None):
         """Wrap arrays as graph leaves; trainable limits which get gradients."""
@@ -100,14 +121,8 @@ class ModelParams:
             trainable is None or name in trainable))
             for name, arr in self.arrays.items()}
 
-    @property
-    def n_params(self):
-        return sum(a.size for a in self.arrays.values())
-
     def copy(self):
-        return ModelParams(config=self.config, P=self.P, Q=self.Q, K=self.K,
-                           n_classes=self.n_classes, seed=self.seed,
-                           arrays={k: v.copy() for k, v in self.arrays.items()})
+        return replace(self, flat=self.flat.copy())
 
 
 def _truncated_normal(rng, shape, std=0.02):
@@ -122,17 +137,15 @@ def _truncated_normal(rng, shape, std=0.02):
 
 def init_params(config, P, Q, K, n_classes, seed):
     rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape in param_shapes(config, P, Q, n_classes).items():
+    params = ModelParams(config=config, P=P, Q=Q, K=K, n_classes=n_classes,
+                         seed=int(seed))
+    for name, arr in params.arrays.items():
         if name.endswith("_g"):
-            arrays[name] = np.ones(shape)
-        elif name == "mask_token" or (len(shape) == 2 and name != "spatial_pe"):
-            arrays[name] = _truncated_normal(rng, shape)
-        else:
-            # biases, LN offsets, and the spatial table start at zero
-            arrays[name] = np.zeros(shape)
-    return ModelParams(config=config, P=P, Q=Q, K=K, n_classes=n_classes,
-                       seed=int(seed), arrays=arrays)
+            arr[...] = 1.0
+        elif name == "mask_token" or (arr.ndim == 2 and name != "spatial_pe"):
+            arr[...] = _truncated_normal(rng, arr.shape)
+        # biases, LN offsets, and the spatial table start at zero
+    return params
 
 
 # -- forward passes -------------------------------------------------------
@@ -268,8 +281,7 @@ def save_checkpoint(params, path):
     with atomic_write(path) as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for arr in params.arrays.values():
-            fh.write(arr.astype("<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 def load_checkpoint(path):
@@ -294,22 +306,20 @@ def _read_checkpoint(fh):
         raise ValueError("not a checkpoint file")
     if header["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header['version']}")
-    config = ModelConfig(**header["config"])
-    shapes = param_shapes(config, header["P"], header["Q"],
-                          header["n_classes"])
-    if list(shapes.keys()) != header["param_order"]:
+    params = ModelParams(config=ModelConfig(**header["config"]), P=header["P"],
+                         Q=header["Q"], K=header["K"],
+                         n_classes=header["n_classes"], seed=header["seed"])
+    if list(params.arrays) != header["param_order"]:
         raise ValueError("checkpoint parameter order mismatch")
-    arrays = {}
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        buf = fh.read(count * 8)
-        if len(buf) != count * 8:
+    got = fh.readinto(params.flat)
+    for name, (_, hi) in params.arrays.spans.items():
+        if hi * 8 > got:
             raise ValueError(f"checkpoint truncated in {name}")
-        arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if not np.all(np.isfinite(arrays[name])):
-            raise ValueError(f"non-finite values in {name}")
     if fh.read(1):
         raise ValueError("trailing bytes in checkpoint")
-    return ModelParams(config=config, P=header["P"], Q=header["Q"],
-                       K=header["K"], n_classes=header["n_classes"],
-                       seed=header["seed"], arrays=arrays)
+    if not np.little_endian:  # the payload is little-endian
+        params.flat.byteswap(inplace=True)
+    for name, arr in params.arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite values in {name}")
+    return params

@@ -102,29 +102,30 @@ class Tensor:
             self.grad, self._owns_grad = self.grad + g, True
 
     def backward(self):
-        """Reverse-mode sweep from a scalar root; fills .grad on leaves."""
+        """Reverse-mode sweep from a scalar root; fills .grad on leaves and
+        frees the graph as PyTorch does: after its backward, an inner node
+        drops its closure, its parents and, unless it is the root, its grad."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(
                 f"backward root must be scalar, got shape {self.data.shape}")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
+        topo, seen, stack = [], set(), [(self, False)]
+        while stack:  # depth-first, each node after its parents
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents
+                             if id(p) not in seen)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents and node is not self:
+                node.grad = None
+            node._backward, node._parents = None, ()
 
 
 def _wrap(other):
@@ -506,18 +507,17 @@ def attention(q, k, v, n_heads):
     dh = d // n_heads
     c = float(1.0 / np.sqrt(dh))
 
-    def heads(x, axes):  # (..., T, d) -> contiguous per-head blocks
-        x = x.reshape(*lead, n, n_heads, dh)
-        return np.ascontiguousarray(np.moveaxis(x, (-3, -2, -1), axes))
+    def heads(x, transposed=False):
+        """(..., T, d) -> contiguous (..., H, T, dh), or (..., H, dh, T)."""
+        x = x.reshape(*lead, n, n_heads, dh).swapaxes(-3, -2)
+        return np.ascontiguousarray(x.swapaxes(-1, -2) if transposed else x)
 
     # (..., H, T, dh) -> (..., T, d); C order also for gradients, whose
     # layout sets how a later row sum (a bias gradient) rounds
     def merge(x):
-        return np.ascontiguousarray(np.moveaxis(x, -3, -2)).reshape(shape)
+        return np.ascontiguousarray(x.swapaxes(-3, -2)).reshape(shape)
 
-    qh = heads(q.data, (-2, -3, -1))
-    kt = heads(k.data, (-1, -3, -2))  # k^T: (..., H, dh, T)
-    vh = heads(v.data, (-2, -3, -1))
+    qh, kt, vh = heads(q.data), heads(k.data, transposed=True), heads(v.data)
     p = qh @ kt
     for s in _row_blocks(p):
         s *= c
@@ -526,7 +526,7 @@ def attention(q, k, v, n_heads):
         s /= np.sum(s, axis=-1, keepdims=True)
 
     def backward(g):
-        go = heads(g, (-2, -3, -1))
+        go = heads(g)
         if v.requires_grad:
             v._accumulate(merge(p.swapaxes(-1, -2) @ go))
         ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place
@@ -552,8 +552,9 @@ def layer_norm(a, gain, bias, eps=1e-6):
         raise ShapeError(
             f"layer_norm affine params must have shape ({n},), got "
             f"{gain.data.shape} and {bias.data.shape}")
-    mu = np.mean(a.data, axis=-1, keepdims=True)
-    var = np.mean((a.data - mu) ** 2, axis=-1, keepdims=True)
+    # np.add.reduce(...) / n is what np.mean computes, without its wrapper
+    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce((a.data - mu) ** 2, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mu) * inv_std
 
@@ -564,8 +565,8 @@ def layer_norm(a, gain, bias, eps=1e-6):
             bias._accumulate(np.sum(g, axis=tuple(range(g.ndim - 1))))
         if a.requires_grad:
             gx = g * gain.data
-            m1 = np.mean(gx, axis=-1, keepdims=True)
-            m2 = np.mean(gx * xhat, axis=-1, keepdims=True)
+            m1 = np.add.reduce(gx, axis=-1, keepdims=True) / n
+            m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
             a._accumulate(inv_std * (gx - m1 - xhat * m2))
 
     return _result(gain.data * xhat + bias.data, (a, gain, bias), backward)

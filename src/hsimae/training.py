@@ -9,7 +9,7 @@ model on 9 x 9 full-band windows centered on labeled pixels.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,39 +24,52 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimState:
-    m: dict = field(default_factory=dict)  # name -> first moment
-    v: dict = field(default_factory=dict)  # name -> second moment
+    m: np.ndarray | None = None  # first moments, flat like the store
+    v: np.ndarray | None = None  # second moments
     t: int = 0
 
 
-def adamw_step(arrays, grads, state, lr, weight_decay):
-    """One AdamW update, in place on `arrays`, for every name in `grads`.
-
-    Weight decay is decoupled: each updated parameter is first scaled
-    by (1 - lr * wd), then receives the bias-corrected Adam step.
-    """
+def adamw_step(store, grads, state, lr, weight_decay):
+    """One AdamW update, in place on the model.ParamStore `store`, of the
+    names in the name -> array mapping `grads`: decoupled weight decay
+    (a scale by 1 - lr * wd), then the bias-corrected Adam step. The
+    gradients are copied into the runs of the store they cover, and each
+    run is updated in tc._BLOCK-sized blocks (multi-tensor Adam), by the
+    operations, in the order, of a per-array update."""
+    if state.m is None:
+        state.m, state.v = np.zeros_like(store.flat), np.zeros_like(store.flat)
     state.t += 1
-    t = state.t
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient for '{name}' at optimizer step {t}")
-        p = arrays[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param {p.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
-        if weight_decay:
-            p *= 1.0 - lr * weight_decay
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g, runs = np.empty_like(store.flat), []  # runs: maximal (lo, hi) ranges
+    for name, (lo, hi) in store.spans.items():
+        if name in grads:
+            g[lo:hi] = grads[name].ravel()
+            if runs and runs[-1][1] == lo:  # extends the last run
+                lo = runs.pop()[0]
+            runs.append((lo, hi))
+    # one dot product per run; it is also inf when a finite square overflows
+    if not all(math.isfinite(g[lo:hi] @ g[lo:hi]) for lo, hi in runs):
+        for name, grad in grads.items():
+            if not np.all(np.isfinite(grad)):
+                raise FloatingPointError(f"non-finite gradient for '{name}' "
+                                         f"at optimizer step {state.t}")
+    decay = 1.0 - lr * weight_decay
+    c1, c2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
+    tmp = np.empty((2, min(tc._BLOCK, g.size)))
+    for lo, hi in runs:
+        for i in range(lo, hi, tc._BLOCK):
+            j = min(i + tc._BLOCK, hi)
+            p, gb, m, v = (x[i:j] for x in (store.flat, g, state.m, state.v))
+            a, b = tmp[:, :j - i]
+            p *= decay  # exact when weight_decay is 0
+            m *= BETA1
+            m += np.multiply(gb, 1.0 - BETA1, out=a)
+            v *= BETA2
+            np.multiply(gb, 1.0 - BETA2, out=a)
+            v += np.multiply(a, gb, out=a)
+            a = np.multiply(np.divide(m, c1, out=a), lr, out=a)  # lr m_hat
+            b = np.sqrt(np.divide(v, c2, out=b), out=b)  # sqrt(v_hat)
+            b += ADAM_EPS
+            p -= np.divide(a, b, out=a)
 
 
 def augment(cube, seed):
@@ -164,13 +177,15 @@ def masked_loss(params, grid, plan, alpha, tensors):
     return total, report, recon
 
 
-def _descend(objective, tensors, arrays, state, lr, weight_decay):
+def _descend(objective, tensors, store, state, lr, weight_decay):
     """Backpropagate `objective`, then one AdamW step on every gradient."""
     objective.backward()
-    adamw_step(arrays, {name: t.grad for name, t in tensors.items()
+    adamw_step(store, {name: t.grad for name, t in tensors.items()
                         if t.grad is not None}, state, lr, weight_decay)
 
 
+# without numpy's warnings, a diverging run prints one line: a check's error
+@np.errstate(all="ignore")
 def pretrain(cubes, config, settings, run_seed,
              log_path=None, checkpoint_path=None):
     """Masked-reconstruction pre-training loop.
@@ -309,6 +324,7 @@ PROBE_PARAMS = ("cls_w", "cls_b")
 CHUNK_TOKENS = 192
 
 
+@np.errstate(all="ignore")  # as pretrain
 def finetune(params, cube, split, mode, settings, run_seed=0):
     """Train the classifier on labeled windows; returns (ClassReport, params).
 
@@ -345,12 +361,12 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
     n_classes = max(label for _, _, label in train_rows + test_rows)
     params = params.copy()
     if params.n_classes != n_classes:
-        # fresh head sized for this task
+        # fresh head sized for this task: cls_w and cls_b end the store
         rng = np.random.default_rng(masking.derive_seed(run_seed, "head"))
-        d = params.config.d_model
-        params.n_classes = n_classes
-        params.arrays["cls_w"] = model._truncated_normal(rng, (d, n_classes))
-        params.arrays["cls_b"] = np.zeros(n_classes)
+        head = model._truncated_normal(rng, (params.config.d_model, n_classes))
+        params = replace(params, n_classes=n_classes, flat=np.concatenate((
+            params.flat[:params.arrays.spans["cls_w"][0]], head.ravel(),
+            np.zeros(n_classes))))
     normed, _ = hsidata.normalize(cube)
     view = extract_windows(normed)
     tokenizer.report_cropping(view.shape)

@@ -72,6 +72,31 @@ class TestInspect:
         assert "zero extent" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_value_named_by_offset(self, small_cube, capsys, value):
+        path, _ = small_cube
+        raw = bytearray(path.read_bytes())
+        index = 27 * 24 * 5 + 24 * 3 + 7  # pixel (5, 3), band 7
+        at = 17 + 8 * 24 + 8 * index
+        raw[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run(["inspect", "--data", str(path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: non-finite value at offset {at}\n")
+
+    def test_first_non_finite_value_named(self, small_cube):
+        path, _ = small_cube
+        raw = bytearray(path.read_bytes())
+        for index in (900, 40):
+            at = 17 + 8 * (24 + index)
+            raw[at:at + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(hsidata.FormatError,
+                           match=f"offset {17 + 8 * (24 + 40)}$"):
+            hsidata.load_cube(path)
+
+
 class TestPretrainCmd:
     def test_runs_and_alpha_endpoint(self, small_cube, tmp_path, capsys):
         path, _ = small_cube
@@ -355,7 +380,9 @@ class TestFinetuneEval:
 
     # where the run diverges depends on the BLAS thread count; at one
     # thread, probe fails at epoch 1, batch 57 (a non-finite loss) and
-    # full at epoch 0, batch 14 (a non-finite gradient)
+    # full at epoch 0, batch 14 (a non-finite gradient). The message is
+    # all of stderr: no numpy warning comes first (warnings fail here).
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_diverging_finetune_exits_three(self, small_cube, tmp_path,
                                             capsys, mode):
@@ -368,9 +395,21 @@ class TestFinetuneEval:
                     "--split", str(split), "--mode", mode, "--epochs", "3",
                     "--lr", "1000", "--out", str(out)])
         assert code == cli.EXIT_NUMERIC
-        assert re.match(r"numeric failure: epoch \d+, batch \d+: non-finite",
-                        capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric failure: epoch \d+, batch \d+: "
+                            r"non-finite[^\n]*\n", err)
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_pretrain_prints_one_line(self, small_cube, tmp_path,
+                                                capsys):
+        path, _ = small_cube
+        capsys.readouterr()
+        code = run(["pretrain", "--data", str(path), "--steps", "30",
+                    "--lr", "1e6", "--out", str(tmp_path / "m.ckpt")])
+        assert code == cli.EXIT_NUMERIC
+        assert re.fullmatch(r"numeric failure: non-finite gradient for '\w+' "
+                            r"at optimizer step \d+\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags, config", [
         (["--epochs", "-2"], None),

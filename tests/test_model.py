@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ class TestInitParams:
             + cfg.n_enc_layers * per_block + 2 * d \
             + cfg.n_dec_layers * per_block + 2 * d \
             + d + (d * 648 + 648) + (d * n + n)
-        assert params.n_params == expected
+        assert params.flat.size == expected
 
     def test_finite_and_truncated(self):
         params = model.init_params(model.ModelConfig(), 2, 2, 2, 2, seed=1)
@@ -326,12 +328,71 @@ class TestCheckpoint:
         model.save_checkpoint(params, path)
         before = path.read_bytes()
         other = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=2)
-        name = list(other.arrays)[-1]  # fails after the header and most arrays
-        other.arrays[name] = other.arrays[name].view(_UnwritableArray)
+        # fails after the header, in the payload
+        other = dataclasses.replace(
+            other, flat=other.flat.view(_UnwritableArray))
         with pytest.raises(OSError, match="disk full"):
             model.save_checkpoint(other, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_store_writes_show_in_the_saved_checkpoint(self, tmp_path):
+        params = model.init_params(model.micro_config(), 2, 2, 2, 3, seed=1)
+        params.arrays["enc0_wq"][3, 2] = 7.5  # in place
+        params.arrays["cls_b"] = [1.0, 2.0, 3.0]  # copied into the store
+        assert np.shares_memory(params.arrays["cls_b"], params.flat)
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(params, path)
+        back = model.load_checkpoint(path)
+        assert back.arrays["enc0_wq"][3, 2] == 7.5
+        np.testing.assert_array_equal(back.arrays["cls_b"], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(back.flat, params.flat)
+
+    def test_store_entries_cannot_be_rebound(self):
+        params = model.init_params(model.micro_config(), 2, 2, 2, 3, seed=1)
+        with pytest.raises(ValueError, match="broadcast"):
+            params.arrays["cls_b"] = np.zeros(4)
+        with pytest.raises(KeyError):
+            params.arrays["cls_c"] = np.zeros(3)
+        # the views tile the vector in param_shapes order
+        shapes = model.param_shapes(params.config, 2, 2, 3)
+        assert list(params.arrays) == list(shapes)
+        ends = [hi for _, hi in params.arrays.spans.values()]
+        starts = [lo for lo, _ in params.arrays.spans.values()]
+        assert starts == [0] + ends[:-1]
+        assert ends[-1] == params.flat.size
+
+    def test_finetune_rebuilds_the_store_for_a_new_head(self):
+        cube = hsidata.gen_synthetic(18, 18, 16, 3, seed=4)
+        params = model.init_params(model.micro_config(), 2, 2, 2, 5, seed=1)
+        rows = [(i, j, c) for i, j, c, _ in training.make_split(cube, 0.5, 0)]
+        settings = training.TrainSettings(ft_epochs=1)
+        _, tuned = training.finetune(params, cube, (rows, rows), "probe",
+                                     settings)
+        assert tuned.n_classes == 3 and tuned.arrays["cls_w"].shape == (16, 3)
+        assert tuned.flat.size == params.flat.size - 2 * (16 + 1)
+        for name in list(params.arrays)[:-2]:  # the probe trains the head
+            np.testing.assert_array_equal(tuned.arrays[name],
+                                          params.arrays[name])
+
+    @pytest.mark.parametrize("cut, match", [
+        (-1, "truncated in cls_b"), (-8 * 3, "truncated in cls_w"),
+        (None, "trailing bytes"), ("nan", "non-finite values in cls_w"),
+    ])
+    def test_bad_payload_named(self, tmp_path, cut, match):
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=1)
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(params, path)
+        raw = path.read_bytes()
+        if cut is None:
+            raw += b"\0"
+        elif cut == "nan":
+            raw = raw[:-8 * 4] + np.array([np.nan]).tobytes() + raw[-8 * 3:]
+        else:
+            raw = raw[:cut]
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=match):
+            model.load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"

@@ -240,6 +240,22 @@ class TestBackward:
         out.backward()
         np.testing.assert_allclose(x.grad, 2.0 * xv + 3.0, rtol=1e-12)
 
+    def test_graph_is_freed_and_leaf_gradients_kept(self):
+        xv, wv = np.array([[1.0, -2.0, 0.5]]), np.array([[0.3], [0.2], [-1.0]])
+        x = tc.Tensor(xv, requires_grad=True)
+        w = tc.Tensor(wv, requires_grad=True)
+        h = tc.matmul(x, w)
+        sq = tc.mul(h, h)
+        out = tc.tsum(sq)
+        out.backward()
+        for inner in (h, sq):
+            assert inner.grad is None
+            assert inner._backward is None and inner._parents == ()
+        assert out.grad == 1.0 and out._parents == ()
+        # d sum((x w)^2) = 2 (x w) w^T for x, 2 x^T (x w) for w
+        np.testing.assert_array_equal(x.grad, 2.0 * (xv @ wv) * wv.T)
+        np.testing.assert_array_equal(w.grad, 2.0 * xv.T * (xv @ wv))
+
     def test_gather_rows_mask_backward(self):
         a = tc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         out = tc.gather_rows(a, [True, False, True])

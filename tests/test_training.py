@@ -9,23 +9,49 @@ from hsimae import tensorcore as tc
 from fdcheck import assert_grads_close, finite_diff_grad
 
 
+def _store(**values):
+    """A model.ParamStore holding each keyword's values, in keyword order."""
+    store = model.ParamStore({k: np.shape(v) for k, v in values.items()})
+    for name, value in values.items():
+        store[name] = value
+    return store
+
+
+def _reference_adamw(arrays, grads, m, v, t, lr, weight_decay):
+    """AdamW step t as one update per array, in place on the name -> array
+    dicts arrays, m and v: the reference the blocked step must equal."""
+    for name, g in grads.items():
+        p = arrays[name]
+        m.setdefault(name, np.zeros_like(p))
+        v.setdefault(name, np.zeros_like(p))
+        if weight_decay:
+            p *= 1.0 - lr * weight_decay
+        m[name] *= training.BETA1
+        m[name] += (1.0 - training.BETA1) * g
+        v[name] *= training.BETA2
+        v[name] += (1.0 - training.BETA2) * g * g
+        m_hat = m[name] / (1.0 - training.BETA1 ** t)
+        v_hat = v[name] / (1.0 - training.BETA2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+
+
 class TestAdamW:
     def test_zero_grad_no_decay(self):
-        arrays = {"w": np.array([1.0, -2.0])}
+        arrays = _store(w=[1.0, -2.0])
         state = training.OptimState()
         training.adamw_step(arrays, {"w": np.zeros(2)}, state, lr=1e-3,
                             weight_decay=0.0)
         np.testing.assert_array_equal(arrays["w"], [1.0, -2.0])
 
     def test_zero_grad_decay_only(self):
-        arrays = {"w": np.array([1.0, -2.0])}
+        arrays = _store(w=[1.0, -2.0])
         state = training.OptimState()
         training.adamw_step(arrays, {"w": np.zeros(2)}, state, lr=0.01,
                             weight_decay=0.1)
         np.testing.assert_allclose(arrays["w"], [0.999, -1.998], rtol=1e-12)
 
     def test_first_step_formula(self):
-        arrays = {"w": np.array([0.5])}
+        arrays = _store(w=[0.5])
         state = training.OptimState()
         training.adamw_step(arrays, {"w": np.array([1.0])}, state, lr=1e-3,
                             weight_decay=0.0)
@@ -35,7 +61,7 @@ class TestAdamW:
 
     def test_matches_scalar_adam_oracle_ten_steps(self):
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-        arrays = {"w": np.array([0.3])}
+        arrays = _store(w=[0.3])
         state = training.OptimState()
         # hand-coded scalar Adam
         w, m, v = 0.3, 0.0, 0.0
@@ -50,11 +76,70 @@ class TestAdamW:
             assert arrays["w"][0] == pytest.approx(w, abs=1e-12)
 
     def test_nonfinite_gradient_aborts(self):
-        arrays = {"w": np.array([1.0])}
+        arrays = _store(w=[1.0])
         with pytest.raises(FloatingPointError, match="'w'"):
             training.adamw_step(arrays, {"w": np.array([np.nan])},
                                 training.OptimState(), lr=1e-3,
                                 weight_decay=0.05)
+
+    # Arrays longer than one block (body, tail) between short ones, and
+    # the grad subsets of pretrain (all but the head), the probe (the head
+    # alone) and the full fine-tune (two runs: the decoder and tail between
+    # them get no gradient); the last case reaches the tail from step 3.
+    SHAPES = {"embed": (7, 5), "body": (3, tc._BLOCK + 1001), "dec": (40,),
+              "tail": (tc._BLOCK + 3,), "cls_w": (4, 3), "cls_b": (3,)}
+
+    @pytest.mark.parametrize("subsets", [
+        [("embed", "body", "dec", "tail")], [("cls_w", "cls_b")],
+        [("embed", "body", "cls_w", "cls_b")],
+        [("embed", "cls_b"), ("embed", "cls_b"), ("embed", "tail", "cls_b")],
+    ], ids=["pretrain", "probe", "full", "late_tail"])
+    def test_blocked_step_equals_per_array_reference(self, subsets):
+        rng = np.random.default_rng(7)
+        store = model.ParamStore(self.SHAPES)
+        store.flat[:] = rng.normal(size=store.flat.size)
+        arrays = {name: arr.copy() for name, arr in store.items()}
+        state, m, v = training.OptimState(), {}, {}
+        for t in range(1, 6):
+            names = subsets[min(t, len(subsets)) - 1]
+            grads = {name: rng.normal(size=store[name].shape)
+                     for name in names}
+            training.adamw_step(store, grads, state, 1e-2, 0.05)
+            _reference_adamw(arrays, grads, m, v, t, 1e-2, 0.05)
+            for name in self.SHAPES:
+                np.testing.assert_array_equal(store[name], arrays[name])
+                a, b = store.spans[name]
+                np.testing.assert_array_equal(
+                    state.m[a:b], m.get(name, np.zeros(b - a)).ravel())
+                np.testing.assert_array_equal(
+                    state.v[a:b], v.get(name, np.zeros(b - a)).ravel())
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_first_non_finite_gradient_named_and_nothing_updated(self, bad):
+        store = model.ParamStore(self.SHAPES)
+        before = store.flat.copy()
+        grads = {name: np.ones(store[name].shape) for name in
+                 ("embed", "body", "tail", "cls_w", "cls_b")}
+        grads["tail"][5] = bad
+        grads["cls_b"][0] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match="'tail' at optimizer step 1"):
+            training.adamw_step(store, grads, training.OptimState(), 1e-3, 0.05)
+        np.testing.assert_array_equal(store.flat, before)
+
+    def test_huge_finite_gradient_is_not_refused(self):
+        # g @ g overflows, but every value is finite
+        arrays = _store(w=[0.5, 0.5])
+        state = training.OptimState()
+        with np.errstate(over="ignore"):
+            training.adamw_step(arrays, {"w": np.array([1e200, -1e200])},
+                                state, lr=1e-3, weight_decay=0.0)
+        assert state.t == 1 and np.all(np.isfinite(arrays["w"]))
+
+    def test_gradient_of_the_wrong_size_refused(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            training.adamw_step(_store(w=[1.0, 2.0]), {"w": np.ones(3)},
+                                training.OptimState(), 1e-3, 0.0)
 
 
 class TestAugment:
