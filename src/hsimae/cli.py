@@ -10,6 +10,7 @@ failure.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -27,6 +28,21 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+
+def _keep_freed_memory():
+    """Under glibc, arrays up to 32 MiB (a 768-token step's largest is 18.9
+    MB) come from the heap, and free keeps the heap top, so each step reuses
+    resident pages instead of faulting them in. Either option alone turns
+    off glibc's dynamic thresholds and faults more than neither."""
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            import ctypes
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, its 64-bit maximum
+            mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    except (AttributeError, OSError, ValueError):  # no glibc or no mallopt
+        pass
 
 
 SECTIONS = {"model": model.ModelConfig, "train": training.TrainSettings}
@@ -77,6 +93,9 @@ def _settings(section, args):
 
 
 def cmd_gen_synth(args):
+    if not 0 < args.train_fraction < 1:  # NaN fails this too
+        raise ValueError(f"--train-fraction {args.train_fraction} is not "
+                         "strictly between 0 and 1")
     cube = hsidata.gen_synthetic(args.height, args.width, args.bands,
                                  args.classes, args.seed)
     hsidata.save_cube(cube, args.out)
@@ -272,6 +291,7 @@ def build_parser():
 
 
 def main(argv=None):
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

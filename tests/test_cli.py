@@ -49,6 +49,17 @@ class TestGenSynth:
         assert code == cli.EXIT_DATA
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction", ["-0.5", "0", "1", "7", "nan"])
+    def test_train_fraction_outside_zero_one_writes_nothing(
+            self, tmp_path, capsys, fraction):
+        cube, split = tmp_path / "x.hsc", tmp_path / "split.csv"
+        code = run(["gen-synth", "--h", "18", "--w", "18", "--b", "16",
+                    "--classes", "2", "--out", str(cube),
+                    "--split-out", str(split), "--train-fraction", fraction])
+        assert code == cli.EXIT_DATA
+        assert "--train-fraction" in capsys.readouterr().err
+        assert not cube.exists() and not split.exists()
+
 
 class TestInspect:
     def test_reports_header(self, small_cube, capsys):
