@@ -70,14 +70,7 @@ def _load_config(path):
             raise ValueError(f"{path}: unknown section '{section}'")
         if not isinstance(values, dict):
             raise ValueError(f"{path}: section '{section}' is not an object")
-        types = {f.name: f.type for f in dataclasses.fields(SECTIONS[section])}
-        for key, value in values.items():
-            if key not in types:
-                raise ValueError(f"{path}: {section} has no key '{key}'")
-            kind = types[key]
-            if type(value) is not kind and (kind, type(value)) != (float, int):
-                raise ValueError(f"{path}: {section}.{key} must be "
-                                 f"{kind.__name__}, got {json.dumps(value)}")
+        model.check_fields(SECTIONS[section], values, f"{path}: {section}")
     return config
 
 

@@ -238,6 +238,7 @@ def _smooth_field(h, w, rng):
 
 
 MIN_ENDMEMBER_SAM = 0.15  # radians; redrawn until classes are separable
+MAX_ENDMEMBER_DRAWS = 10_000  # then gen_synthetic gives up
 
 
 def gen_synthetic(h, w, b, n_classes, seed, endmember_seed=None):
@@ -257,9 +258,13 @@ def gen_synthetic(h, w, b, n_classes, seed, endmember_seed=None):
     wavelengths = np.linspace(0.4, 2.5, b)
 
     em_rng = rng if endmember_seed is None else np.random.default_rng(endmember_seed)
-    ems = _draw_endmembers(wavelengths, n_classes, em_rng)
-    while _pairwise_min_sam(ems) <= MIN_ENDMEMBER_SAM:
+    for _ in range(MAX_ENDMEMBER_DRAWS):
         ems = _draw_endmembers(wavelengths, n_classes, em_rng)
+        if _pairwise_min_sam(ems) > MIN_ENDMEMBER_SAM:
+            break
+    else:
+        raise ValueError(f"{MAX_ENDMEMBER_DRAWS} draws of {n_classes} endmember "
+                         f"spectra found none {MIN_ENDMEMBER_SAM} rad apart")
 
     rects = _split_rectangles(h, w, n_classes, rng)
     labels = np.zeros((h, w), dtype=np.uint16)

@@ -39,22 +39,12 @@ class LossReport:
         })
 
 
-def _wrap_const(a):
-    return a if isinstance(a, tc.Tensor) else tc.Tensor(a)
-
-
 def mse_masked(y, y_hat, mask):
     """Mean squared error over masked voxels; zero gradient elsewhere."""
-    y = _wrap_const(y)
     mask = np.asarray(mask, dtype=bool)
-    if y.data.shape != y_hat.data.shape or mask.shape != y.data.shape:
-        raise tc.ShapeError(
-            f"mse_masked: {y.data.shape}, {y_hat.data.shape}, {mask.shape}")
-    n = int(mask.sum())
-    if n == 0:
+    if not mask.any():
         raise EmptyMaskError("masked voxel set is empty")
-    diff = tc.mul(tc.sub(y, y_hat), tc.Tensor(mask.astype(np.float64)))
-    return tc.scale(tc.tsum(tc.mul(diff, diff)), 1.0 / n)
+    return tc.masked_mse(y, y_hat, mask)
 
 
 def _pixel_norms(y2, yh2):
@@ -91,25 +81,19 @@ def sam_loss(y, y_hat):
     excluded from the average and counted instead of raising; only then
     are the spectra gathered into new rows.
     """
-    y = _wrap_const(y)
-    if y.data.shape != y_hat.data.shape:
-        raise tc.ShapeError(f"sam_loss: {y.data.shape} vs {y_hat.data.shape}")
-    h, w, b = y.data.shape
+    if y.shape != y_hat.shape:
+        raise tc.ShapeError(f"sam_loss: {y.shape} vs {y_hat.shape}")
+    h, w, b = y.shape
     n = h * w
-    y2 = tc.reshape(y, (n, b))
-    yh2 = tc.reshape(y_hat, (n, b))
-    valid = _pixel_norms(y2.data, yh2.data)[2]
+    y2, yh2 = y.reshape(n, b), tc.reshape(y_hat, (n, b))
+    ny, nyh, valid = _pixel_norms(y2, yh2.data)
     n_valid = int(valid.sum())
-    excluded = n - n_valid
     if n_valid == 0:
         raise ValueError("every pixel has a zero-norm spectrum")
-    if excluded:
-        y2, yh2 = tc.gather_rows(y2, valid), tc.gather_rows(yh2, valid)
-    dots = tc.tsum(tc.mul(y2, yh2), axis=1)
-    norms = tc.mul(tc.sqrt(tc.tsum(tc.mul(y2, y2), axis=1)),
-                   tc.sqrt(tc.tsum(tc.mul(yh2, yh2), axis=1)))
-    angles = tc.arccos(tc.div(dots, norms))
-    return tc.scale(tc.tsum(angles), 1.0 / n_valid), excluded
+    if n_valid < n:
+        y2, ny, nyh = y2[valid], ny[valid], nyh[valid]
+        yh2 = tc.gather_rows(yh2, valid)
+    return tc.spectral_angle(y2, yh2, ny, nyh), n - n_valid
 
 
 def rec_loss(y, y_hat, mask, alpha=0.5):

@@ -11,7 +11,7 @@ latents of an unmasked encoding pass.
 
 import json
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,19 @@ class ModelConfig:
 
     def to_dict(self):
         return asdict(self)
+
+
+def check_fields(cls, values, where):
+    """Raise a ValueError naming `where` unless each key of the dict values
+    is a field of the dataclass cls holding its type (an int may be a float)."""
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        if key not in types:
+            raise ValueError(f"{where} has no key '{key}'")
+        kind = types[key]
+        if type(value) is not kind and (kind, type(value)) != (float, int):
+            raise ValueError(f"{where}.{key} must be {kind.__name__}, "
+                             f"got {json.dumps(value)}")
 
 
 def micro_config():
@@ -306,6 +319,14 @@ def _read_checkpoint(fh):
         raise ValueError("not a checkpoint file")
     if header["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header['version']}")
+    if not isinstance(header["config"], dict):
+        raise ValueError("checkpoint config is not an object")
+    check_fields(ModelConfig, header["config"], "checkpoint config")
+    for key in ("P", "Q", "K", "n_classes", "seed"):
+        if type(header[key]) is not int or key != "seed" and header[key] < 1:
+            raise ValueError(f"checkpoint {key} must be an int"
+                             f"{'' if key == 'seed' else ' >= 1'}, "
+                             f"got {json.dumps(header[key])}")
     params = ModelParams(config=ModelConfig(**header["config"]), P=header["P"],
                          Q=header["Q"], K=header["K"],
                          n_classes=header["n_classes"], seed=header["seed"])

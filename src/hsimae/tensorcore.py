@@ -2,10 +2,10 @@
 
 Small, CPU-only engine: enough operations for a transformer
 encoder/decoder, the reconstruction losses, and an AdamW optimizer.
-All arithmetic is 64-bit. `add`, `sub`, `mul` and `div` broadcast as
-numpy does, and their backward sums over the broadcast axes. Row layout
-is boolean masks: `gather_rows` selects rows and `place_rows`, its
-transpose, puts them back among fill rows.
+All arithmetic is 64-bit. `add` broadcasts as numpy does, and its
+backward sums over the broadcast axes. Row layout is boolean masks:
+`gather_rows` selects rows and `place_rows`, its transpose, puts them
+back among fill rows.
 The error function behind GELU is Cephes' `ndtr.c` erf (Moshier, 1989),
 the algorithm scipy.special.erf runs: bit-identical to it for |x| <= 1,
 and within 1 ulp beyond, where numpy's exp may round differently from
@@ -14,10 +14,10 @@ the C library's.
 
 import numpy as np
 
-# arccos input is clamped into this open interval so the gradient
-# -1/sqrt(1-x^2) stays finite for (anti)parallel spectra.
+# a spectral angle's cosine is clamped into this open interval so the
+# gradient -1/sqrt(1-x^2) stays finite for (anti)parallel spectra.
 ARCCOS_CLAMP = 1e-7
-# inputs outside [-1-ARCCOS_SLACK, 1+ARCCOS_SLACK] are a hard error
+# cosines outside [-1-ARCCOS_SLACK, 1+ARCCOS_SLACK] are a hard error
 ARCCOS_SLACK = 1e-9
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -160,48 +160,23 @@ def _reduce_to(grad, shape):
 # -- elementwise ---------------------------------------------------------
 
 
-def _broadcast_op(op, a, b, fn, grad_a, grad_b):
-    """fn(a, b) under numpy broadcasting. grad_a(g, a, b) and
-    grad_b(g, a, b) are each operand's gradient at the output's shape,
-    summed back over the axes that operand was broadcast along."""
+def add(a, b):
+    """Elementwise sum under numpy broadcasting, e.g. (T, d) positional
+    rows added to (B, T, d) embeddings, or (K, d) rows to (n, 1, d) ones.
+    Each operand's gradient is summed back over its broadcast axes."""
     a, b = _wrap(a), _wrap(b)
     try:
-        out = fn(a.data, b.data)
+        out = a.data + b.data
     except ValueError:
-        raise ShapeError(
-            f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
-        ) from None
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} "
+                         "do not broadcast") from None
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(grad_a(g, a.data, b.data), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(grad_b(g, a.data, b.data), b.data.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                t._accumulate(_reduce_to(g, t.data.shape))
 
     return _result(out, (a, b), backward)
-
-
-def add(a, b):
-    """Elementwise sum, e.g. (T, d) positional rows added to (B, T, d)
-    embeddings, or (K, d) rows to (n, 1, d) ones."""
-    return _broadcast_op("add", a, b, np.add,
-                         lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a, b):
-    return _broadcast_op("sub", a, b, np.subtract,
-                         lambda g, x, y: g, lambda g, x, y: -g)
-
-
-def mul(a, b):
-    return _broadcast_op("mul", a, b, np.multiply,
-                         lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def div(a, b):
-    return _broadcast_op("div", a, b, np.true_divide,
-                         lambda g, x, y: g / y,
-                         lambda g, x, y: -g * x / (y * y))
 
 
 def scale(a, c):
@@ -213,19 +188,6 @@ def scale(a, c):
             a._accumulate(g * c)
 
     return _result(a.data * c, (a,), backward)
-
-
-def sqrt(a):
-    a = _wrap(a)
-    if np.any(a.data < 0):
-        raise DomainError("sqrt of negative value")
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out_data)
-
-    return _result(out_data, (a,), backward)
 
 
 def _numer_denom(x, table):
@@ -293,22 +255,6 @@ def gelu(a):
             a._accumulate(g * (cdf + x * pdf))
 
     return _result(x * cdf, (a,), backward)
-
-
-def arccos(a):
-    """Arccos with inputs clamped away from +-1; gradient at the clamp."""
-    a = _wrap(a)
-    x = a.data
-    if np.any(x < -1.0 - ARCCOS_SLACK) or np.any(x > 1.0 + ARCCOS_SLACK):
-        raise DomainError(
-            f"arccos input outside [-1, 1]: range [{x.min()}, {x.max()}]")
-    clamped = np.clip(x, -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g / np.sqrt(1.0 - clamped * clamped))
-
-    return _result(np.arccos(clamped), (a,), backward)
 
 
 # -- reductions and shape ops --------------------------------------------
@@ -471,6 +417,56 @@ def cross_entropy(logits, labels):
 
     return _result(np.mean(np.log(total) - shifted[rows, labels]),
                    (logits,), backward)
+
+
+def masked_mse(y, y_hat, mask):
+    """Mean of (y - y_hat)^2 over the voxels where the bool array mask is
+    True, for a constant y; gradient -2 (y - y_hat) / n there, 0 elsewhere.
+    Like spectral_angle, it rounds as its graph of unfused ops would."""
+    y_hat, mask = _wrap(y_hat), np.asarray(mask)
+    if y.shape != y_hat.shape or mask.shape != y.shape or mask.dtype != bool:
+        raise ShapeError(f"masked_mse: {y.shape}, {y_hat.shape} and a "
+                         f"{mask.dtype} {mask.shape} mask")
+    c = 1.0 / np.count_nonzero(mask)
+    d = (y - y_hat.data) * mask
+
+    def backward(g):
+        grad = d * float(g * c)
+        grad += grad
+        y_hat._accumulate(np.negative(grad, out=grad))
+
+    return _result(np.sum(d * d) * c, (y_hat,), backward)
+
+
+def spectral_angle(y, y_hat, ny, nyh):
+    """Mean angle between the (n, b) rows of a constant y and of y_hat,
+    given the row norms ny and nyh. A cosine beyond 1 + ARCCOS_SLACK is a
+    DomainError; the rest are clamped to ARCCOS_CLAMP from +-1, so the
+    gradient stays finite. Forward and gradient round as the graph of mul,
+    row sum, sqrt, div and arccos would, which sums the gradient of
+    y_hat's rows in the order: the dot product's, then the norm's twice."""
+    y_hat = _wrap(y_hat)
+    x = y_hat.data
+    if x.ndim != 2 or y.shape != x.shape or not (
+            np.shape(ny) == np.shape(nyh) == x.shape[:1]):
+        raise ShapeError(f"spectral_angle: rows {y.shape} and {x.shape}, "
+                         f"norms {np.shape(ny)} and {np.shape(nyh)}")
+    dots = np.sum(y * x, axis=1)
+    norms = ny * nyh
+    cos = dots / norms
+    if np.any(np.abs(cos) > 1.0 + ARCCOS_SLACK):
+        raise DomainError(f"cosines outside [-1, 1]: {cos.min()}, {cos.max()}")
+    clamped = np.clip(cos, -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP)
+    c = 1.0 / len(x)
+
+    def backward(g):
+        gc = -float(g * c) / np.sqrt(1.0 - clamped * clamped)
+        p = ((-gc * dots) / (norms * norms) * ny * 0.5 / nyh)[:, None] * x
+        grad = (gc / norms)[:, None] * y + p
+        grad += p
+        y_hat._accumulate(grad)
+
+    return _result(np.sum(np.arccos(clamped)) * c, (y_hat,), backward)
 
 
 def _row_blocks(x):

@@ -1,10 +1,27 @@
 """Central finite-difference oracle for gradient checks.
 
 Independent of the autodiff engine: evaluates the forward function
-only, never its recorded graph.
+only, never its recorded graph. `weighted_sum` is the one graph node it
+offers: a scalar objective whose own gradient is exact.
 """
 
 import numpy as np
+
+from hsimae import tensorcore as tc
+
+
+def weighted_sum(t, w):
+    """sum(t * w) for a fixed array w of t's shape, as one graph node whose
+    gradient to t is exactly g * w: the objective of a gradient check,
+    which brings in no engine op but the ones under test."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != t.shape:
+        raise ValueError(f"weights {w.shape} for a {t.shape} tensor")
+
+    def backward(g):
+        t._accumulate(g * w)
+
+    return tc._result(np.sum(t.data * w), (t,), backward)
 
 
 def finite_diff_grad(f, args, wrt, h=1e-5):

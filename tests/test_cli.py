@@ -8,6 +8,7 @@ import pytest
 
 from hsimae import cli, hsidata, model, training
 from test_hsidata import hsc_bytes
+from test_model import rewrite_header
 from test_training import nan_at_a_masked_voxel
 
 
@@ -48,6 +49,18 @@ class TestGenSynth:
                     "--out", str(tmp_path / "x.hsc")])
         assert code == cli.EXIT_DATA
         assert "error" in capsys.readouterr().err
+
+    def test_unseparable_classes_exit_two_without_output(
+            self, tmp_path, capsys, monkeypatch):
+        # 40 classes would take minutes to reach the cap of 10,000 draws
+        monkeypatch.setattr(hsidata, "MAX_ENDMEMBER_DRAWS", 3)
+        cube = tmp_path / "x.hsc"
+        code = run(["gen-synth", "--h", "18", "--w", "18", "--b", "16",
+                    "--classes", "40", "--out", str(cube)])
+        assert code == cli.EXIT_DATA
+        assert ("3 draws of 40 endmember spectra found none 0.15 rad apart"
+                in capsys.readouterr().err)
+        assert not cube.exists()
 
     @pytest.mark.parametrize("fraction", ["-0.5", "0", "1", "7", "nan"])
     def test_train_fraction_outside_zero_one_writes_nothing(
@@ -388,6 +401,23 @@ class TestFinetuneEval:
         assert (f"{ckpt}: non-finite values in cls_w"
                 in capsys.readouterr().err)
         assert not report.exists()
+
+    @pytest.mark.parametrize("fields", [{"K": -5}, {"seed": "x"}],
+                             ids=["negative_K", "string_seed"])
+    def test_malformed_header_exits_two_without_output(
+            self, small_cube, tmp_path, capsys, fields):
+        path, split = small_cube
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "tuned.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        rewrite_header(ckpt, **fields)
+        capsys.readouterr()
+        code = run(["finetune", "--checkpoint", str(ckpt), "--data", str(path),
+                    "--split", str(split), "--epochs", "0", "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert f"{ckpt}: checkpoint {next(iter(fields))} must be" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     # where the run diverges depends on the BLAS thread count; at one
     # thread, probe fails at epoch 1, batch 57 (a non-finite loss) and

@@ -170,6 +170,16 @@ class TestGenSynthetic:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_endmember_draws_are_capped(self, monkeypatch):
+        # seed 3 draws 8 separable endmembers on its third try
+        cube = hsidata.gen_synthetic(18, 18, 16, 8, seed=3)
+        monkeypatch.setattr(hsidata, "MAX_ENDMEMBER_DRAWS", 3)
+        same = hsidata.gen_synthetic(18, 18, 16, 8, seed=3)
+        assert np.array_equal(cube.values, same.values)
+        monkeypatch.setattr(hsidata, "MAX_ENDMEMBER_DRAWS", 2)
+        with pytest.raises(ValueError, match="2 draws of 8 endmember"):
+            hsidata.gen_synthetic(18, 18, 16, 8, seed=3)
+
     def test_seed_changes_output(self):
         a = hsidata.gen_synthetic(12, 10, 16, 3, seed=1)
         b = hsidata.gen_synthetic(12, 10, 16, 3, seed=2)

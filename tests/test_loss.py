@@ -136,17 +136,15 @@ class TestSamLoss:
 
     @staticmethod
     def _gathered_sam(y, y_hat):
-        """sam_loss as it was when every pixel went through gather_rows:
-        the bit-for-bit reference for the path without excluded pixels."""
+        """sam_loss with every pixel gathered into new rows, then the
+        fused angle: the bit-for-bit reference for the path without
+        excluded pixels."""
         h, w, b = y.shape
-        y2 = tc.reshape(tc.Tensor(y), (h * w, b))
-        yh2 = tc.reshape(y_hat, (h * w, b))
         valid = np.ones(h * w, dtype=bool)
-        yv, yhv = tc.gather_rows(y2, valid), tc.gather_rows(yh2, valid)
-        dots = tc.tsum(tc.mul(yv, yhv), axis=1)
-        norms = tc.mul(tc.sqrt(tc.tsum(tc.mul(yv, yv), axis=1)),
-                       tc.sqrt(tc.tsum(tc.mul(yhv, yhv), axis=1)))
-        return tc.scale(tc.tsum(tc.arccos(tc.div(dots, norms))), 1.0 / (h * w))
+        yv = y.reshape(h * w, b)[valid]
+        yhv = tc.gather_rows(tc.reshape(y_hat, (h * w, b)), valid)
+        return tc.spectral_angle(yv, yhv, np.linalg.norm(yv, axis=1),
+                                 np.linalg.norm(yhv.data, axis=1))
 
     def test_no_excluded_pixel_equals_gathered_path_without_gather(
             self, monkeypatch):
@@ -170,9 +168,25 @@ class TestSamLoss:
                             lambda a, keep: calls.append(keep) or gather(a, keep))
         y_hat = tc.Tensor(yh, requires_grad=True)
         loss.sam_loss(y, y_hat)[0].backward()
-        assert len(calls) == 2
-        assert all(keep.tolist() == [False, True, True, True] for keep in calls)
+        # the constant target's rows are gathered by numpy indexing
+        assert len(calls) == 1
+        assert calls[0].tolist() == [False, True, True, True]
         assert not y_hat.grad[0, 0].any() and y_hat.grad[1:].all()
+
+    def test_gradient_with_excluded_pixels_matches_finite_differences(self):
+        y, yh = _pair(shape=(3, 2, 4), seed=12)
+        y[0, 1] = y[2, 0] = 0.0
+        y_hat = tc.Tensor(yh, requires_grad=True)
+        out, excluded = loss.sam_loss(y, y_hat)
+        out.backward()
+        assert excluded == 2
+
+        def f(yh_arr):
+            return float(loss.sam_loss(y, tc.Tensor(yh_arr))[0].data)
+
+        numeric = finite_diff_grad(f, [yh], wrt=0, h=1e-5)
+        assert_grads_close(y_hat.grad, numeric, rel=1e-6, abs_tol=1e-9)
+        assert not y_hat.grad[0, 1].any() and not y_hat.grad[2, 0].any()
 
 
 def _refuse_gather(a, keep):

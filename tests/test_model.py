@@ -1,10 +1,13 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from hsimae import hsidata, masking, model, tokenizer, training
 from hsimae import tensorcore as tc
+from fdcheck import weighted_sum
 
 
 def _cube(h=27, w=27, b=24, seed=0):
@@ -123,7 +126,7 @@ class TestDecode:
         flat = tc.Tensor(grid.patches, requires_grad=True)
         restored = model._unpatchify(flat, grid.P, grid.Q, grid.K)
         np.testing.assert_array_equal(restored.data, grid.cropped_values)
-        tc.tsum(tc.mul(restored, tc.Tensor(grid.cropped_values))).backward()
+        weighted_sum(restored, grid.cropped_values).backward()
         np.testing.assert_array_equal(flat.grad, grid.patches)
 
     def test_latent_row_mismatch(self):
@@ -213,14 +216,14 @@ class TestDecoderLayout:
         rng = np.random.default_rng(3)
         params.arrays["spatial_pe"] = rng.normal(size=(table[0] * table[1], 16))
         latents = rng.normal(size=(plan.visible_ids.size, 16))
-        weight = tc.Tensor(rng.normal(size=(27, 27, 24)))
+        weight = rng.normal(size=(27, 27, 24))
         seen = _spy_on_stacks(monkeypatch)
         results = []
         for decode in (model.decode, _index_table_decode):
             t = params.tensors()
             lat = tc.Tensor(latents, requires_grad=True)
             out = decode(lat, plan, t, params, grid.lambdas)
-            tc.tsum(tc.mul(out, weight)).backward()
+            weighted_sum(out, weight).backward()
             results.append([seen["dec"][0], out.data, lat.grad,
                             t["spatial_pe"].grad, t["mask_token"].grad])
         for new, old in zip(*results):
@@ -399,3 +402,37 @@ class TestCheckpoint:
         path.write_bytes(b"\x10\x00\x00\x00" + b'{"magic": "no"} ')
         with pytest.raises(ValueError):
             model.load_checkpoint(path)
+
+    # P=true would pass as 1 in P * Q; K and seed size no array
+    @pytest.mark.parametrize("fields, named", [
+        ({"P": -3, "Q": -2}, "P must be an int >= 1, got -3"),
+        ({"K": -5}, "K must be an int >= 1, got -5"),
+        ({"K": 0}, "K must be an int >= 1, got 0"),
+        ({"P": True, "Q": 6}, "P must be an int >= 1, got true"),
+        ({"n_classes": 0}, "n_classes must be an int >= 1, got 0"),
+        ({"seed": "x"}, 'seed must be an int, got "x"'),
+        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({"config": {"d_model": 16.0}}, "config.d_model must be int, got 16.0"),
+        ({"config": {"n_heads": True}}, "config.n_heads must be int, got true"),
+        ({"config": {"dmodel": 16}}, "config has no key 'dmodel'"),
+        ({"config": [16]}, "config is not an object"),
+    ], ids=["negative_P_Q", "negative_K", "zero_K", "bool_P", "zero_classes",
+            "string_seed", "float_seed", "float_width", "bool_heads",
+            "unknown_key", "config_list"])
+    def test_malformed_header_field_named(self, tmp_path, fields, named):
+        params = model.init_params(model.micro_config(), 2, 3, 2, 2, seed=1)
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(params, path)
+        rewrite_header(path, **fields)
+        with pytest.raises(ValueError) as info:
+            model.load_checkpoint(path)
+        assert str(info.value) == f"{path}: checkpoint {named}"
+
+
+def rewrite_header(path, **fields):
+    """Overwrite fields of a checkpoint's JSON header, keeping its payload."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4:4 + hlen])
+    blob = json.dumps({**header, **fields}).encode()
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + hlen:])

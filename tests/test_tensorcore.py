@@ -10,7 +10,7 @@ import pytest
 from scipy.special import erf as scipy_erf
 
 from hsimae import tensorcore as tc
-from fdcheck import finite_diff_grad, assert_grads_close
+from fdcheck import finite_diff_grad, assert_grads_close, weighted_sum
 
 
 def _grad_of(build, *arrays):
@@ -65,17 +65,27 @@ class TestElementwise:
             tc.add(tc.Tensor(np.zeros(3)), tc.Tensor(np.zeros(4)))
 
     def test_scalar_broadcast(self):
-        out = tc.mul(tc.Tensor(np.array([1.0, 2.0])), tc.Tensor(3.0))
-        np.testing.assert_array_equal(out.data, [3.0, 6.0])
+        out = tc.add(tc.Tensor(np.array([1.0, 2.0])), tc.Tensor(3.0))
+        np.testing.assert_array_equal(out.data, [4.0, 5.0])
 
     def test_arccos_boundary(self):
-        out = tc.arccos(tc.Tensor(1.0))
+        # the spectral angle of a row and itself: its cosine is clamped
+        out = _angle(np.array([[3.0, 4.0]]), tc.Tensor([[3.0, 4.0]]))
         assert abs(float(out.data)) < 1e-3  # clamp-limited, not exactly 0
-        assert float(out.data) == pytest.approx(np.arccos(1.0 - 1e-7))
+        assert float(out.data) == np.arccos(1.0 - tc.ARCCOS_CLAMP)
 
     def test_arccos_domain_error(self):
-        with pytest.raises(tc.DomainError):
-            tc.arccos(tc.Tensor(1.0 + 1e-6))
+        # norms too small for the rows put the cosine past 1 + ARCCOS_SLACK
+        row = np.array([[3.0, 4.0]])
+        scale = 1.0 - 1e-6
+        with pytest.raises(tc.DomainError, match="cosines outside"):
+            tc.spectral_angle(row, tc.Tensor(row), np.array([5.0 * scale]),
+                              np.array([5.0]))
+        # within the slack the cosine is only clamped
+        scale = 1.0 - tc.ARCCOS_SLACK / 4
+        out = tc.spectral_angle(row, tc.Tensor(row), np.array([5.0 * scale]),
+                                np.array([5.0]))
+        assert float(out.data) == np.arccos(1.0 - tc.ARCCOS_CLAMP)
 
     def test_gelu_scalar_oracle(self):
         # high-precision x * Phi(x) at x = 1
@@ -235,18 +245,18 @@ class TestBackward:
     def test_fanout_accumulation(self):
         xv = np.array([0.7, -1.1])
         x = tc.Tensor(xv, requires_grad=True)
-        # f(x) + g(x) with f = sum(x^2), g = 3*sum(x)
-        out = tc.add(tc.tsum(tc.mul(x, x)), tc.scale(tc.tsum(x), 3.0))
+        # f(x) + g(x) with f = sum(x * xv), g = 3*sum(x)
+        out = tc.add(weighted_sum(x, xv), tc.scale(tc.tsum(x), 3.0))
         out.backward()
-        np.testing.assert_allclose(x.grad, 2.0 * xv + 3.0, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, xv + 3.0, rtol=1e-12)
 
     def test_graph_is_freed_and_leaf_gradients_kept(self):
         xv, wv = np.array([[1.0, -2.0, 0.5]]), np.array([[0.3], [0.2], [-1.0]])
         x = tc.Tensor(xv, requires_grad=True)
         w = tc.Tensor(wv, requires_grad=True)
         h = tc.matmul(x, w)
-        sq = tc.mul(h, h)
-        out = tc.tsum(sq)
+        sq = tc.scale(h, 2.0)
+        out = weighted_sum(sq, h.data)  # sum((x w)^2) * 2
         out.backward()
         for inner in (h, sq):
             assert inner.grad is None
@@ -260,7 +270,7 @@ class TestBackward:
         a = tc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         out = tc.gather_rows(a, [True, False, True])
         np.testing.assert_array_equal(out.data, [[0.0, 1.0], [4.0, 5.0]])
-        tc.tsum(tc.mul(out, tc.Tensor([[1.0, 2.0], [3.0, 4.0]]))).backward()
+        weighted_sum(out, [[1.0, 2.0], [3.0, 4.0]]).backward()
         np.testing.assert_array_equal(a.grad, [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
 
     @pytest.mark.parametrize("keep", [[0, 2], [1, 0, 1], [True, False],
@@ -278,7 +288,7 @@ class TestBackward:
             out.data, [[-1, -2], [0, 1], [2, 3], [-1, -2], [4, 5]])
         np.testing.assert_array_equal(tc.gather_rows(out, at).data, rows.data)
         g = np.arange(10.0).reshape(5, 2)
-        tc.tsum(tc.mul(out, tc.Tensor(g))).backward()
+        weighted_sum(out, g).backward()
         np.testing.assert_array_equal(rows.grad, g[at])
         np.testing.assert_array_equal(fill.grad, g[0] + g[3])
 
@@ -318,48 +328,29 @@ _KEEP = np.array([True, False, True])
 _AT = np.array([False, True, True, False, True, False])  # 3 rows, 3 fills
 
 
-def _square(x):
-    return tc.mul(x, x)
-
-
 OPS = {
-    "add": (lambda x, y: tc.tsum(tc.mul(tc.add(x, y), tc.add(x, y))), 2, (3, 4)),
-    "sub": (lambda x, y: tc.tsum(tc.mul(tc.sub(x, y), tc.sub(x, y))), 2, (3, 4)),
-    "mul": (lambda x, y: tc.tsum(tc.mul(x, y)), 2, (3, 4)),
-    "div": (lambda x, y: tc.tsum(tc.div(x, y)), 2, (3, 4)),
+    "add": (lambda x, y: _weighted(tc.add(x, y)), 2, (3, 4)),
     "scale": (lambda x: tc.tsum(tc.scale(x, -2.5)), 1, (3, 4)),
-    "sqrt": (lambda x: tc.tsum(tc.sqrt(tc.add(tc.mul(x, x), tc.Tensor(np.full((3, 4), 0.5))))), 1, (3, 4)),
     "gelu": (lambda x: tc.tsum(tc.gelu(x)), 1, (3, 4)),
     "cross_entropy": (lambda x: tc.cross_entropy(x, [2, 0, 3]), 1, (3, 4)),
-    "matmul": (lambda x, y: tc.tsum(tc.mul(tc.matmul(x, y), tc.matmul(x, y))), 2, (3, 3)),
-    "softmax": (lambda x: tc.tsum(tc.mul(tc.softmax(x, axis=-1),
-                                         tc.Tensor(np.arange(12.0).reshape(3, 4)))), 1, (3, 4)),
-    "mean": (lambda x: tc.tmean(tc.mul(x, x)), 1, (3, 4)),
-    "sum_axis": (lambda x: tc.tsum(tc.mul(tc.tsum(x, axis=1), tc.tsum(x, axis=1))), 1, (3, 4)),
-    "reshape": (lambda x: tc.tsum(tc.mul(tc.reshape(x, (4, 3)), tc.reshape(x, (4, 3)))), 1, (3, 4)),
-    "transpose": (lambda x: tc.tsum(tc.mul(tc.transpose(x, (1, 0)),
-                                           tc.transpose(x, (1, 0)))), 1, (3, 4)),
-    "transpose_axes": (lambda x: tc.tsum(tc.mul(
+    "matmul": (lambda x, y: _weighted(tc.matmul(x, y)), 2, (3, 3)),
+    "softmax": (lambda x: weighted_sum(tc.softmax(x, axis=-1),
+                                       np.arange(12.0).reshape(3, 4)), 1, (3, 4)),
+    "mean": (lambda x: _weighted(tc.tmean(x)), 1, (3, 4)),
+    "sum_axis": (lambda x: _weighted(tc.tsum(x, axis=1)), 1, (3, 4)),
+    "reshape": (lambda x: _weighted(tc.reshape(x, (4, 3))), 1, (3, 4)),
+    "transpose": (lambda x: _weighted(tc.transpose(x, (1, 0))), 1, (3, 4)),
+    "transpose_axes": (lambda x: weighted_sum(
         tc.transpose(x, (0, 3, 1, 4, 2, 5)),
-        tc.Tensor(np.arange(48.0).reshape(2, 2, 1, 2, 3, 2)))), 1, (2, 1, 3, 2, 2, 2)),
-    "gather": (lambda x: tc.tsum(tc.mul(tc.gather_rows(x, _KEEP),
-                                        tc.gather_rows(x, _KEEP))), 1, (3, 4)),
-    "place_rows": (lambda x, y: _weighted(_square(tc.place_rows(
-        x, _AT, tc.tsum(y, axis=0)))), 2, (3, 4)),
-    "add_rowvec": (lambda x, y: tc.tsum(tc.mul(tc.add(x, tc.tsum(y, axis=0)),
-                                               tc.add(x, tc.tsum(y, axis=0)))), 2, (3, 4)),
-    # broadcast operands of the other binary ops, derived from y: (4,) as
-    # the minuend, (1, 4) as a factor, (3, 1) as a denominator >= 0.5
-    "sub_rowvec": (lambda x, y: _weighted(tc.sub(tc.tsum(y, axis=0), x)), 2, (3, 4)),
-    "mul_rowvec": (lambda x, y: _weighted(tc.mul(
-        x, tc.tsum(y, axis=0, keepdims=True))), 2, (3, 4)),
-    "div_colvec": (lambda x, y: _weighted(tc.div(x, tc.add(
-        _square(tc.tsum(y, axis=1, keepdims=True)), tc.Tensor(0.5)))), 2, (3, 4)),
+        np.arange(48.0).reshape(2, 2, 1, 2, 3, 2)), 1, (2, 1, 3, 2, 2, 2)),
+    "gather": (lambda x: _weighted(tc.gather_rows(x, _KEEP)), 1, (3, 4)),
+    "place_rows": (lambda x, y: _weighted(tc.place_rows(
+        x, _AT, tc.tsum(y, axis=0))), 2, (3, 4)),
+    "add_rowvec": (lambda x, y: _weighted(tc.add(x, tc.tsum(y, axis=0))),
+                   2, (3, 4)),
     # the head split and merge of the per-head reference graph
-    "slice_cols": (lambda x: tc.tsum(tc.mul(_slice_cols(x, 1, 3),
-                                            _slice_cols(x, 1, 3))), 1, (3, 4)),
-    "concat_cols": (lambda x, y: tc.tsum(tc.mul(_concat_cols([x, y]),
-                                                _concat_cols([x, y]))), 2, (3, 4)),
+    "slice_cols": (lambda x: _weighted(_slice_cols(x, 1, 3)), 1, (3, 4)),
+    "concat_cols": (lambda x, y: _weighted(_concat_cols([x, y])), 2, (3, 4)),
 }
 
 
@@ -368,9 +359,6 @@ def test_gradients_match_finite_differences(name):
     build, nargs, shape = OPS[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))  # stable per name
     arrays = [rng.uniform(-2.0, 2.0, size=shape) for _ in range(nargs)]
-    if name == "div":
-        # keep denominators away from zero
-        arrays[1] = np.sign(arrays[1]) * (np.abs(arrays[1]) + 0.5)
     grads = _grad_of(build, *arrays)
     f = _scalar_fn(build)
     for i in range(nargs):
@@ -381,8 +369,7 @@ def test_gradients_match_finite_differences(name):
 def _weighted(out):
     """Sum of out against a fixed non-symmetric weight of out's shape, so
     a gradient summed or routed along the wrong axis fails the check."""
-    w = np.random.default_rng(21).normal(size=out.shape)
-    return tc.tsum(tc.mul(out, tc.Tensor(w)))
+    return weighted_sum(out, np.random.default_rng(21).normal(size=out.shape))
 
 
 def _attend(n_heads):
@@ -462,12 +449,12 @@ def _assert_matches_per_head_graph(shape, n_heads):
     graph's bit for bit, and leave in C order."""
     rng = np.random.default_rng(shape[-2] * 10 + n_heads)
     arrays = [rng.normal(size=shape) for _ in range(3)]
-    weight = tc.Tensor(rng.normal(size=shape))
+    weight = rng.normal(size=shape)
     results = []
     for attend in (tc.attention, _per_head_attention):
         qkv = [tc.Tensor(a, requires_grad=True) for a in arrays]
         out = attend(*qkv, n_heads)
-        tc.tsum(tc.mul(out, weight)).backward()
+        weighted_sum(out, weight).backward()
         results.append([out.data] + [t.grad for t in qkv])
     for fused, ref in zip(*results):
         np.testing.assert_array_equal(fused, ref)
@@ -539,7 +526,7 @@ class TestAccumulate:
         b = tc.Tensor(np.array([3.0, 4.0]), requires_grad=True)
         # add hands its one gradient array to both parents; a gets a
         # second gradient from the scaled sum, b does not
-        out = tc.add(tc.tsum(tc.mul(tc.add(a, b), tc.Tensor([5.0, 7.0]))),
+        out = tc.add(weighted_sum(tc.add(a, b), [5.0, 7.0]),
                      tc.tsum(tc.scale(a, 3.0)))
         out.backward()
         np.testing.assert_array_equal(a.grad, [8.0, 10.0])
@@ -582,25 +569,66 @@ class TestLeadingAxes:
             tc.add(tc.Tensor(np.zeros((2, 3, 4))), tc.Tensor(np.zeros((2, 4))))
 
     def test_every_binary_op_broadcasts(self):
+        # add is the one binary op
         x = np.arange(1.0, 13.0).reshape(4, 1, 3)
         y = np.arange(2.0, 8.0).reshape(2, 3)
-        for name, ref in (("add", np.add), ("sub", np.subtract),
-                          ("mul", np.multiply), ("div", np.divide)):
-            op = getattr(tc, name)
-            out = op(tc.Tensor(x), tc.Tensor(y))
-            assert out.shape == (4, 2, 3)
-            np.testing.assert_array_equal(out.data, ref(x, y))
-            with pytest.raises(tc.ShapeError, match=rf"{name}: shapes "
-                               r"\(2, 3, 4\) and \(2, 4\) do not broadcast"):
-                op(tc.Tensor(np.ones((2, 3, 4))), tc.Tensor(np.ones((2, 4))))
+        out = tc.add(tc.Tensor(x), tc.Tensor(y))
+        assert out.shape == (4, 2, 3)
+        np.testing.assert_array_equal(out.data, x + y)
+        with pytest.raises(tc.ShapeError, match=r"add: shapes "
+                           r"\(2, 3, 4\) and \(2, 4\) do not broadcast"):
+            tc.add(tc.Tensor(np.ones((2, 3, 4))), tc.Tensor(np.ones((2, 4))))
+
+
+def _angle(y, t):
+    """spectral_angle of t's rows against y's, with norms from the data."""
+    return tc.spectral_angle(y, t, np.linalg.norm(y, axis=1),
+                             np.linalg.norm(t.data, axis=1))
+
+
+_TARGET = np.random.default_rng(8).normal(size=(3, 4))
+_ONE_VOXEL = np.zeros((3, 4), dtype=bool)
+_ONE_VOXEL[1, 2] = True
+
+# the fused losses against a fixed target: name -> build of y_hat
+LOSS_OPS = {
+    "masked_mse_one_voxel": lambda t: tc.masked_mse(_TARGET, t, _ONE_VOXEL),
+    "masked_mse_mixed": lambda t: tc.masked_mse(_TARGET, t, _TARGET > 0),
+    "spectral_angle": lambda t: _angle(_TARGET, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_OPS))
+def test_loss_gradients_match_finite_differences(name):
+    y_hat = np.random.default_rng(9).uniform(-2.0, 2.0, size=(3, 4))
+    (grad,) = _grad_of(LOSS_OPS[name], y_hat)
+    numeric = finite_diff_grad(_scalar_fn(LOSS_OPS[name]), [y_hat], wrt=0)
+    assert_grads_close(grad, numeric, rel=1e-6, abs_tol=1e-9)
+    if name == "masked_mse_one_voxel":
+        assert np.count_nonzero(grad) == 1
 
 
 def test_arccos_gradient_away_from_clamp():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-0.9, 0.9, size=(5,))
-    build = lambda t: tc.tsum(tc.arccos(t))
-    (grad,) = _grad_of(build, x)
-    numeric = finite_diff_grad(_scalar_fn(build), [x], wrt=0, h=1e-5)
+    # every cosine of these rows lies well inside (-1, 1)
+    y_hat = np.random.default_rng(7).uniform(-2.0, 2.0, size=(5, 4))
+    y = np.random.default_rng(17).uniform(-2.0, 2.0, size=(5, 4))
+    build = lambda t: _angle(y, t)
+    assert np.all(np.abs(np.sum(y * y_hat, axis=1) / np.linalg.norm(y, axis=1)
+                         / np.linalg.norm(y_hat, axis=1)) < 0.99)
+    (grad,) = _grad_of(build, y_hat)
+    numeric = finite_diff_grad(_scalar_fn(build), [y_hat], wrt=0, h=1e-5)
+    assert_grads_close(grad, numeric, rel=1e-6, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_spectral_angle_gradient_at_the_clamp(sign):
+    # rows (anti)parallel to the target: the clamp keeps the gradient
+    # finite, and a perturbation too small to leave it moves nothing
+    y_hat = sign * np.array([[2.5], [0.5], [1.0]]) * _TARGET
+    build = lambda t: _angle(_TARGET, t)
+    (grad,) = _grad_of(build, y_hat)
+    assert np.all(np.isfinite(grad))
+    numeric = finite_diff_grad(_scalar_fn(build), [y_hat], wrt=0, h=1e-5)
     assert_grads_close(grad, numeric, rel=1e-6, abs_tol=1e-9)
 
 
@@ -609,8 +637,8 @@ def test_layer_norm_gradients():
     x = rng.uniform(-2, 2, size=(3, 5))
     gain = rng.uniform(0.5, 1.5, size=5)
     bias = rng.uniform(-1, 1, size=5)
-    build = lambda a, g, b: tc.tsum(tc.mul(tc.layer_norm(a, g, b, eps=1e-5),
-                                           tc.Tensor(rng_weights)))
+    build = lambda a, g, b: weighted_sum(tc.layer_norm(a, g, b, eps=1e-5),
+                                         rng_weights)
     rng_weights = np.random.default_rng(12).normal(size=(3, 5))
     grads = _grad_of(build, x, gain, bias)
     f = _scalar_fn(build)
