@@ -217,15 +217,6 @@ def _draw_endmembers(wavelengths, n_classes, rng):
     return ems
 
 
-def _pairwise_min_sam(ems):
-    angles = []
-    for a in range(ems.shape[0]):
-        for b in range(a + 1, ems.shape[0]):
-            cos = ems[a] @ ems[b] / (np.linalg.norm(ems[a]) * np.linalg.norm(ems[b]))
-            angles.append(np.arccos(np.clip(cos, -1.0, 1.0)))
-    return min(angles)
-
-
 def _smooth_field(h, w, rng):
     """Spatially smooth multiplicative brightness in roughly [0.7, 1.3]."""
     fy = rng.uniform(0.5, 2.0)
@@ -239,6 +230,17 @@ def _smooth_field(h, w, rng):
 
 MIN_ENDMEMBER_SAM = 0.15  # radians; redrawn until classes are separable
 MAX_ENDMEMBER_DRAWS = 10_000  # then gen_synthetic gives up
+
+
+def _separable(ems):
+    """No two endmember spectra lie MIN_ENDMEMBER_SAM or less apart."""
+    norms = [np.linalg.norm(e) for e in ems]
+    for a in range(len(ems)):
+        for b in range(a + 1, len(ems)):
+            cos = ems[a] @ ems[b] / (norms[a] * norms[b])
+            if not np.arccos(np.clip(cos, -1.0, 1.0)) > MIN_ENDMEMBER_SAM:
+                return False
+    return True
 
 
 def gen_synthetic(h, w, b, n_classes, seed, endmember_seed=None):
@@ -260,7 +262,7 @@ def gen_synthetic(h, w, b, n_classes, seed, endmember_seed=None):
     em_rng = rng if endmember_seed is None else np.random.default_rng(endmember_seed)
     for _ in range(MAX_ENDMEMBER_DRAWS):
         ems = _draw_endmembers(wavelengths, n_classes, em_rng)
-        if _pairwise_min_sam(ems) > MIN_ENDMEMBER_SAM:
+        if _separable(ems):
             break
     else:
         raise ValueError(f"{MAX_ENDMEMBER_DRAWS} draws of {n_classes} endmember "

@@ -51,10 +51,12 @@ def _pixel_norms(y2, yh2):
     """Row norms of (pixels, bands) spectra, and which pixels have an angle.
 
     A pixel whose true or predicted spectrum has (near-)zero norm has
-    no spectral angle.
+    no spectral angle. A non-finite norm raises, as NaN > eps is False.
     """
     ny = np.linalg.norm(y2, axis=1)
     nyh = np.linalg.norm(yh2, axis=1)
+    if not (np.isfinite(ny).all() and np.isfinite(nyh).all()):
+        raise FloatingPointError("non-finite spectrum norm")
     return ny, nyh, (ny > ZERO_NORM_EPS) & (nyh > ZERO_NORM_EPS)
 
 

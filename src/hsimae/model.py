@@ -4,7 +4,11 @@ Pre-norm ViT-style blocks. The encoder sees only visible tokens; the
 decoder places encoder latents back at the visible slots of the full
 token grid and a learned mask token at the hidden ones, re-adds the
 positional encodings (mask tokens are otherwise position-blind), and
-maps every token back to its 648 voxel values. A separate head
+maps every token back to its 648 voxel values. Unlike MAE's decoder,
+grid tokens never attend to each other: each layer's queries
+cross-attend to the latents, as in CrossMAE (Fu et al., 2024), so its
+scores are T x n_visible, not T x T; unlike CrossMAE's, visible slots
+query too, as the spectral angle scores every pixel. A separate head
 classifies a cube, or each window of a stack, from the mean-pooled
 latents of an unmasked encoding pass.
 """
@@ -21,7 +25,7 @@ from .hsidata import atomic_write
 from .tokenizer import PATCH_B, PATCH_H, PATCH_LEN, PATCH_W
 
 CHECKPOINT_MAGIC = "hsimae-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: the decoder cross-attends to the latents
 
 
 @dataclass
@@ -164,10 +168,10 @@ def init_params(config, P, Q, K, n_classes, seed):
 # -- forward passes -------------------------------------------------------
 
 
-def _attention(x, t, pre, config):
+def _attention(x, kv, t, pre, config):
     q = tc.add(tc.matmul(x, t[pre + "wq"]), t[pre + "bq"])
-    k = tc.add(tc.matmul(x, t[pre + "wk"]), t[pre + "bk"])
-    v = tc.add(tc.matmul(x, t[pre + "wv"]), t[pre + "bv"])
+    k = tc.add(tc.matmul(kv, t[pre + "wk"]), t[pre + "bk"])
+    v = tc.add(tc.matmul(kv, t[pre + "wv"]), t[pre + "bv"])
     heads = tc.attention(q, k, v, config.n_heads)
     return tc.add(tc.matmul(heads, t[pre + "wo"]), t[pre + "bo"])
 
@@ -177,11 +181,11 @@ def _feed_forward(x, t, pre):
     return tc.add(tc.matmul(h, t[pre + "ff2_w"]), t[pre + "ff2_b"])
 
 
-def _run_stack(x, t, stack, n_layers, config):
+def _run_stack(x, t, stack, n_layers, config, memory=None):
     for i in range(n_layers):
         pre = f"{stack}{i}_"
         normed = tc.layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"])
-        x = tc.add(x, _attention(normed, t, pre, config))
+        x = tc.add(x, _attention(normed, memory or normed, t, pre, config))
         normed = tc.layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"])
         x = tc.add(x, _feed_forward(normed, t, pre))
     return tc.layer_norm(x, t[f"{stack}_lnf_g"], t[f"{stack}_lnf_b"])
@@ -219,7 +223,7 @@ def decode(latents, plan, tensors, params, lambdas):
                       tensors["mask_token"])
     x = tc.add(x, _positional_rows(params, plan.P, plan.Q, lambdas, tensors))
     config = params.config
-    x = _run_stack(x, tensors, "dec", config.n_dec_layers, config)
+    x = _run_stack(x, tensors, "dec", config.n_dec_layers, config, latents)
     flat = tc.add(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
     return _unpatchify(flat, plan.P, plan.Q, plan.K)
 

@@ -481,37 +481,38 @@ def _row_blocks(x):
 def attention(q, k, v, n_heads):
     """Multi-head scaled dot-product attention, every head in one pass.
 
-    q, k and v are (..., T, d). Each is split into n_heads contiguous
-    (..., T, d/n_heads) heads, and softmax(q k^T / sqrt(d/n_heads)) v of
-    every head is merged back into (..., T, d). Backward works from the
-    saved probabilities alone, as FlashAttention's does (Dao et al.,
-    2022). Each product is one batched matmul over every head; only the
-    row-wise passes (the softmax, and dS = P*(dP - rowsum(dP*P)) in
-    place in dP) go over the (..., T, T) scores in blocks of whole rows
-    that fit the L2 cache, and make no T x T temporary. Each head's
+    q is (..., Tq, d), and k and v are (..., Tk, d) with q's leading axes.
+    Each is split into n_heads contiguous (..., T, d/n_heads) heads, and
+    softmax(q k^T / sqrt(d/n_heads)) v of every head is merged back into
+    (..., Tq, d). Backward works from the saved probabilities alone, as
+    FlashAttention's does (Dao et al., 2022). Each product is one batched
+    matmul over every head; only the row-wise passes (the softmax, and
+    dS = P*(dP - rowsum(dP*P)) in place in dP) go over the (..., Tq, Tk)
+    scores in blocks of whole rows that fit the L2 cache. Each head's
     products and the softmax run in the same order, on the same
     contiguous blocks, as a graph of one slice, matmul, scale and softmax
     per head, so the bits agree.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    shape = q.data.shape
-    if (len(shape) < 2 or k.data.shape != shape or v.data.shape != shape
+    shape, kv = q.data.shape, k.data.shape
+    if (len(shape) < 2 or len(kv) != len(shape) or v.data.shape != kv
+            or kv[:-2] + kv[-1:] != shape[:-2] + shape[-1:]
             or n_heads < 1 or shape[-1] % n_heads):
-        raise ShapeError(f"attention: q {shape}, k {k.data.shape}, "
+        raise ShapeError(f"attention: q {shape}, k {kv}, "
                          f"v {v.data.shape} with {n_heads} heads")
-    *lead, n, d = shape
+    *lead, _, d = shape
     dh = d // n_heads
     c = float(1.0 / np.sqrt(dh))
 
     def heads(x, transposed=False):
         """(..., T, d) -> contiguous (..., H, T, dh), or (..., H, dh, T)."""
-        x = x.reshape(*lead, n, n_heads, dh).swapaxes(-3, -2)
+        x = x.reshape(*lead, -1, n_heads, dh).swapaxes(-3, -2)
         return np.ascontiguousarray(x.swapaxes(-1, -2) if transposed else x)
 
     # (..., H, T, dh) -> (..., T, d); C order also for gradients, whose
     # layout sets how a later row sum (a bias gradient) rounds
     def merge(x):
-        return np.ascontiguousarray(x.swapaxes(-3, -2)).reshape(shape)
+        return np.ascontiguousarray(x.swapaxes(-3, -2)).reshape(*lead, -1, d)
 
     qh, kt, vh = heads(q.data), heads(k.data, transposed=True), heads(v.data)
     p = qh @ kt

@@ -26,6 +26,17 @@ def hsc_bytes(h, w, b, labeled):
     return raw
 
 
+def _min_angle(ems):
+    """The smallest angle between two endmember spectra, every pair's norms
+    taken anew: the rule that gen_synthetic's draw check replaced."""
+    angles = []
+    for a in range(ems.shape[0]):
+        for b in range(a + 1, ems.shape[0]):
+            cos = ems[a] @ ems[b] / (np.linalg.norm(ems[a]) * np.linalg.norm(ems[b]))
+            angles.append(np.arccos(np.clip(cos, -1.0, 1.0)))
+    return min(angles)
+
+
 class TestHscFormat:
     @pytest.mark.parametrize("shape, labeled, named", [
         ((0, 9, 8), True, "zero extent H = 0 at offset 4"),
@@ -179,6 +190,18 @@ class TestGenSynthetic:
         monkeypatch.setattr(hsidata, "MAX_ENDMEMBER_DRAWS", 2)
         with pytest.raises(ValueError, match="2 draws of 8 endmember"):
             hsidata.gen_synthetic(18, 18, 16, 8, seed=3)
+
+    @pytest.mark.parametrize("n_classes", [3, 12, 16, 40])
+    def test_separable_decides_as_the_min_angle_rule(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        wavelengths = np.linspace(0.4, 2.5, 32)
+        draws = [hsidata._draw_endmembers(wavelengths, n_classes, rng)
+                 for _ in range(40)]
+        got = [hsidata._separable(ems) for ems in draws]
+        assert got == [_min_angle(ems) > hsidata.MIN_ENDMEMBER_SAM
+                       for ems in draws]
+        if n_classes == 3:
+            assert any(got) and not all(got)
 
     def test_seed_changes_output(self):
         a = hsidata.gen_synthetic(12, 10, 16, 3, seed=1)

@@ -134,6 +134,18 @@ class TestSamLoss:
         with pytest.raises(ValueError):
             loss.sam_loss(np.zeros((2, 2, 4)), tc.Tensor(np.ones((2, 2, 4))))
 
+    # a NaN norm is not a zero norm (NaN > eps is False): one NaN pixel
+    # must not be quietly excluded, nor an all-NaN prediction reported as
+    # zero-norm data
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_is_a_numeric_failure(self, bad):
+        y, yh = _pair(shape=(2, 2, 4), seed=6)
+        yh[1, 0, 2] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            loss.sam_loss(y, tc.Tensor(yh))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            loss.sam_map(y, yh)
+
     @staticmethod
     def _gathered_sam(y, y_hat):
         """sam_loss with every pixel gathered into new rows, then the
@@ -285,6 +297,13 @@ class TestRecLoss:
 
         numeric = finite_diff_grad(f, [yh], wrt=0, h=1e-5)
         assert_grads_close(yh_t.grad, numeric, rel=1e-6, abs_tol=1e-9)
+
+    def test_all_nan_prediction_is_a_numeric_failure(self):
+        y, _ = _pair(shape=(3, 3, 8), seed=2)
+        mask = np.zeros(y.shape, dtype=bool)
+        mask[0, 0, :4] = True
+        with pytest.raises(FloatingPointError):
+            loss.rec_loss(y, tc.Tensor(np.full(y.shape, np.nan)), mask)
 
     def test_bad_alpha(self):
         y, yh, mask = self._setup()

@@ -87,6 +87,13 @@ class TestEncode:
         np.testing.assert_allclose(out_p[inv], out, atol=1e-9)
 
 
+def _moved_mask_token(t):
+    """A different mask token. Not a constant shift of the old one: layer
+    norm removes that, so the output would move only by rounding."""
+    return t["mask_token"].data + np.random.default_rng(8).normal(
+        size=t["mask_token"].shape)
+
+
 class TestDecode:
     def test_output_extents(self):
         cube, grid, params, plan = _setup()
@@ -103,7 +110,7 @@ class TestDecode:
         # perturbing the mask token must not change the output
         out1 = model.decode(latents, plan, t, params, grid.lambdas).data.copy()
         t2 = dict(t)
-        t2["mask_token"] = tc.Tensor(t["mask_token"].data + 10.0)
+        t2["mask_token"] = tc.Tensor(_moved_mask_token(t))
         out2 = model.decode(latents, plan, t2, params, grid.lambdas).data
         np.testing.assert_array_equal(out1, out2)
 
@@ -115,7 +122,7 @@ class TestDecode:
                                params.config)
         out1 = model.decode(latents, plan, t, params, grid.lambdas).data.copy()
         t2 = dict(t)
-        t2["mask_token"] = tc.Tensor(t["mask_token"].data + 1.0)
+        t2["mask_token"] = tc.Tensor(_moved_mask_token(t))
         out2 = model.decode(latents, plan, t2, params, grid.lambdas).data
         assert not np.array_equal(out1, out2)
 
@@ -177,7 +184,8 @@ def _concat_rows(parts):
 def _index_table_decode(latents, plan, t, params, lambdas):
     """The decoder as index tables built it: the latents and a mask-token
     row stacked and gathered by a permutation, plus spatial rows gathered
-    by (p, q, k) rows at the table's row stride and the wavelength rows."""
+    by (p, q, k) rows at the table's row stride and the wavelength rows.
+    Its layers cross-attend to the latents, as model.decode's do."""
     P, Q, K = plan.P, plan.Q, plan.K
     cfg, n_visible = params.config, plan.visible_ids.size
     stacked = _concat_rows(
@@ -189,7 +197,7 @@ def _index_table_decode(latents, plan, t, params, lambdas):
     spectral = tokenizer.wavelength_table(lambdas, cfg.d_model)[order[:, 2]]
     x = tc.add(_index_gather(stacked, perm),
                tc.add(spatial, tc.Tensor(spectral)))
-    x = model._run_stack(x, t, "dec", cfg.n_dec_layers, cfg)
+    x = model._run_stack(x, t, "dec", cfg.n_dec_layers, cfg, latents)
     flat = tc.add(tc.matmul(x, t["recon_w"]), t["recon_b"])
     return model._unpatchify(flat, P, Q, K)
 
@@ -228,6 +236,51 @@ class TestDecoderLayout:
                             t["spatial_pe"].grad, t["mask_token"].grad])
         for new, old in zip(*results):
             np.testing.assert_array_equal(new, old)
+
+
+class TestCrossAttentionDecoder:
+    @staticmethod
+    def _attention_rows(monkeypatch, params, grid, plan):
+        """(query, key, value) row counts of each tc.attention call of one
+        masked forward, in call order."""
+        calls, attention = [], tc.attention
+
+        def spy(q, k, v, n_heads):
+            calls.append((q.shape[-2], k.shape[-2], v.shape[-2]))
+            return attention(q, k, v, n_heads)
+
+        monkeypatch.setattr(tc, "attention", spy)
+        model.masked_forward(params, grid, plan, params.tensors())
+        return calls
+
+    # no decoder layer may attend from grid token to grid token: every
+    # one queries from all P*Q*K slots to the n_vis latents only
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.75])
+    def test_decoder_queries_the_grid_against_the_latents(self, rho,
+                                                          monkeypatch):
+        config = model.ModelConfig(d_model=16, n_enc_layers=2,
+                                   n_dec_layers=3, n_heads=2, d_ff=32)
+        _, grid, params, plan = _setup(config, seed=2, rho=rho)
+        n_tokens, n_vis = grid.P * grid.Q * grid.K, plan.visible_ids.size
+        assert n_vis < n_tokens or rho == 0.0
+        calls = self._attention_rows(monkeypatch, params, grid, plan)
+        assert calls == ([(n_vis, n_vis, n_vis)] * 2
+                         + [(n_tokens, n_vis, n_vis)] * 3)
+
+    def test_a_slot_sees_only_its_own_input_and_the_latents(self):
+        # moving the mask token moves exactly the masked tokens' output:
+        # no slot attends to another, so visible ones cannot see it
+        _, grid, params, plan = _setup(seed=4, rho=0.5)
+        t = params.tensors()
+        latents = model.encode(masking.apply_mask(
+            model.embed_for(params, grid, t), plan), t, params.config)
+        out1 = model.decode(latents, plan, t, params, grid.lambdas).data
+        t2 = dict(t)
+        t2["mask_token"] = tc.Tensor(_moved_mask_token(t))
+        out2 = model.decode(latents, plan, t2, params, grid.lambdas).data
+        blocks = (out1 != out2).reshape(grid.P, 9, grid.Q, 9, grid.K, 8)
+        np.testing.assert_array_equal(blocks.any(axis=(1, 3, 5)),
+                                      plan.token_masked)
 
 
 class TestClassify:

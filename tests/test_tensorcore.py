@@ -402,6 +402,13 @@ BATCHED_OPS = {
     "attention_2d_h2": (_attend(2), [(3, 4)] * 3),
     "attention_leading_h1": (_attend(1), [(2, 3, 4)] * 3),
     "attention_leading_h2": (_attend(2), [(2, 3, 4)] * 3),
+    # cross-attention: 3 queries to 5 keys and values, and 5 to 2
+    "attention_cross_2d_h1": (_attend(1), [(3, 4), (5, 4), (5, 4)]),
+    "attention_cross_2d_h2": (_attend(2), [(5, 4), (2, 4), (2, 4)]),
+    "attention_cross_leading_h1": (_attend(1), [(2, 5, 4), (2, 2, 4),
+                                                (2, 2, 4)]),
+    "attention_cross_leading_h2": (_attend(2), [(2, 3, 4), (2, 5, 4),
+                                                (2, 5, 4)]),
 }
 
 
@@ -444,11 +451,13 @@ def _per_head_attention(q, k, v, n_heads):
     return _concat_cols(heads) if n_heads > 1 else heads[0]
 
 
-def _assert_matches_per_head_graph(shape, n_heads):
+def _assert_matches_per_head_graph(shape, n_heads, kv_rows=None):
     """tc.attention's output and q/k/v gradients equal the per-head
-    graph's bit for bit, and leave in C order."""
+    graph's bit for bit, and leave in C order. With kv_rows, k and v
+    have that many rows in place of q's."""
     rng = np.random.default_rng(shape[-2] * 10 + n_heads)
-    arrays = [rng.normal(size=shape) for _ in range(3)]
+    kv = shape if kv_rows is None else (*shape[:-2], kv_rows, shape[-1])
+    arrays = [rng.normal(size=s) for s in (shape, kv, kv)]
     weight = rng.normal(size=shape)
     results = []
     for attend in (tc.attention, _per_head_attention):
@@ -482,6 +491,19 @@ class TestAttention:
         monkeypatch.setattr(tc, "_BLOCK", block)
         _assert_matches_per_head_graph(shape, n_heads)
 
+    # queries to fewer rows (the decoder's grid to the visible latents),
+    # to more, and in row blocks that end inside a head
+    @pytest.mark.parametrize("shape, kv_rows", [
+        ((12, 64), 3), ((3, 64), 12), ((5, 12, 64), 1), ((200, 64), 50),
+        ((5, 12, 64), 7)])
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("block", [None, 89])
+    def test_cross_attention_bit_identical_to_per_head_graph(
+            self, shape, kv_rows, n_heads, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(tc, "_BLOCK", block)
+        _assert_matches_per_head_graph(shape, n_heads, kv_rows)
+
     def test_row_blocks_are_views_of_whole_rows(self, monkeypatch):
         # 1 and 4 heads of 200 rows of 200 scores: 163 rows per block
         assert len(tc._row_blocks(np.empty((1, 200, 200)))) == 2
@@ -509,6 +531,19 @@ class TestAttention:
         with pytest.raises(tc.ShapeError):
             tc.attention(tc.Tensor(np.zeros(4)), tc.Tensor(np.zeros(4)),
                          tc.Tensor(np.zeros(4)), 1)
+
+    @pytest.mark.parametrize("q, k, v", [
+        ((3, 4), (5, 4), (4, 4)),            # k and v row counts differ
+        ((3, 4), (5, 6), (5, 6)),            # k width is not q's
+        ((3, 4), (5, 4), (5, 6)),            # v width is not q's
+        ((2, 3, 4), (3, 5, 4), (3, 5, 4)),   # leading axes differ
+        ((2, 3, 4), (5, 4), (5, 4)),         # k lacks q's leading axis
+        ((3, 4), (2, 5, 4), (2, 5, 4)),      # k has one q lacks
+        ((3, 4), (4,), (4,)),                # k is not a matrix
+    ])
+    def test_cross_attention_shape_errors(self, q, k, v):
+        with pytest.raises(tc.ShapeError, match="attention"):
+            tc.attention(*(tc.Tensor(np.zeros(s)) for s in (q, k, v)), 2)
 
     def test_zero_scores_average_the_values(self):
         # q = 0 gives uniform weights: every output row is the mean of v
