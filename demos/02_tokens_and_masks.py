@@ -42,9 +42,10 @@ print(f"masked cells {plan.cell_masked.sum()}/{grid.P * grid.Q}, "
 print(f"visible tokens {plan.visible_ids.size}/{n_tokens} "
       f"({100 * plan.visible_ids.size / n_tokens:.0f}%)")
 
-# The voxel mask marks exactly the voxels of masked tokens; the masked
-# MSE term of the training loss averages over these and nothing else.
-vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
+# The voxel mask marks exactly the voxels of masked tokens, the voxels
+# that the masked MSE term of the training loss averages over: it reads
+# the masked tokens' rows, each of PATCH_LEN voxels, and nothing else.
+vox = masking.voxel_mask(plan, *normed.values.shape)
 print("masked voxels:", int(vox.sum()), "=",
       plan.masked_ids.size, "x", tokenizer.PATCH_LEN)
 

@@ -34,8 +34,10 @@ _, report, recon = training.masked_loss(params, grid, plan, 0.5,
                                         params.tensors(trainable=set()))
 print("fresh-mask report:", report.to_json())
 
-# The error on the voxels hidden from the encoder, and on those it saw.
-vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
-err = grid.cropped_values - recon.data
-print("masked-voxel RMSE:", float(np.sqrt((err[vox] ** 2).mean())))
-print("visible-voxel RMSE:", float(np.sqrt((err[~vox] ** 2).mean())))
+# The error on the tokens hidden from the encoder, and on those it saw:
+# the reconstruction is one row of 648 voxels per token, laid out as the
+# grid's patches.
+err = grid.patches - recon.data
+masked = plan.token_masked.ravel()
+print("masked-token RMSE:", float(np.sqrt((err[masked] ** 2).mean())))
+print("visible-token RMSE:", float(np.sqrt((err[~masked] ** 2).mean())))

@@ -168,17 +168,18 @@ def cmd_reconstruct(args):
                                             params.tensors(trainable=set()))
     print(report.to_json())
     if args.out:
-        bands = grid.cropped_values.shape[-1]
+        values = tokenizer.to_cube(recon.data.reshape(grid.block_shape))
+        bands = values.shape[-1]
         band_stats = hsidata.NormStats(mean=stats.mean[:bands],
                                        std=stats.std[:bands])
         out_cube = hsidata.denormalize(
-            hsidata.HsiCube(values=recon.data,
+            hsidata.HsiCube(values=values,
                             wavelengths=cube.wavelengths[:bands]),
             band_stats)
         hsidata.save_cube(out_cube, args.out)
         print(f"wrote {args.out}")
     if args.sam_map:
-        angles = loss.sam_map(grid.cropped_values, recon.data)[:, :, None]
+        angles = loss.sam_map(report.cos)
         hsidata.save_cube(hsidata.HsiCube(values=angles,
                                           wavelengths=np.array([1.0])),
                           args.sam_map)

@@ -1,24 +1,22 @@
 """Composite reconstruction objective: masked MSE plus spectral angle.
 
-The MSE term averages squared error over the masked voxels only, so
-its gradient is exactly zero elsewhere. The spectral-angle term
-averages the per-pixel angle between true and reconstructed spectra
-over every (cropped) pixel, so its gradient reaches the whole cube.
-The total is the convex combination alpha * MSE + (1 - alpha) * SAM.
+Both terms compare the decoder's (..., T, 648) token rows with the
+grid's patches, row for row. The MSE term averages squared error over
+the voxels of the masked tokens only, so its gradient is exactly zero
+elsewhere. The spectral-angle term averages the per-pixel angle between
+true and reconstructed spectra over every (cropped) pixel, so its
+gradient reaches every row; a pixel's spectrum lies along the group and
+band axes of the rows' block view (tokenizer.SPECTRAL_AXES). The total
+is the convex combination alpha * MSE + (1 - alpha) * SAM.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensorcore as tc
-
-ZERO_NORM_EPS = 1e-12
-
-
-class EmptyMaskError(ValueError):
-    """No masked voxels; the masked MSE average is undefined."""
+from . import tokenizer
 
 
 @dataclass
@@ -26,10 +24,12 @@ class LossReport:
     l_mse: float
     l_sam: float
     l_rec: float
-    n_masked: int       # |M|
+    n_masked: int       # |M|, in voxels
     n_pixels: int       # |Omega| (valid pixels entering the SAM average)
     n_excluded: int     # zero-norm pixels left out of the SAM average
     alpha: float
+    # each pixel's cosine in block view, NaN where excluded (see sam_map)
+    cos: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self):
         return json.dumps({
@@ -39,79 +39,36 @@ class LossReport:
         })
 
 
-def mse_masked(y, y_hat, mask):
-    """Mean squared error over masked voxels; zero gradient elsewhere."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise EmptyMaskError("masked voxel set is empty")
-    return tc.masked_mse(y, y_hat, mask)
+def sam_map(cos):
+    """Per-pixel spectral angles (radians) as a (..., h, w, 1) cube, from a
+    LossReport's cosines. Excluded pixels read 0. The cosine is clipped to
+    [-1, 1] but not clamped away from it as in the loss, so a perfect
+    pixel reads 0."""
+    return tokenizer.to_cube(
+        np.arccos(np.clip(np.nan_to_num(cos, nan=1.0), -1.0, 1.0)))
 
 
-def _pixel_norms(y2, yh2):
-    """Row norms of (pixels, bands) spectra, and which pixels have an angle.
-
-    A pixel whose true or predicted spectrum has (near-)zero norm has
-    no spectral angle. A non-finite norm raises, as NaN > eps is False.
-    """
-    ny = np.linalg.norm(y2, axis=1)
-    nyh = np.linalg.norm(yh2, axis=1)
-    if not (np.isfinite(ny).all() and np.isfinite(nyh).all()):
-        raise FloatingPointError("non-finite spectrum norm")
-    return ny, nyh, (ny > ZERO_NORM_EPS) & (nyh > ZERO_NORM_EPS)
-
-
-def sam_map(y, y_hat):
-    """Per-pixel spectral angles (radians) of two (h, w, b) arrays, as (h, w).
-
-    Zero-norm pixels read 0. The cosine is clipped to [-1, 1] but not
-    clamped away from it as in sam_loss, so a perfect pixel reads 0.
-    """
-    h, w, b = y.shape
-    y2, yh2 = y.reshape(h * w, b), y_hat.reshape(h * w, b)
-    ny, nyh, valid = _pixel_norms(y2, yh2)
-    rows = slice(None) if valid.all() else valid  # no copy when all valid
-    cos = np.sum(y2[rows] * yh2[rows], axis=1) / (ny[rows] * nyh[rows])
-    angles = np.zeros(h * w)
-    angles[rows] = np.arccos(np.clip(cos, -1.0, 1.0))
-    return angles.reshape(h, w)
-
-
-def sam_loss(y, y_hat):
-    """Mean spectral angle over all pixels; returns (loss, excluded count).
-
-    Pixels whose true or predicted spectrum has (near-)zero norm are
-    excluded from the average and counted instead of raising; only then
-    are the spectra gathered into new rows.
-    """
-    if y.shape != y_hat.shape:
-        raise tc.ShapeError(f"sam_loss: {y.shape} vs {y_hat.shape}")
-    h, w, b = y.shape
-    n = h * w
-    y2, yh2 = y.reshape(n, b), tc.reshape(y_hat, (n, b))
-    ny, nyh, valid = _pixel_norms(y2, yh2.data)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("every pixel has a zero-norm spectrum")
-    if n_valid < n:
-        y2, ny, nyh = y2[valid], ny[valid], nyh[valid]
-        yh2 = tc.gather_rows(yh2, valid)
-    return tc.spectral_angle(y2, yh2, ny, nyh), n - n_valid
-
-
-def rec_loss(y, y_hat, mask, alpha=0.5):
-    """Convex combination of masked MSE and all-pixel SAM.
+def rec_loss(grid, y_hat, token_mask, alpha=0.5):
+    """Convex combination of the MSE over the voxels of the tokens where
+    the (..., T) bool token_mask is True and the spectral angle over every
+    pixel, between the grid's patches and the (..., T, 648) rows y_hat.
 
     Returns (scalar loss tensor, LossReport).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    l_mse = mse_masked(y, y_hat, mask)
-    l_sam, excluded = sam_loss(y, y_hat)
+    l_mse = tc.masked_mse(grid.patches, y_hat, token_mask)
+    view = grid.block_shape
+    l_sam, cos = tc.spectral_angle(grid.patches.reshape(view),
+                                   tc.reshape(y_hat, view),
+                                   tokenizer.SPECTRAL_AXES)
     total = tc.add(tc.scale(l_mse, alpha), tc.scale(l_sam, 1.0 - alpha))
     tc.check_finite(total, "in reconstruction loss")
-    h, w, _ = y_hat.shape
+    excluded = int(np.isnan(cos).sum())
     report = LossReport(
         l_mse=float(l_mse.data), l_sam=float(l_sam.data),
-        l_rec=float(total.data), n_masked=int(np.asarray(mask).sum()),
-        n_pixels=h * w - excluded, n_excluded=excluded, alpha=float(alpha))
+        l_rec=float(total.data),
+        n_masked=int(np.count_nonzero(token_mask)) * grid.patches.shape[-1],
+        n_pixels=cos.size - excluded, n_excluded=excluded, alpha=float(alpha),
+        cos=cos)
     return total, report

@@ -4,11 +4,12 @@ Pre-norm ViT-style blocks. The encoder sees only visible tokens; the
 decoder places encoder latents back at the visible slots of the full
 token grid and a learned mask token at the hidden ones, re-adds the
 positional encodings (mask tokens are otherwise position-blind), and
-maps every token back to its 648 voxel values. Unlike MAE's decoder,
-grid tokens never attend to each other: each layer's queries
-cross-attend to the latents, as in CrossMAE (Fu et al., 2024), so its
-scores are T x n_visible, not T x T; unlike CrossMAE's, visible slots
-query too, as the spectral angle scores every pixel. A separate head
+maps every token back to a row of its 648 voxel values, the layout of
+the grid's patches. Unlike MAE's decoder, grid tokens never attend to
+each other: each layer's queries cross-attend to the latents, as in
+CrossMAE (Fu et al., 2024), so its scores are T x n_visible, not T x T;
+unlike CrossMAE's, visible slots query too, as the spectral angle
+scores every pixel. A separate head
 classifies a cube, or each window of a stack, from the mean-pooled
 latents of an unmasked encoding pass.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from . import masking, tokenizer
 from . import tensorcore as tc
 from .hsidata import atomic_write
-from .tokenizer import PATCH_B, PATCH_H, PATCH_LEN, PATCH_W
+from .tokenizer import PATCH_LEN
 
 CHECKPOINT_MAGIC = "hsimae-checkpoint"
 CHECKPOINT_VERSION = 2  # 2: the decoder cross-attends to the latents
@@ -214,25 +215,18 @@ def _positional_rows(params, P, Q, lambdas, tensors):
 
 
 def decode(latents, plan, tensors, params, lambdas):
-    """Reconstruct the cropped cube from visible-token latents.
+    """Reconstruct every token, visible and masked alike, from the
+    visible-token latents.
 
     `lambdas` are the grid's (K,) group wavelengths. Returns a Tensor of
-    shape (9P, 9Q, 8K) covering every token, visible and masked alike.
+    (P*Q*K, 648) rows in the layout of the grid's patches.
     """
     x = tc.place_rows(latents, ~plan.token_masked.ravel(),
                       tensors["mask_token"])
     x = tc.add(x, _positional_rows(params, plan.P, plan.Q, lambdas, tensors))
     config = params.config
     x = _run_stack(x, tensors, "dec", config.n_dec_layers, config, latents)
-    flat = tc.add(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
-    return _unpatchify(flat, plan.P, plan.Q, plan.K)
-
-
-def _unpatchify(flat, P, Q, K):
-    """(P*Q*K, 648) token rows -> (9P, 9Q, 8K) cube; inverse of partition."""
-    blocks = tc.reshape(flat, (P, Q, K, PATCH_H, PATCH_W, PATCH_B))
-    cube = tc.transpose(blocks, (0, 3, 1, 4, 2, 5))  # (p, i, q, j, k, b)
-    return tc.reshape(cube, (PATCH_H * P, PATCH_W * Q, PATCH_B * K))
+    return tc.add(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
 
 
 def embed_for(params, grid, tensors):
@@ -244,7 +238,8 @@ def embed_for(params, grid, tensors):
 
 
 def masked_forward(params, grid, plan, tensors):
-    """Embed every token, encode the plan's visible ones, decode the cube."""
+    """Embed every token, encode the plan's visible ones, decode every
+    token's (P*Q*K, 648) rows."""
     emb = embed_for(params, grid, tensors)
     latents = encode(masking.apply_mask(emb, plan), tensors, params.config)
     return decode(latents, plan, tensors, params, grid.lambdas)

@@ -19,6 +19,8 @@ import numpy as np
 ARCCOS_CLAMP = 1e-7
 # cosines outside [-1-ARCCOS_SLACK, 1+ARCCOS_SLACK] are a hard error
 ARCCOS_SLACK = 1e-9
+# a spectrum whose norm is at most this has no spectral angle
+ZERO_NORM_EPS = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -293,20 +295,6 @@ def reshape(a, shape):
     return _result(a.data.reshape(shape), (a,), backward)
 
 
-def transpose(a, axes):
-    """Permute axes as numpy does."""
-    a = _wrap(a)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"transpose axes {axes} invalid for shape {a.data.shape}")
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
-
-    return _result(a.data.transpose(axes).copy(), (a,), backward)
-
-
 def gather_rows(a, keep):
     """The rows of a matrix where the bool vector keep is True, in order."""
     a, keep = _wrap(a), np.asarray(keep)
@@ -419,54 +407,79 @@ def cross_entropy(logits, labels):
                    (logits,), backward)
 
 
+def _sum_products(a, b, axes):
+    """sum(a * b) over `axes`, kept at extent 1, as one einsum: it forms
+    no product array, and runs on one thread."""
+    idx = list(range(a.ndim))
+    axes = {ax % a.ndim for ax in np.atleast_1d(axes)}
+    out = np.einsum(a, idx, b, idx, [i for i in idx if i not in axes])
+    return out.reshape([1 if i in axes else n for i, n in enumerate(a.shape)])
+
+
 def masked_mse(y, y_hat, mask):
-    """Mean of (y - y_hat)^2 over the voxels where the bool array mask is
-    True, for a constant y; gradient -2 (y - y_hat) / n there, 0 elsewhere.
-    Like spectral_angle, it rounds as its graph of unfused ops would."""
+    """Mean of (y - y_hat)^2 over the rows of (..., n, m) arrays where the
+    (..., n) bool mask is True, for a constant y; gradient -2 (y - y_hat) /
+    count there, 0 elsewhere. A mask with no True row is a DomainError."""
     y_hat, mask = _wrap(y_hat), np.asarray(mask)
-    if y.shape != y_hat.shape or mask.shape != y.shape or mask.dtype != bool:
+    if (y.shape != y_hat.shape or mask.shape != y.shape[:-1]
+            or mask.dtype != bool):
         raise ShapeError(f"masked_mse: {y.shape}, {y_hat.shape} and a "
-                         f"{mask.dtype} {mask.shape} mask")
-    c = 1.0 / np.count_nonzero(mask)
-    d = (y - y_hat.data) * mask
+                         f"{mask.dtype} {mask.shape} row mask")
+    n = np.count_nonzero(mask)
+    if not n:
+        raise DomainError("masked_mse: the mask selects no row")
+    c = 1.0 / (n * y.shape[-1])
+    d = y - y_hat.data
+    d[~mask] = 0.0
 
     def backward(g):
-        grad = d * float(g * c)
-        grad += grad
-        y_hat._accumulate(np.negative(grad, out=grad))
+        y_hat._accumulate(d * (-2.0 * float(g * c)))
 
-    return _result(np.sum(d * d) * c, (y_hat,), backward)
+    flat = d.ravel()
+    return _result(np.einsum("i,i->", flat, flat) * c, (y_hat,), backward)
 
 
-def spectral_angle(y, y_hat, ny, nyh):
-    """Mean angle between the (n, b) rows of a constant y and of y_hat,
-    given the row norms ny and nyh. A cosine beyond 1 + ARCCOS_SLACK is a
-    DomainError; the rest are clamped to ARCCOS_CLAMP from +-1, so the
-    gradient stays finite. Forward and gradient round as the graph of mul,
-    row sum, sqrt, div and arccos would, which sums the gradient of
-    y_hat's rows in the order: the dot product's, then the norm's twice."""
+def spectral_angle(y, y_hat, axes):
+    """Mean angle between the spectra of a constant y and of y_hat, a
+    spectrum being the values along `axes` at one pixel, and a pixel one
+    index of the other axes. A pixel whose true or predicted spectrum has
+    a norm of at most ZERO_NORM_EPS has no angle and is left out of the
+    mean by a per-pixel mask; a non-finite norm is a FloatingPointError,
+    and a mean over no pixel a DomainError. A cosine beyond 1 +
+    ARCCOS_SLACK is a DomainError; the rest are clamped to ARCCOS_CLAMP
+    from +-1, so the gradient stays finite. Returns the mean, and each
+    pixel's cosine (NaN where it has no angle), with `axes` kept at
+    extent 1."""
     y_hat = _wrap(y_hat)
     x = y_hat.data
-    if x.ndim != 2 or y.shape != x.shape or not (
-            np.shape(ny) == np.shape(nyh) == x.shape[:1]):
-        raise ShapeError(f"spectral_angle: rows {y.shape} and {x.shape}, "
-                         f"norms {np.shape(ny)} and {np.shape(nyh)}")
-    dots = np.sum(y * x, axis=1)
+    if y.shape != x.shape:
+        raise ShapeError(f"spectral_angle: {y.shape} and {x.shape}")
+    dots = _sum_products(y, x, axes)
+    ny = np.sqrt(_sum_products(y, y, axes))
+    nyh = np.sqrt(_sum_products(x, x, axes))
+    if not (np.isfinite(ny).all() and np.isfinite(nyh).all()):
+        raise FloatingPointError("non-finite spectrum norm")
+    valid = (ny > ZERO_NORM_EPS) & (nyh > ZERO_NORM_EPS)
+    if not valid.any():
+        raise DomainError("every pixel has a zero-norm spectrum")
+    if not valid.all():  # a pixel without an angle: unit norms, cosine 0
+        ny, nyh = np.where(valid, ny, 1.0), np.where(valid, nyh, 1.0)
+        dots = np.where(valid, dots, 0.0)
     norms = ny * nyh
     cos = dots / norms
     if np.any(np.abs(cos) > 1.0 + ARCCOS_SLACK):
         raise DomainError(f"cosines outside [-1, 1]: {cos.min()}, {cos.max()}")
     clamped = np.clip(cos, -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP)
-    c = 1.0 / len(x)
+    c = 1.0 / np.count_nonzero(valid)
 
     def backward(g):
-        gc = -float(g * c) / np.sqrt(1.0 - clamped * clamped)
-        p = ((-gc * dots) / (norms * norms) * ny * 0.5 / nyh)[:, None] * x
-        grad = (gc / norms)[:, None] * y + p
-        grad += p
-        y_hat._accumulate(grad)
+        # d angle / d x = -1/sqrt(1 - cos^2) (y / norms - cos x / nyh^2)
+        gc = np.where(valid, -float(g * c) / np.sqrt(1.0 - clamped * clamped),
+                      0.0)
+        y_hat._accumulate(gc / norms * y - gc * cos / (nyh * nyh) * x)
 
-    return _result(np.sum(np.arccos(clamped)) * c, (y_hat,), backward)
+    angle = np.sum(np.arccos(clamped), where=valid) * c
+    return _result(angle, (y_hat,), backward), np.where(valid, cos, np.nan)
 
 
 def _row_blocks(x):

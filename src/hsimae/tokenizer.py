@@ -22,17 +22,35 @@ PATCH_B = 8
 PATCH_LEN = PATCH_H * PATCH_W * PATCH_B  # 648
 
 
+# the patch axes (p, i, q, j, k, b) of a cube's blocks, reordered to the
+# block view (p, q, k, i, j, b) of its token rows
+_TO_BLOCKS = (0, 2, 4, 1, 3, 5)
+# the group and band axes of the block view: a pixel's spectrum
+SPECTRAL_AXES = (-4, -1)
+
+
 @dataclass
 class TokenGrid:
-    """(p, q, k)-indexed patches of one cube, plus the cropped target values."""
+    """(p, q, k)-indexed patches of one cube."""
 
     P: int
     Q: int
     K: int
-    patches: np.ndarray        # (..., P*Q*K, 648), (p, q, k) in C order;
-                               # each flattened i-outer, j-middle, b-inner
-    cropped_values: np.ndarray  # (..., 9P, 9Q, 8K), the loss target region
-    lambdas: np.ndarray        # (K,) mean band-center wavelength of each group
+    patches: np.ndarray  # (..., P*Q*K, 648), (p, q, k) in C order;
+                         # each flattened i-outer, j-middle, b-inner
+    lambdas: np.ndarray  # (K,) mean band-center wavelength of each group
+
+    @property
+    def block_shape(self):
+        """The shape (..., P, Q, K, 9, 9, 8) of the rows' block view."""
+        return self.patches.shape[:-2] + (self.P, self.Q, self.K,
+                                          PATCH_H, PATCH_W, PATCH_B)
+
+
+def _permute(a, axes):
+    """Permute the last six axes of a."""
+    n = a.ndim - 6
+    return a.transpose(*range(n), *(n + np.array(axes)))
 
 
 def partition(cube):
@@ -46,13 +64,20 @@ def partition(cube):
         raise ValueError(f"cube {h}x{w}x{b} smaller than one patch")
     P, Q, K = h // PATCH_H, w // PATCH_W, b // PATCH_B
     region = cube.values[..., :PATCH_H * P, :PATCH_W * Q, :PATCH_B * K]
-    n = len(lead)
     blocks = region.reshape(*lead, P, PATCH_H, Q, PATCH_W, K, PATCH_B)
-    patches = (blocks.transpose(*range(n), *(n + np.array([0, 2, 4, 1, 3, 5])))
-               .copy().reshape(*lead, -1, PATCH_LEN))
+    patches = _permute(blocks, _TO_BLOCKS).copy().reshape(*lead, -1, PATCH_LEN)
     lambdas = cube.wavelengths[:PATCH_B * K].reshape(K, PATCH_B).mean(axis=1)
-    return TokenGrid(P=P, Q=Q, K=K, patches=patches,
-                     cropped_values=region.copy(), lambdas=lambdas)
+    return TokenGrid(P=P, Q=Q, K=K, patches=patches, lambdas=lambdas)
+
+
+def to_cube(blocks):
+    """(..., P, Q, K, h, w, b) blocks -> (..., P*h, Q*w, K*b) cube, in
+    numpy: the inverse of partition for token rows in their block view,
+    and a (..., 9P, 9Q, 1) map for per-pixel values kept at extent 1
+    along SPECTRAL_AXES."""
+    *lead, P, Q, K, h, w, b = blocks.shape
+    return _permute(blocks, np.argsort(_TO_BLOCKS)).reshape(
+        *lead, P * h, Q * w, K * b)
 
 
 def report_cropping(shape):

@@ -165,15 +165,15 @@ class TrainSettings:
 
 
 def masked_loss(params, grid, plan, alpha, tensors):
-    """(total, LossReport, reconstruction) of the pre-training objective:
-    MSE on the plan's masked voxels and spectral angle, weighted by
-    `alpha`. A plan that masks nothing is a ValueError naming the ratios."""
+    """(total, LossReport, reconstructed token rows) of the pre-training
+    objective: MSE on the plan's masked tokens and spectral angle, weighted
+    by `alpha`. A plan that masks nothing is a ValueError naming the ratios."""
     if not plan.masked_ids.size:
         raise ValueError(f"mask ratios rho_s={plan.rho_s}, rho_b={plan.rho_b}"
                          " leave no masked tokens; the masked MSE is undefined")
     recon = model.masked_forward(params, grid, plan, tensors)
-    mask = masking.voxel_mask(plan, *grid.cropped_values.shape)
-    total, report = loss.rec_loss(grid.cropped_values, recon, mask, alpha)
+    total, report = loss.rec_loss(grid, recon, plan.token_masked.ravel(),
+                                  alpha)
     return total, report, recon
 
 

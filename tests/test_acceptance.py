@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hsimae import hsidata, loss, masking, model, tokenizer, training
+from hsimae import hsidata, masking, model, tokenizer, training
 from hsimae import tensorcore as tc
 
 EM_SEED = 555  # one shared material family across the transfer cubes
@@ -66,9 +66,9 @@ class TestSpectralAngleProperties:
         rng = np.random.default_rng(1)
         y = rng.normal(size=6)
 
-        def angle(a, b):  # one pixel, as (1, 1, bands) cubes
-            out, _ = loss.sam_loss(a.reshape(1, 1, -1),
-                                   tc.Tensor(b.reshape(1, 1, -1)))
+        def angle(a, b):  # one pixel, as (1, bands) spectra
+            out, _ = tc.spectral_angle(a.reshape(1, -1),
+                                       tc.Tensor(b.reshape(1, -1)), -1)
             return float(out.data)
 
         # identical spectra: clamp-limited, not exactly zero
@@ -87,7 +87,8 @@ class TestSpectralAngleProperties:
             r = np.random.default_rng(seed)
             a = r.normal(size=(5, 5, 8))
             b = r.normal(size=(5, 5, 8))
-            got, excluded = loss.sam_loss(a, tc.Tensor(b))
+            got, cos = tc.spectral_angle(a, tc.Tensor(b), -1)
+            excluded = np.isnan(cos).sum()
             angles = []
             for i in range(5):
                 for j in range(5):
@@ -101,27 +102,40 @@ class TestSpectralAngleProperties:
 
 
 class TestGradientFootprint:
-    def test_mse_zero_outside_mask_total_dense(self):
+    def test_mse_zero_outside_mask_total_dense(self, monkeypatch):
         t0 = time.monotonic()
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=4)
         normed, _ = hsidata.normalize(cube)
         grid = tokenizer.partition(normed)
         plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, 0.5, 0.5,
                                         seed=8)
-        vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
-        rng = np.random.default_rng(5)
+        params = model.init_params(model.micro_config(), grid.P, grid.Q,
+                                   grid.K, 3, seed=5)
+        masked = plan.token_masked.ravel()
+        forward = model.masked_forward
 
-        y_hat = tc.Tensor(rng.normal(size=vox.shape), requires_grad=True)
-        loss.mse_masked(grid.cropped_values, y_hat, vox).backward()
-        assert np.all(y_hat.grad[~vox] == 0.0)
-        assert np.count_nonzero(y_hat.grad[vox]) > 0
+        def rows_gradient(alpha):
+            """The gradient that training.masked_loss gives the decoder's
+            rows, which are made a leaf so that backward keeps it."""
+            rows = []
 
-        y_hat = tc.Tensor(rng.normal(size=vox.shape), requires_grad=True)
-        total, report = loss.rec_loss(grid.cropped_values, y_hat, vox,
-                                      alpha=0.5)
-        total.backward()
+            def leaf_rows(*args):
+                rows.append(tc.Tensor(forward(*args).data, requires_grad=True))
+                return rows[0]
+
+            monkeypatch.setattr(model, "masked_forward", leaf_rows)
+            total, report, _ = training.masked_loss(
+                params, grid, plan, alpha, params.tensors(trainable=set()))
+            total.backward()
+            return rows[0].grad, report
+
+        grad, _ = rows_gradient(1.0)  # the masked MSE alone
+        assert np.all(grad[~masked] == 0.0)
+        assert np.count_nonzero(grad[masked]) > 0
+
+        grad, report = rows_gradient(0.5)
         assert report.n_excluded == 0
-        frac = np.count_nonzero(y_hat.grad) / y_hat.grad.size
+        frac = np.count_nonzero(grad) / grad.size
         assert frac >= 0.99
         assert time.monotonic() - t0 < 10.0
         _verdict("asymmetric gradient footprint")
@@ -139,11 +153,7 @@ class TestGradientFidelityFullModel:
                                    grid.K, 2, seed=3)
 
         def forward(tensors):
-            recon = model.masked_forward(params, grid, plan, tensors)
-            vox = masking.voxel_mask(plan, *grid.cropped_values.shape)
-            total, _ = loss.rec_loss(grid.cropped_values, recon, vox,
-                                     alpha=0.5)
-            return total
+            return training.masked_loss(params, grid, plan, 0.5, tensors)[0]
 
         tensors = params.tensors()
         forward(tensors).backward()

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from hsimae import cli, hsidata, model, training
+from hsimae import cli, hsidata, loss, model, training
+from hsimae import tensorcore as tc
 from test_hsidata import hsc_bytes
 from test_model import rewrite_header
 from test_training import nan_at_a_masked_voxel
@@ -288,6 +289,27 @@ class TestReconstructCmd:
         assert report["n_masked"] > 0
         assert hsidata.load_cube(recon).bands == 24
         assert hsidata.load_cube(sam_map).bands == 1
+
+    def test_sam_map_reuses_the_losss_cosines(self, small_cube, tmp_path,
+                                              monkeypatch):
+        # pixel norms are computed only by the spectral-angle op, and one
+        # reconstruct --sam-map runs it once: the map reads its cosines
+        path, _ = small_cube
+        ckpt, sam_map = tmp_path / "m.ckpt", tmp_path / "sam.hsc"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        calls, angle = [], tc.spectral_angle
+
+        def spy(*args):
+            calls.append(angle(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(tc, "spectral_angle", spy)
+        assert run(["reconstruct", "--checkpoint", str(ckpt), "--data",
+                    str(path), "--sam-map", str(sam_map)]) == 0
+        assert len(calls) == 1
+        np.testing.assert_array_equal(hsidata.load_cube(sam_map).values,
+                                      loss.sam_map(calls[0][1]))
 
     def test_zero_mask_rejected_with_guidance(self, small_cube, tmp_path,
                                               capsys):

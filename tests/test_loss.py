@@ -1,61 +1,135 @@
+import json
+
 import numpy as np
 import pytest
 
-from hsimae import loss, masking
+from hsimae import hsidata, loss, masking, tokenizer
 from hsimae import tensorcore as tc
 from fdcheck import finite_diff_grad, assert_grads_close
 
-
-def _pair(shape=(3, 3, 8), seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=shape), rng.normal(size=shape)
+EPS = 1e-12  # the zero-norm threshold of the cube-layout objective
 
 
-class TestMseMasked:
-    def test_perfect_reconstruction(self):
-        y, _ = _pair()
-        mask = np.zeros(y.shape, dtype=bool)
-        mask[0, 0, :] = True
-        out = loss.mse_masked(y, tc.Tensor(y), mask)
-        assert float(out.data) == 0.0
+def _grid(values):
+    """The token grid of an (h, w, b) array of values."""
+    b = values.shape[-1]
+    return tokenizer.partition(hsidata.HsiCube(
+        values=values, wavelengths=np.linspace(0.4, 2.5, b)))
 
-    def test_unit_gap(self):
-        y = np.ones((2, 2, 4))
-        yh = np.zeros((2, 2, 4))
-        mask = np.zeros(y.shape, dtype=bool)
-        mask[0, :, :2] = True
-        out = loss.mse_masked(y, tc.Tensor(yh), mask)
-        assert float(out.data) == 1.0
 
-    def test_hand_enumerated(self):
-        y = np.array([0.0, 1.0, 2.0, 3.0]).reshape(1, 1, 4)
-        yh = np.ones((1, 1, 4))
-        mask = np.array([True, False, False, True]).reshape(1, 1, 4)
-        expected = ((0 - 1) ** 2 + (3 - 1) ** 2) / 2
-        out = loss.mse_masked(y, tc.Tensor(yh), mask)
-        assert float(out.data) == pytest.approx(expected)
-        assert expected == 2.5
+def _rows(values):
+    """An (h, w, b) array's token rows, as partition lays them out."""
+    return _grid(values).patches
 
-    def test_empty_mask_errors(self):
-        y, yh = _pair()
-        with pytest.raises(loss.EmptyMaskError):
-            loss.mse_masked(y, tc.Tensor(yh), np.zeros(y.shape, dtype=bool))
 
-    def test_gradient_zero_outside_mask(self):
-        y, yh = _pair(seed=1)
-        plan = masking.sample_mask_plan(1, 1, 1, 0.0, 0.0, seed=0)
-        mask = np.zeros(y.shape, dtype=bool)
-        mask[1, 2, 3] = mask[0, 0, 0] = True
-        yh_t = tc.Tensor(yh, requires_grad=True)
-        loss.mse_masked(y, yh_t, mask).backward()
-        assert np.all(yh_t.grad[~mask] == 0.0)
-        assert np.all(yh_t.grad[mask] != 0.0)
+# -- the cube-layout objective, as the engine computed it before the -----
+# -- objective read token rows: the reference the token layout must match -
+
+
+def _unpatchify(rows, P, Q, K):
+    """(P*Q*K, 648) token rows -> (9P, 9Q, 8K) cube, as one graph node."""
+    blocks = rows.data.reshape(P, Q, K, 9, 9, 8)
+
+    def backward(g):
+        rows._accumulate(g.reshape(P, 9, Q, 9, K, 8)
+                         .transpose(0, 2, 4, 1, 3, 5).reshape(rows.shape))
+
+    return tc._result(blocks.transpose(0, 3, 1, 4, 2, 5)
+                      .reshape(9 * P, 9 * Q, 8 * K), (rows,), backward)
+
+
+def _cube_masked_mse(y, y_hat, mask):
+    c = 1.0 / np.count_nonzero(mask)
+    d = (y - y_hat.data) * mask
+
+    def backward(g):
+        grad = d * float(g * c)
+        grad += grad
+        y_hat._accumulate(np.negative(grad, out=grad))
+
+    return tc._result(np.sum(d * d) * c, (y_hat,), backward)
+
+
+def _cube_angle(y, y_hat, ny, nyh):
+    x = y_hat.data
+    dots = np.sum(y * x, axis=1)
+    norms = ny * nyh
+    clamped = np.clip(dots / norms, -1.0 + tc.ARCCOS_CLAMP,
+                      1.0 - tc.ARCCOS_CLAMP)
+    c = 1.0 / len(x)
+
+    def backward(g):
+        gc = -float(g * c) / np.sqrt(1.0 - clamped * clamped)
+        p = ((-gc * dots) / (norms * norms) * ny * 0.5 / nyh)[:, None] * x
+        grad = (gc / norms)[:, None] * y + p
+        grad += p
+        y_hat._accumulate(grad)
+
+    return tc._result(np.sum(np.arccos(clamped)) * c, (y_hat,), backward)
+
+
+def _cube_sam(y, y_hat):
+    h, w, b = y.shape
+    y2, yh2 = y.reshape(h * w, b), tc.reshape(y_hat, (h * w, b))
+    ny, nyh = np.linalg.norm(y2, axis=1), np.linalg.norm(yh2.data, axis=1)
+    valid = (ny > EPS) & (nyh > EPS)
+    if not valid.all():
+        y2, ny, nyh = y2[valid], ny[valid], nyh[valid]
+        yh2 = tc.gather_rows(yh2, valid)
+    return _cube_angle(y2, yh2, ny, nyh), int((~valid).sum())
+
+
+def _cube_objective(grid, y_hat, plan, alpha):
+    """(total, l_mse, l_sam, n_masked, n_pixels, n_excluded) of the
+    objective on the cropped cube, with a voxel mask of the whole cube."""
+    region = tokenizer.to_cube(grid.patches.reshape(grid.block_shape))
+    recon = _unpatchify(y_hat, grid.P, grid.Q, grid.K)
+    vox = masking.voxel_mask(plan, *region.shape)
+    l_mse = _cube_masked_mse(region, recon, vox)
+    l_sam, excluded = _cube_sam(region, recon)
+    total = tc.add(tc.scale(l_mse, alpha), tc.scale(l_sam, 1.0 - alpha))
+    n_pixels = region.shape[0] * region.shape[1]
+    return (total, float(l_mse.data), float(l_sam.data), int(vox.sum()),
+            n_pixels - excluded, excluded)
+
+
+def _close(a, b, rel=1e-12):
+    """a and b agree to rel of the larger magnitude in either."""
+    return np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(a)),
+                                              np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("zero_pixels", [False, True])
+def test_token_layout_matches_the_cube_layout_objective(rho, zero_pixels):
+    rng = np.random.default_rng(int(rho * 100) + zero_pixels)
+    values = rng.normal(size=(29, 31, 26))  # crops 2 rows, 4 cols, 2 bands
+    predicted = rng.normal(size=values.shape)
+    if zero_pixels:
+        values[3, 5] = values[20, 26] = 0.0      # zero-norm truth
+        predicted[11, 0, :24] = 0.0              # zero-norm reconstruction
+    grid = _grid(values)
+    plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, rho, rho, seed=4)
+    rows = _rows(predicted)
+    ref_hat = tc.Tensor(rows, requires_grad=True)
+    ref, *counts = _cube_objective(grid, ref_hat, plan, alpha=0.4)
+    ref.backward()
+    y_hat = tc.Tensor(rows, requires_grad=True)
+    total, report = loss.rec_loss(grid, y_hat, plan.token_masked.ravel(),
+                                  alpha=0.4)
+    total.backward()
+    assert _close(report.l_mse, counts[0]) and _close(report.l_sam, counts[1])
+    assert _close(report.l_rec, float(ref.data))
+    assert _close(y_hat.grad, ref_hat.grad)
+    assert (report.n_masked, report.n_pixels, report.n_excluded) == tuple(
+        counts[2:])
+    assert report.n_excluded == (3 if zero_pixels else 0)
 
 
 def pixel_angle(y, y_hat):
-    """sam_loss of two spectra as (1, 1, b) cubes: the one pixel's angle."""
-    out, _ = loss.sam_loss(np.reshape(y, (1, 1, -1)),
-                           tc.Tensor(np.reshape(y_hat, (1, 1, -1))))
+    """The spectral angle of two spectra, as one pixel."""
+    out, _ = tc.spectral_angle(np.reshape(y, (1, -1)),
+                               tc.Tensor(np.reshape(y_hat, (1, -1))), -1)
     return float(out.data)
 
 
@@ -94,226 +168,122 @@ class TestSamPixel:
             pixel_angle(np.zeros(4), np.ones(4))
 
 
-class TestSamLoss:
-    def test_scaled_reconstruction_is_zero(self):
-        y, _ = _pair(seed=4)
-        out, excluded = loss.sam_loss(y, tc.Tensor(3.7 * y))
-        assert float(out.data) <= 5e-4
-        assert excluded == 0
-
-    def test_averaging(self):
-        y = np.zeros((1, 2, 2))
-        y[0, 0] = [1.0, 0.0]
-        y[0, 1] = [1.0, 0.0]
-        yh = y.copy()
-        yh[0, 1] = [0.0, 1.0]  # orthogonalize one of two pixels
-        out, _ = loss.sam_loss(y, tc.Tensor(yh))
-        # identical pixel reads ~4.5e-4 rad because of the arccos clamp
-        assert float(out.data) == pytest.approx(np.pi / 4, abs=3e-4)
-
-    def test_brute_force_oracle(self):
-        y, yh = _pair(shape=(5, 5, 8), seed=5)
-        out, _ = loss.sam_loss(y, tc.Tensor(yh))
-        angles = []
-        for i in range(5):
-            for j in range(5):
-                a, b = y[i, j], yh[i, j]
-                cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-                cos = np.clip(cos, -1 + 1e-7, 1 - 1e-7)
-                angles.append(np.arccos(cos))
-        assert float(out.data) == pytest.approx(np.mean(angles), abs=1e-9)
-
-    def test_zero_norm_pixels_excluded_and_counted(self):
-        y, yh = _pair(shape=(2, 2, 4), seed=6)
-        y[0, 0] = 0.0
-        out, excluded = loss.sam_loss(y, tc.Tensor(yh))
-        assert excluded == 1
-        assert np.isfinite(float(out.data))
-
-    def test_all_zero_errors(self):
-        with pytest.raises(ValueError):
-            loss.sam_loss(np.zeros((2, 2, 4)), tc.Tensor(np.ones((2, 2, 4))))
-
-    # a NaN norm is not a zero norm (NaN > eps is False): one NaN pixel
-    # must not be quietly excluded, nor an all-NaN prediction reported as
-    # zero-norm data
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_pixel_is_a_numeric_failure(self, bad):
-        y, yh = _pair(shape=(2, 2, 4), seed=6)
-        yh[1, 0, 2] = bad
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            loss.sam_loss(y, tc.Tensor(yh))
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            loss.sam_map(y, yh)
-
-    @staticmethod
-    def _gathered_sam(y, y_hat):
-        """sam_loss with every pixel gathered into new rows, then the
-        fused angle: the bit-for-bit reference for the path without
-        excluded pixels."""
-        h, w, b = y.shape
-        valid = np.ones(h * w, dtype=bool)
-        yv = y.reshape(h * w, b)[valid]
-        yhv = tc.gather_rows(tc.reshape(y_hat, (h * w, b)), valid)
-        return tc.spectral_angle(yv, yhv, np.linalg.norm(yv, axis=1),
-                                 np.linalg.norm(yhv.data, axis=1))
-
-    def test_no_excluded_pixel_equals_gathered_path_without_gather(
-            self, monkeypatch):
-        y, yh = _pair(shape=(6, 5, 16), seed=8)
-        ref_hat = tc.Tensor(yh, requires_grad=True)
-        ref = self._gathered_sam(y, ref_hat)
-        ref.backward()
-        monkeypatch.setattr(tc, "gather_rows", _refuse_gather)
-        y_hat = tc.Tensor(yh, requires_grad=True)
-        out, excluded = loss.sam_loss(y, y_hat)
-        out.backward()
-        assert excluded == 0
-        np.testing.assert_array_equal(out.data, ref.data)
-        np.testing.assert_array_equal(y_hat.grad, ref_hat.grad)
-
-    def test_excluded_pixels_are_gathered(self, monkeypatch):
-        y, yh = _pair(shape=(2, 2, 4), seed=6)
-        y[0, 0] = 0.0
-        calls, gather = [], tc.gather_rows
-        monkeypatch.setattr(tc, "gather_rows",
-                            lambda a, keep: calls.append(keep) or gather(a, keep))
-        y_hat = tc.Tensor(yh, requires_grad=True)
-        loss.sam_loss(y, y_hat)[0].backward()
-        # the constant target's rows are gathered by numpy indexing
-        assert len(calls) == 1
-        assert calls[0].tolist() == [False, True, True, True]
-        assert not y_hat.grad[0, 0].any() and y_hat.grad[1:].all()
-
-    def test_gradient_with_excluded_pixels_matches_finite_differences(self):
-        y, yh = _pair(shape=(3, 2, 4), seed=12)
-        y[0, 1] = y[2, 0] = 0.0
-        y_hat = tc.Tensor(yh, requires_grad=True)
-        out, excluded = loss.sam_loss(y, y_hat)
-        out.backward()
-        assert excluded == 2
-
-        def f(yh_arr):
-            return float(loss.sam_loss(y, tc.Tensor(yh_arr))[0].data)
-
-        numeric = finite_diff_grad(f, [yh], wrt=0, h=1e-5)
-        assert_grads_close(y_hat.grad, numeric, rel=1e-6, abs_tol=1e-9)
-        assert not y_hat.grad[0, 1].any() and not y_hat.grad[2, 0].any()
-
-
-def _refuse_gather(a, keep):
-    raise AssertionError("gather_rows called with no pixel excluded")
-
-
 def test_sam_map_matches_per_pixel_loop():
-    y, yh = _pair(shape=(6, 5, 8), seed=7)
+    rng = np.random.default_rng(7)
+    y, yh = rng.normal(size=(18, 9, 16)), rng.normal(size=(18, 9, 16))
     y[0, 0] = 0.0           # zero-norm truth
-    yh[2, 3] = 1e-14        # (near-)zero-norm reconstruction
-    ref = np.zeros((6, 5))
-    for i in range(6):
-        for j in range(5):
+    yh[12, 3] = 1e-14       # (near-)zero-norm reconstruction
+    yh[4, 4] = 2.0 * y[4, 4]  # a perfect pixel reads 0, not the clamp
+    ref = np.zeros((18, 9))
+    for i in range(18):
+        for j in range(9):
             ny, nyh = np.linalg.norm(y[i, j]), np.linalg.norm(yh[i, j])
-            if ny > loss.ZERO_NORM_EPS and nyh > loss.ZERO_NORM_EPS:
+            if ny > EPS and nyh > EPS:
                 cos = np.clip(y[i, j] @ yh[i, j] / (ny * nyh), -1.0, 1.0)
                 ref[i, j] = np.arccos(cos)
-    got = loss.sam_map(y, yh)
-    assert got.shape == (6, 5)
-    assert got[0, 0] == 0.0 and got[2, 3] == 0.0
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-
-
-def test_sam_map_without_excluded_pixels_equals_gathered_rows():
-    y, yh = _pair(shape=(6, 5, 16), seed=9)
-    y2, yh2 = y.reshape(30, 16), yh.reshape(30, 16)
-    valid = np.ones(30, dtype=bool)  # the boolean row copy sam_map skips
-    cos = (np.sum(y2[valid] * yh2[valid], axis=1)
-           / (np.linalg.norm(y2, axis=1) * np.linalg.norm(yh2, axis=1)))
-    ref = np.arccos(np.clip(cos, -1.0, 1.0)).reshape(6, 5)
-    np.testing.assert_array_equal(loss.sam_map(y, yh), ref)
+    grid = _grid(y)
+    _, report = loss.rec_loss(grid, tc.Tensor(_rows(yh)),
+                              np.ones(4, dtype=bool))
+    got = loss.sam_map(report.cos)
+    assert got.shape == (18, 9, 1)
+    assert got[0, 0, 0] == 0.0 and got[12, 3, 0] == 0.0
+    assert report.n_excluded == 2
+    np.testing.assert_allclose(got[..., 0], ref, rtol=0, atol=1e-12)
+    assert got[4, 4, 0] < 1e-7
 
 
 class TestRecLoss:
     def _setup(self, seed=7):
-        y, yh = _pair(shape=(3, 3, 8), seed=seed)
-        mask = np.zeros(y.shape, dtype=bool)
-        mask[:2, :, :4] = True
-        return y, yh, mask
+        """A 2x2x1 grid, its rows' predictions, and a two-token mask."""
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(18, 18, 8))
+        grid = _grid(values)
+        y_hat = grid.patches + rng.normal(size=grid.patches.shape)
+        return grid, y_hat, np.array([True, False, False, True])
 
     def test_alpha_endpoints(self):
-        y, yh, mask = self._setup()
-        t1, r1 = loss.rec_loss(y, tc.Tensor(yh), mask, alpha=1.0)
+        grid, yh, mask = self._setup()
+        t1, r1 = loss.rec_loss(grid, tc.Tensor(yh), mask, alpha=1.0)
         assert r1.l_rec == r1.l_mse
-        t0, r0 = loss.rec_loss(y, tc.Tensor(yh), mask, alpha=0.0)
+        t0, r0 = loss.rec_loss(grid, tc.Tensor(yh), mask, alpha=0.0)
         assert r0.l_rec == r0.l_sam
 
-    def test_plug_in_combination(self):
-        y = np.array([0.0, 1.0, 2.0, 3.0]).reshape(1, 1, 4)
-        yh = np.ones((1, 1, 4))
-        mask = np.array([True, False, False, True]).reshape(1, 1, 4)
-        _, rep = loss.rec_loss(y, tc.Tensor(yh), mask, alpha=0.5)
-        assert rep.l_mse == pytest.approx(2.5)
-        assert rep.l_rec == pytest.approx(0.5 * 2.5 + 0.5 * rep.l_sam)
+    def test_mse_over_the_masked_tokens(self):
+        grid, yh, mask = self._setup(seed=3)
+        yh[mask] = grid.patches[mask] + 2.0  # every masked voxel off by 2
+        _, rep = loss.rec_loss(grid, tc.Tensor(yh), mask, alpha=0.5)
+        assert rep.l_mse == 4.0
+        assert rep.l_rec == pytest.approx(0.5 * 4.0 + 0.5 * rep.l_sam)
 
     def test_report_invariant(self):
-        y, yh, mask = self._setup(seed=8)
-        total, rep = loss.rec_loss(y, tc.Tensor(yh), mask, alpha=0.3)
+        grid, yh, mask = self._setup(seed=8)
+        total, rep = loss.rec_loss(grid, tc.Tensor(yh), mask, alpha=0.3)
         assert rep.l_rec == 0.3 * rep.l_mse + 0.7 * rep.l_sam
         assert 0.0 <= rep.l_sam <= np.pi
-        assert rep.n_masked == mask.sum()
+        assert rep.n_masked == 2 * 648
+        assert (rep.n_pixels, rep.n_excluded) == (18 * 18, 0)
         assert float(total.data) == rep.l_rec
 
     def test_monotone_in_components(self):
-        y, yh, mask = self._setup(seed=9)
-        _, rep = loss.rec_loss(y, tc.Tensor(yh), mask, alpha=0.5)
-        worse = yh + 0.0
+        grid, yh, mask = self._setup(seed=9)
+        _, rep = loss.rec_loss(grid, tc.Tensor(yh), mask, alpha=0.5)
+        worse = yh.copy()
         worse[mask] += 1.0  # inflate masked error only
-        _, rep2 = loss.rec_loss(y, tc.Tensor(worse), mask, alpha=0.5)
+        _, rep2 = loss.rec_loss(grid, tc.Tensor(worse), mask, alpha=0.5)
         assert rep2.l_mse > rep.l_mse
 
     def test_gradient_footprint(self):
-        y, yh, mask = self._setup(seed=10)
+        grid, yh, mask = self._setup(seed=10)
         yh_t = tc.Tensor(yh, requires_grad=True)
-        total, _ = loss.rec_loss(y, yh_t, mask, alpha=0.5)
+        total, _ = loss.rec_loss(grid, yh_t, mask, alpha=0.5)
         total.backward()
-        # SAM reaches everything, so unmasked voxels still get gradient
-        assert np.count_nonzero(yh_t.grad[~mask]) >= 0.99 * (~mask).sum()
-        # masked voxel gradient = MSE part + SAM part
+        # SAM reaches everything, so unmasked rows still get gradient
+        assert np.count_nonzero(yh_t.grad[~mask]) >= 0.99 * yh[~mask].size
+        # gradient = MSE part + SAM part, the MSE part only on masked rows
         yh_m = tc.Tensor(yh, requires_grad=True)
-        loss.mse_masked(y, yh_m, mask).backward()
+        loss.rec_loss(grid, yh_m, mask, alpha=1.0)[0].backward()
+        assert not yh_m.grad[~mask].any() and yh_m.grad[mask].all()
         yh_s = tc.Tensor(yh, requires_grad=True)
-        loss.sam_loss(y, yh_s)[0].backward()
+        loss.rec_loss(grid, yh_s, mask, alpha=0.0)[0].backward()
         np.testing.assert_allclose(
-            yh_t.grad, 0.5 * yh_m.grad + 0.5 * yh_s.grad, rtol=1e-12, atol=1e-15)
+            yh_t.grad, 0.5 * yh_m.grad + 0.5 * yh_s.grad, rtol=1e-12,
+            atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
-        y, yh, mask = self._setup(seed=11)
+        rng = np.random.default_rng(11)
+        grid = _grid(rng.normal(size=(9, 10, 17)))  # two tokens, cropped
+        yh = rng.normal(size=grid.patches.shape)
+        mask = np.array([False, True])
         yh_t = tc.Tensor(yh, requires_grad=True)
-        total, _ = loss.rec_loss(y, yh_t, mask, alpha=0.5)
+        total, _ = loss.rec_loss(grid, yh_t, mask, alpha=0.5)
         total.backward()
 
         def f(yh_arr):
-            t, _ = loss.rec_loss(y, tc.Tensor(yh_arr), mask, alpha=0.5)
+            t, _ = loss.rec_loss(grid, tc.Tensor(yh_arr), mask, alpha=0.5)
             return float(t.data)
 
         numeric = finite_diff_grad(f, [yh], wrt=0, h=1e-5)
         assert_grads_close(yh_t.grad, numeric, rel=1e-6, abs_tol=1e-9)
 
     def test_all_nan_prediction_is_a_numeric_failure(self):
-        y, _ = _pair(shape=(3, 3, 8), seed=2)
-        mask = np.zeros(y.shape, dtype=bool)
-        mask[0, 0, :4] = True
+        grid, yh, mask = self._setup(seed=2)
         with pytest.raises(FloatingPointError):
-            loss.rec_loss(y, tc.Tensor(np.full(y.shape, np.nan)), mask)
+            loss.rec_loss(grid, tc.Tensor(np.full(yh.shape, np.nan)), mask)
+
+    def test_empty_mask_is_a_domain_error(self):
+        grid, yh, _ = self._setup()
+        with pytest.raises(tc.DomainError):
+            loss.rec_loss(grid, tc.Tensor(yh), np.zeros(4, dtype=bool))
 
     def test_bad_alpha(self):
-        y, yh, mask = self._setup()
+        grid, yh, mask = self._setup()
         with pytest.raises(ValueError):
-            loss.rec_loss(y, tc.Tensor(yh), mask, alpha=1.5)
+            loss.rec_loss(grid, tc.Tensor(yh), mask, alpha=1.5)
 
 
 def test_report_json_round_trip():
-    import json
     rep = loss.LossReport(l_mse=1.0, l_sam=0.5, l_rec=0.75, n_masked=10,
                           n_pixels=9, n_excluded=0, alpha=0.5)
     d = json.loads(rep.to_json())
     assert d["l_rec"] == 0.75 and d["n_masked"] == 10
+    assert "cos" not in d

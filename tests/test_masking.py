@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsimae import masking
+from hsimae import hsidata, masking, model, tokenizer, training
 from hsimae import tensorcore as tc
 
 
@@ -123,6 +123,23 @@ class TestVoxelMask:
         assert not m[18, :, :].any()
         assert not m[:, 9, :].any()
         assert not m[:, :, 8].any()
+
+    # voxel_mask has no caller in src/; it stays tied to the objective's
+    # count, which bench/checks.py reads as n_masked
+    @pytest.mark.parametrize("shape, rho", [
+        ((27, 27, 24), 0.5), ((29, 31, 26), 0.25), ((29, 31, 26), 0.75),
+        ((18, 36, 17), 0.5)])
+    def test_sum_is_the_objectives_masked_count(self, shape, rho):
+        cube, _ = hsidata.normalize(hsidata.gen_synthetic(*shape, 2, seed=3))
+        grid = tokenizer.partition(cube)
+        params = model.init_params(model.micro_config(), grid.P, grid.Q,
+                                   grid.K, 2, seed=3)
+        for seed in range(3):
+            plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, rho, rho,
+                                            seed)
+            _, report, _ = training.masked_loss(
+                params, grid, plan, 0.5, params.tensors(trainable=set()))
+            assert masking.voxel_mask(plan, *shape).sum() == report.n_masked
 
 
 def test_plan_json_round_trip():

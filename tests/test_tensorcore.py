@@ -68,25 +68,6 @@ class TestElementwise:
         out = tc.add(tc.Tensor(np.array([1.0, 2.0])), tc.Tensor(3.0))
         np.testing.assert_array_equal(out.data, [4.0, 5.0])
 
-    def test_arccos_boundary(self):
-        # the spectral angle of a row and itself: its cosine is clamped
-        out = _angle(np.array([[3.0, 4.0]]), tc.Tensor([[3.0, 4.0]]))
-        assert abs(float(out.data)) < 1e-3  # clamp-limited, not exactly 0
-        assert float(out.data) == np.arccos(1.0 - tc.ARCCOS_CLAMP)
-
-    def test_arccos_domain_error(self):
-        # norms too small for the rows put the cosine past 1 + ARCCOS_SLACK
-        row = np.array([[3.0, 4.0]])
-        scale = 1.0 - 1e-6
-        with pytest.raises(tc.DomainError, match="cosines outside"):
-            tc.spectral_angle(row, tc.Tensor(row), np.array([5.0 * scale]),
-                              np.array([5.0]))
-        # within the slack the cosine is only clamped
-        scale = 1.0 - tc.ARCCOS_SLACK / 4
-        out = tc.spectral_angle(row, tc.Tensor(row), np.array([5.0 * scale]),
-                                np.array([5.0]))
-        assert float(out.data) == np.arccos(1.0 - tc.ARCCOS_CLAMP)
-
     def test_gelu_scalar_oracle(self):
         # high-precision x * Phi(x) at x = 1
         from scipy.stats import norm
@@ -233,7 +214,7 @@ class TestBackward:
         xv = np.array([[1.0, -2.0, 0.5]])
         x = tc.Tensor(xv, requires_grad=True)
         # trace(x x^T) = sum of squares
-        out = tc.tsum(tc.matmul(x, tc.transpose(x, (1, 0))))
+        out = tc.tsum(tc.matmul(x, _transpose(x, (1, 0))))
         out.backward()
         np.testing.assert_allclose(x.grad, 2.0 * xv, rtol=1e-12)
 
@@ -313,6 +294,17 @@ def _slice_cols(a, lo, hi):
     return tc._result(a.data[..., lo:hi].copy(), (a,), backward)
 
 
+def _transpose(a, axes):
+    """a with its axes permuted, as a copy: the key transpose of the
+    per-head attention graph below."""
+    inverse = np.argsort(axes)
+
+    def backward(g):
+        a._accumulate(g.transpose(inverse))
+
+    return tc._result(a.data.transpose(axes).copy(), (a,), backward)
+
+
 def _concat_cols(parts):
     offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
@@ -339,10 +331,6 @@ OPS = {
     "mean": (lambda x: _weighted(tc.tmean(x)), 1, (3, 4)),
     "sum_axis": (lambda x: _weighted(tc.tsum(x, axis=1)), 1, (3, 4)),
     "reshape": (lambda x: _weighted(tc.reshape(x, (4, 3))), 1, (3, 4)),
-    "transpose": (lambda x: _weighted(tc.transpose(x, (1, 0))), 1, (3, 4)),
-    "transpose_axes": (lambda x: weighted_sum(
-        tc.transpose(x, (0, 3, 1, 4, 2, 5)),
-        np.arange(48.0).reshape(2, 2, 1, 2, 3, 2)), 1, (2, 1, 3, 2, 2, 2)),
     "gather": (lambda x: _weighted(tc.gather_rows(x, _KEEP)), 1, (3, 4)),
     "place_rows": (lambda x, y: _weighted(tc.place_rows(
         x, _AT, tc.tsum(y, axis=0))), 2, (3, 4)),
@@ -350,6 +338,7 @@ OPS = {
                    2, (3, 4)),
     # the head split and merge of the per-head reference graph
     "slice_cols": (lambda x: _weighted(_slice_cols(x, 1, 3)), 1, (3, 4)),
+    "transpose": (lambda x: _weighted(_transpose(x, (1, 0))), 1, (3, 4)),
     "concat_cols": (lambda x, y: _weighted(_concat_cols([x, y])), 2, (3, 4)),
 }
 
@@ -391,7 +380,7 @@ BATCHED_OPS = {
     "add_spread": (lambda x, y: tc.add(_weighted(tc.add(x, y)),
                                        _weighted(tc.add(y, x))),
                    [(4, 1, 3), (2, 3)]),
-    "transpose_last_two": (lambda x: _weighted(tc.transpose(x, (0, 2, 1))),
+    "transpose_last_two": (lambda x: _weighted(_transpose(x, (0, 2, 1))),
                            [(2, 3, 4)]),
     "tmean_rows": (lambda x: _weighted(tc.tmean(x, axis=-2)), [(2, 3, 4)]),
     "slice_cols_leading": (lambda x: _weighted(_slice_cols(x, 1, 3)),
@@ -445,7 +434,7 @@ def _per_head_attention(q, k, v, n_heads):
     heads = []
     for h in range(n_heads):
         qh, kh, vh = (_slice_cols(x, h * dh, (h + 1) * dh) for x in (q, k, v))
-        kt = tc.transpose(kh, (*range(n - 2), n - 1, n - 2))
+        kt = _transpose(kh, (*range(n - 2), n - 1, n - 2))
         scores = tc.scale(tc.matmul(qh, kt), 1.0 / np.sqrt(dh))
         heads.append(tc.matmul(tc.softmax(scores, axis=-1), vh))
     return _concat_cols(heads) if n_heads > 1 else heads[0]
@@ -615,32 +604,144 @@ class TestLeadingAxes:
             tc.add(tc.Tensor(np.ones((2, 3, 4))), tc.Tensor(np.ones((2, 4))))
 
 
-def _angle(y, t):
-    """spectral_angle of t's rows against y's, with norms from the data."""
-    return tc.spectral_angle(y, t, np.linalg.norm(y, axis=1),
-                             np.linalg.norm(t.data, axis=1))
+def _angle(y, t, axes=-1):
+    """The mean spectral angle alone, of spectra along `axes`."""
+    return tc.spectral_angle(y, t, axes)[0]
 
 
 _TARGET = np.random.default_rng(8).normal(size=(3, 4))
-_ONE_VOXEL = np.zeros((3, 4), dtype=bool)
-_ONE_VOXEL[1, 2] = True
+# a block view (P, Q, K, i, j, b) = (2, 2, 2, 1, 2, 3): 8 pixels whose
+# spectra run along the group and band axes, two of them all zero
+_BLOCKS = np.random.default_rng(10).normal(size=(2, 2, 2, 1, 2, 3))
+_BLOCKS[0, 1, :, 0, 1, :] = _BLOCKS[1, 0, :, 0, 0, :] = 0.0
+_SPECTRA = (-4, -1)
 
-# the fused losses against a fixed target: name -> build of y_hat
+# the fused losses against a fixed target: name -> (build of y_hat, shape)
 LOSS_OPS = {
-    "masked_mse_one_voxel": lambda t: tc.masked_mse(_TARGET, t, _ONE_VOXEL),
-    "masked_mse_mixed": lambda t: tc.masked_mse(_TARGET, t, _TARGET > 0),
-    "spectral_angle": lambda t: _angle(_TARGET, t),
+    "masked_mse_one_row": (lambda t: tc.masked_mse(
+        _TARGET, t, np.array([False, True, False])), (3, 4)),
+    "masked_mse_two_rows": (lambda t: tc.masked_mse(
+        _TARGET, t, np.array([True, False, True])), (3, 4)),
+    "masked_mse_leading": (lambda t: tc.masked_mse(
+        _BLOCKS.reshape(2, 4, 6), t, np.array([[True, False, True, False],
+                                               [False, False, False, True]])),
+        (2, 4, 6)),
+    "spectral_angle": (lambda t: _angle(_TARGET, t), (3, 4)),
+    "spectral_angle_blocks": (lambda t: _angle(np.abs(_BLOCKS) + 0.1, t,
+                                               _SPECTRA), _BLOCKS.shape),
+    "spectral_angle_excluded": (lambda t: _angle(_BLOCKS, t, _SPECTRA),
+                                _BLOCKS.shape),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LOSS_OPS))
 def test_loss_gradients_match_finite_differences(name):
-    y_hat = np.random.default_rng(9).uniform(-2.0, 2.0, size=(3, 4))
-    (grad,) = _grad_of(LOSS_OPS[name], y_hat)
-    numeric = finite_diff_grad(_scalar_fn(LOSS_OPS[name]), [y_hat], wrt=0)
+    build, shape = LOSS_OPS[name]
+    y_hat = np.random.default_rng(9).uniform(-2.0, 2.0, size=shape)
+    (grad,) = _grad_of(build, y_hat)
+    numeric = finite_diff_grad(_scalar_fn(build), [y_hat], wrt=0)
     assert_grads_close(grad, numeric, rel=1e-6, abs_tol=1e-9)
-    if name == "masked_mse_one_voxel":
-        assert np.count_nonzero(grad) == 1
+    if name == "masked_mse_one_row":
+        assert np.flatnonzero(grad.any(axis=1)).tolist() == [1]
+    if name == "spectral_angle_excluded":
+        excluded = ~_BLOCKS.any(axis=_SPECTRA, keepdims=True)
+        assert not np.broadcast_to(excluded, shape)[grad != 0].any()
+
+
+class TestMaskedMse:
+    def test_mean_over_the_masked_rows(self):
+        y = np.array([[0.0, 1.0], [2.0, 3.0], [5.0, 5.0]])
+        out = tc.masked_mse(y, tc.Tensor(np.ones((3, 2))),
+                            np.array([True, True, False]))
+        assert float(out.data) == (1.0 + 0.0 + 1.0 + 4.0) / 4
+
+    def test_perfect_rows_read_zero(self):
+        out = tc.masked_mse(_TARGET, tc.Tensor(_TARGET),
+                            np.array([True, False, True]))
+        assert float(out.data) == 0.0
+
+    def test_gradient_zero_outside_mask(self):
+        mask = np.array([True, False, True])
+        y_hat = tc.Tensor(-_TARGET, requires_grad=True)
+        tc.masked_mse(_TARGET, y_hat, mask).backward()
+        assert np.all(y_hat.grad[~mask] == 0.0)
+        assert np.all(y_hat.grad[mask] != 0.0)
+
+    def test_empty_mask_is_a_domain_error(self):
+        # the mean over no voxel was NaN, with only a RuntimeWarning
+        with pytest.raises(tc.DomainError, match="selects no row"):
+            tc.masked_mse(_TARGET, tc.Tensor(_TARGET), np.zeros(3, bool))
+
+    @pytest.mark.parametrize("mask", [np.ones(4, bool), np.ones((3, 4), bool),
+                                      np.ones(3)])
+    def test_mask_must_be_one_bool_per_row(self, mask):
+        with pytest.raises(tc.ShapeError):
+            tc.masked_mse(_TARGET, tc.Tensor(_TARGET), mask)
+
+
+class TestSpectralAngle:
+    def test_perfect_pixel_reads_the_clamp(self):
+        # the spectral angle of a row and itself: its cosine is clamped
+        out, cos = tc.spectral_angle(np.array([[3.0, 4.0]]),
+                                     tc.Tensor([[3.0, 4.0]]), -1)
+        assert float(out.data) == np.arccos(1.0 - tc.ARCCOS_CLAMP)
+        assert cos.shape == (1, 1) and cos[0, 0] == 1.0
+
+    def test_domain_error(self, monkeypatch):
+        # norms rounded too small for the rows put the cosine past
+        # 1 + ARCCOS_SLACK; within the slack it is only clamped
+        row, sqrt = np.array([[3.0, 4.0]]), np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda a: sqrt(a) * (1.0 - 1e-6))
+        with pytest.raises(tc.DomainError, match="cosines outside"):
+            tc.spectral_angle(row, tc.Tensor(row), -1)
+        monkeypatch.setattr(
+            np, "sqrt", lambda a: sqrt(a) * (1.0 - tc.ARCCOS_SLACK / 4))
+        out, _ = tc.spectral_angle(row, tc.Tensor(row), -1)
+        assert float(out.data) == np.arccos(1.0 - tc.ARCCOS_CLAMP)
+
+    def test_pixels_and_spectra_of_the_block_view(self):
+        # each pixel's angle is that of its spectrum gathered by hand
+        y = np.abs(_BLOCKS) + 0.1
+        y_hat = np.random.default_rng(4).normal(size=_BLOCKS.shape)
+        out, cos = tc.spectral_angle(y, tc.Tensor(y_hat), _SPECTRA)
+        assert cos.shape == (2, 2, 1, 1, 2, 1)
+        a = y.transpose(0, 1, 3, 4, 2, 5).reshape(8, 6)
+        b = y_hat.transpose(0, 1, 3, 4, 2, 5).reshape(8, 6)
+        want = (np.sum(a * b, axis=1) / np.linalg.norm(a, axis=1)
+                / np.linalg.norm(b, axis=1))
+        np.testing.assert_allclose(cos.ravel(), want, rtol=1e-14)
+        assert float(out.data) == pytest.approx(np.arccos(want).mean(),
+                                                rel=1e-14)
+
+    def test_zero_norm_pixels_are_left_out(self):
+        y_hat = np.random.default_rng(5).normal(size=_BLOCKS.shape)
+        y_hat[1, 1, :, 0, 0, :] = 1e-14  # a (near-)zero-norm prediction
+        t = tc.Tensor(y_hat, requires_grad=True)
+        out, cos = tc.spectral_angle(_BLOCKS, t, _SPECTRA)
+        out.backward()
+        excluded = np.isnan(cos)
+        assert excluded.sum() == 3
+        assert excluded[0, 1, 0, 0, 1, 0] and excluded[1, 1, 0, 0, 0, 0]
+        assert float(out.data) == pytest.approx(
+            np.arccos(cos[~excluded]).mean(), rel=1e-14)
+        grad = t.grad.transpose(0, 1, 3, 4, 2, 5).reshape(8, 6)
+        assert np.array_equal(~grad.any(axis=1), excluded.ravel())
+
+    def test_all_zero_is_a_domain_error(self):
+        with pytest.raises(tc.DomainError, match="zero-norm"):
+            tc.spectral_angle(np.zeros((2, 4)), tc.Tensor(np.ones((2, 4))), -1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_is_a_numeric_failure(self, bad):
+        # a NaN norm is not a zero norm (NaN > eps is False)
+        y_hat = _TARGET.copy()
+        y_hat[1, 2] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            tc.spectral_angle(_TARGET, tc.Tensor(y_hat), -1)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(tc.ShapeError):
+            tc.spectral_angle(_TARGET, tc.Tensor(_TARGET.T), -1)
 
 
 def test_arccos_gradient_away_from_clamp():

@@ -30,7 +30,9 @@ class TestPartition:
             tokenizer.report_cropping(cube.values.shape)
         assert caplog.messages == [
             "cropping 1 rows, 1 cols, 1 bands past patch multiples"]
-        assert grid.cropped_values.shape == (9, 9, 8)
+        np.testing.assert_array_equal(
+            tokenizer.to_cube(grid.patches.reshape(grid.block_shape)),
+            cube.values[:9, :9, :8])
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -52,11 +54,26 @@ class TestPartition:
                                 wavelengths=np.linspace(0.4, 2.5, 17))
         grid = tokenizer.partition(stack)
         assert grid.patches.shape == (3, 4, 648)
-        assert grid.cropped_values.shape == (3, 18, 9, 16)
+        assert grid.block_shape == (3, 2, 1, 2, 9, 9, 8)
+        np.testing.assert_array_equal(
+            tokenizer.to_cube(grid.patches.reshape(grid.block_shape)),
+            stack.values[:, :18, :9, :16])
         for n in range(3):
             one = tokenizer.partition(hsidata.HsiCube(
                 values=stack.values[n], wavelengths=stack.wavelengths))
             np.testing.assert_array_equal(grid.patches[n], one.patches)
+
+    def test_spectral_axes_hold_each_pixels_spectrum(self):
+        # a sum over the block view's SPECTRAL_AXES is a per-pixel sum over
+        # the bands, and to_cube lays it out as a (9P, 9Q, 1) map
+        cube = _cube(20, 19, 17, seed=6)
+        grid = tokenizer.partition(cube)
+        sums = np.sum(grid.patches.reshape(grid.block_shape),
+                      axis=tokenizer.SPECTRAL_AXES, keepdims=True)
+        np.testing.assert_allclose(
+            tokenizer.to_cube(sums),
+            cube.values[:18, :18, :16].sum(axis=-1, keepdims=True),
+            rtol=1e-13)
 
     def test_every_voxel_in_exactly_one_patch(self):
         cube = _cube(20, 19, 17, seed=3)
