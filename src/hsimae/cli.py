@@ -159,7 +159,7 @@ def cmd_eval(args):
 def cmd_reconstruct(args):
     params = model.load_checkpoint(args.checkpoint)
     cube = hsidata.load_cube(args.data)
-    normed, stats = hsidata.normalize(cube)
+    normed, (mean, std) = hsidata.normalize(cube)
     grid = tokenizer.partition(normed)
     tokenizer.report_cropping(normed.values.shape)
     plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K,
@@ -170,13 +170,9 @@ def cmd_reconstruct(args):
     if args.out:
         values = tokenizer.to_cube(recon.data.reshape(grid.block_shape))
         bands = values.shape[-1]
-        band_stats = hsidata.NormStats(mean=stats.mean[:bands],
-                                       std=stats.std[:bands])
-        out_cube = hsidata.denormalize(
-            hsidata.HsiCube(values=values,
-                            wavelengths=cube.wavelengths[:bands]),
-            band_stats)
-        hsidata.save_cube(out_cube, args.out)
+        hsidata.save_cube(hsidata.HsiCube(
+            values=values * std[:bands] + mean[:bands],
+            wavelengths=cube.wavelengths[:bands]), args.out)
         print(f"wrote {args.out}")
     if args.sam_map:
         angles = loss.sam_map(report.cos)
@@ -290,7 +286,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as exc:

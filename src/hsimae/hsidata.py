@@ -78,20 +78,6 @@ class HsiCube:
         return self.values.shape[-1]
 
 
-@dataclass
-class NormStats:
-    """Per-band mean/std used to z-score a cube and undo it later."""
-
-    mean: np.ndarray  # (B,)
-    std: np.ndarray   # (B,), floored at STD_FLOOR
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.std = np.asarray(self.std, dtype=np.float64)
-        if np.any(self.std <= 0):
-            raise ValueError("std entries must be strictly positive")
-
-
 @contextlib.contextmanager
 def atomic_write(path):
     """A binary file whose bytes replace `path` only once the block ends.
@@ -165,19 +151,14 @@ def load_cube(path):
 
 
 def normalize(cube):
-    """Per-band z-score; returns the normalized cube and the stats to undo it."""
+    """Per-band z-score: the normalized cube and its per-band (mean, std),
+    the std floored at STD_FLOOR; values * std + mean undoes it."""
     mean = cube.values.mean(axis=(0, 1))
     std = np.maximum(cube.values.std(axis=(0, 1)), STD_FLOOR)
     out = (cube.values - mean) / std
     return (HsiCube(values=out, wavelengths=cube.wavelengths.copy(),
                     labels=None if cube.labels is None else cube.labels.copy()),
-            NormStats(mean=mean, std=std))
-
-
-def denormalize(cube, stats):
-    return HsiCube(values=cube.values * stats.std + stats.mean,
-                   wavelengths=cube.wavelengths.copy(),
-                   labels=None if cube.labels is None else cube.labels.copy())
+            (mean, std))
 
 
 def _split_rectangles(h, w, n, rng):

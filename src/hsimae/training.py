@@ -1,7 +1,8 @@
 """Optimization, augmentation, training loops, and classification metrics.
 
 Pre-training reconstructs masked synthetic (or real, desk-sized) cubes
-with the composite MSE + spectral-angle objective under AdamW.
+with the composite MSE + spectral-angle objective under AdamW. Each
+cube is z-scored and tokenized once; augmentation flips its token grid.
 Fine-tuning trains the classifier head (linear probe) or the whole
 model on 9 x 9 full-band windows centered on labeled pixels.
 """
@@ -72,23 +73,18 @@ def adamw_step(store, grads, state, lr, weight_decay):
             p -= np.divide(a, b, out=a)
 
 
-def augment(cube, seed):
-    """Random horizontal and vertical flips, each with probability 1/2.
-
-    Labels flip together with the values. The result may share arrays
-    with `cube`.
-    """
+def augment(grid, seed):
+    """Random horizontal and vertical flips of a token grid, each with
+    probability 1/2: the grid of the flipped kept region (cropped voxels
+    stay out). A column flip reverses axes q and j of the rows' block
+    view, a row flip p and i. The result may share arrays with `grid`."""
     rng = np.random.default_rng(seed)
-    values = cube.values
-    labels = cube.labels
-    if rng.random() < 0.5:
-        values = values[:, ::-1, :]
-        labels = None if labels is None else labels[:, ::-1]
-    if rng.random() < 0.5:
-        values = values[::-1, :, :]
-        labels = None if labels is None else labels[::-1, :]
-    return hsidata.HsiCube(values=values, wavelengths=cube.wavelengths,
-                           labels=labels)
+    cols, rows = rng.random() < 0.5, rng.random() < 0.5
+    axes = (-5, -2) * cols + (-6, -3) * rows
+    if not axes:
+        return grid
+    blocks = np.flip(grid.patches.reshape(grid.block_shape), axes)
+    return replace(grid, patches=blocks.reshape(grid.patches.shape))
 
 
 @dataclass
@@ -190,13 +186,14 @@ def pretrain(cubes, config, settings, run_seed,
              log_path=None, checkpoint_path=None):
     """Masked-reconstruction pre-training loop.
 
-    Round-robin over cubes; per step: augment, normalize, tokenize,
-    mask, encode visible tokens, decode, composite loss, backward,
-    AdamW. Returns (ModelParams, list of per-step log dicts).
+    Each cube is z-scored and tokenized once, before the loop. Round-robin
+    over the cubes' grids; per step: augment (flip the grid), mask, encode
+    visible tokens, decode, composite loss, backward, AdamW. Returns
+    (ModelParams, list of per-step log dicts).
     """
     if not cubes:
         raise ValueError("need at least one cube")
-    grids = [tokenizer.partition(c) for c in cubes]
+    grids = [tokenizer.partition(hsidata.normalize(c)[0]) for c in cubes]
     for c in cubes:
         tokenizer.report_cropping(c.values.shape)
     dims = {(g.P, g.Q, g.K) for g in grids}
@@ -215,12 +212,9 @@ def pretrain(cubes, config, settings, run_seed,
         for step in range(settings.steps):
             cube_id = step % len(cubes)
             epoch = step // len(cubes)
-            cube = cubes[cube_id]
+            grid = grids[cube_id]
             if settings.augment:
-                cube = augment(cube,
-                               masking.derive_seed(run_seed, "aug", step))
-            cube, _ = hsidata.normalize(cube)
-            grid = tokenizer.partition(cube)
+                grid = augment(grid, masking.derive_seed(run_seed, "aug", step))
             if settings.fixed_plan:
                 plan_seed = masking.derive_seed(run_seed, "plan", 0, 0, 0)
             else:

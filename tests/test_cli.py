@@ -590,6 +590,31 @@ class TestFinetuneEval:
         assert report["kappa"] == 1.0 and report["oa"] == 100.0
 
 
+class TestOutputErrors:
+    @pytest.mark.parametrize("command, flag", [
+        ("pretrain", "--out"), ("finetune", "--report"),
+        ("finetune", "--out"), ("reconstruct", "--out")])
+    def test_directory_as_output_exits_two(self, small_cube, tmp_path, capsys,
+                                           command, flag):
+        # an OSError is a data error, one line on stderr, not a traceback
+        path, split = small_cube
+        ckpt, adir = tmp_path / "m.ckpt", tmp_path / "adir"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        adir.mkdir()
+        argv = {"pretrain": ["--data", str(path), "--steps", "1",
+                             "--d-model", "16"],
+                "finetune": ["--checkpoint", str(ckpt), "--data", str(path),
+                             "--split", str(split), "--epochs", "0"],
+                "reconstruct": ["--checkpoint", str(ckpt), "--data", str(path)]}
+        capsys.readouterr()
+        code = run([command] + argv[command] + [flag, str(adir)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err) and str(adir) in err
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestUsage:
     def test_help_exists_for_all_commands(self, capsys):
         for cmd in ["gen-synth", "pretrain", "finetune", "eval",

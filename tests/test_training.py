@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hsimae import hsidata, masking, model, training
+from hsimae import hsidata, masking, model, tokenizer, training
 from hsimae import tensorcore as tc
 from fdcheck import assert_grads_close, finite_diff_grad
 
@@ -143,58 +143,55 @@ class TestAdamW:
 
 
 class TestAugment:
-    def _cube(self, seed=0):
-        return hsidata.gen_synthetic(12, 10, 16, 3, seed=seed)
+    SHAPES = [(27, 27, 24), (29, 31, 26)]  # the second crops 2, 4 and 2
 
-    def test_identity_seed_exists(self):
-        cube = self._cube()
-        for seed in range(50):
-            out = training.augment(cube, seed)
-            if np.array_equal(out.values, cube.values):
-                assert np.array_equal(out.labels, cube.labels)
-                return
-        pytest.fail("no seed in 0..49 produced the identity augmentation")
+    @staticmethod
+    def _grid(shape, seed=0):
+        cube, _ = hsidata.normalize(hsidata.gen_synthetic(*shape, 3, seed=seed))
+        return cube, tokenizer.partition(cube)
+
+    @staticmethod
+    def _flipped_grid(cube, rows, cols):
+        """The grid of the kept region, flipped: the augment oracle."""
+        h, w, b = (n - n % m for n, m in zip(
+            cube.values.shape, (tokenizer.PATCH_H, tokenizer.PATCH_W,
+                                tokenizer.PATCH_B)))
+        kept = cube.values[:h, :w, :b][::-1 if rows else 1, ::-1 if cols else 1]
+        return tokenizer.partition(hsidata.HsiCube(
+            values=kept, wavelengths=cube.wavelengths[:b]))
+
+    @staticmethod
+    def _draws(seed):
+        """(column flip, row flip), drawn in augment's order."""
+        rng = np.random.default_rng(seed)
+        return rng.random() < 0.5, rng.random() < 0.5
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grid_is_the_drawn_flip_of_the_kept_region(self, shape):
+        cube, grid = self._grid(shape, seed=4)
+        seen = set()
+        for seed in range(12):
+            cols, rows = self._draws(seed)
+            out = training.augment(grid, seed)
+            want = self._flipped_grid(cube, rows, cols)
+            assert np.array_equal(out.patches, want.patches)
+            assert np.array_equal(out.lambdas, grid.lambdas)
+            assert (out.P, out.Q, out.K) == (grid.P, grid.Q, grid.K)
+            seen.add((rows, cols))
+        assert len(seen) == 4
 
     def test_deterministic(self):
-        cube = self._cube()
-        a = training.augment(cube, 7)
-        b = training.augment(cube, 7)
-        assert np.array_equal(a.values, b.values)
+        _, grid = self._grid((29, 31, 26))
+        assert np.array_equal(training.augment(grid, 7).patches,
+                              training.augment(grid, 7).patches)
 
-    def test_values_are_exactly_a_flip(self):
-        cube = self._cube(seed=4)
-        flips = [cube.values[::a, ::b] for a in (1, -1) for b in (1, -1)]
-        for seed in range(8):
-            out = training.augment(cube, seed)
-            assert any(np.array_equal(out.values, f) for f in flips)
-
-    def test_flip_preserves_band_multisets(self):
-        cube = self._cube(seed=1)
-        out = training.augment(cube, seed=3)
-        for b in range(cube.bands):
-            assert np.array_equal(np.sort(out.values[:, :, b], axis=None),
-                                  np.sort(cube.values[:, :, b], axis=None))
-
-    def test_labels_follow_values(self):
-        cube = self._cube(seed=2)
-        out = training.augment(cube, seed=11)
-        # pixel-label pairing must be preserved under whatever flip happened
-        orig = {tuple(np.round(cube.values[i, j], 9)): cube.labels[i, j]
-                for i in range(cube.height) for j in range(cube.width)}
-        for i in range(out.height):
-            for j in range(out.width):
-                key = tuple(np.round(out.values[i, j], 9))
-                assert orig[key] == out.labels[i, j]
-
-    def test_double_flip_is_identity(self):
-        cube = self._cube(seed=3)
-        flipped = hsidata.HsiCube(values=cube.values[:, ::-1, :].copy(),
-                                  wavelengths=cube.wavelengths,
-                                  labels=cube.labels[:, ::-1].copy())
-        back = hsidata.HsiCube(values=flipped.values[:, ::-1, :].copy(),
-                               wavelengths=flipped.wavelengths,
-                               labels=flipped.labels[:, ::-1].copy())
-        assert np.array_equal(back.values, cube.values)
+    def test_two_column_flips_are_the_identity(self):
+        _, grid = self._grid((29, 31, 26), seed=3)
+        seed = next(s for s in range(50) if self._draws(s) == (True, False))
+        once = training.augment(grid, seed)
+        twice = training.augment(once, seed)
+        assert not np.array_equal(once.patches, grid.patches)
+        assert np.array_equal(twice.patches, grid.patches)
 
 
 class TestEvaluate:
@@ -409,6 +406,27 @@ class TestPretrain:
                               _short_settings(steps=steps), run_seed=0,
                               log_path=log_path, checkpoint_path=ckpt)
         assert not ckpt.exists() and not log_path.exists()
+
+    def test_each_cube_is_prepared_once(self, monkeypatch):
+        cubes = [hsidata.gen_synthetic(27, 27, 24, 3, seed=s) for s in (0, 1)]
+        calls = {"normalize": 0, "partition": 0, "augment": 0, "HsiCube": 0}
+
+        def spy(owner, name, key=None):
+            real = getattr(owner, name)
+
+            def counted(*args, **kw):
+                calls[key or name] += 1
+                return real(*args, **kw)
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(hsidata, "normalize")
+        spy(tokenizer, "partition")
+        spy(training, "augment")
+        spy(hsidata.HsiCube, "__post_init__", "HsiCube")
+        training.pretrain(cubes, model.micro_config(), _short_settings(steps=6),
+                          run_seed=0)
+        assert calls == {"normalize": 2, "partition": 2, "augment": 6,
+                         "HsiCube": 2}
 
     def test_mismatched_grids_rejected(self):
         a = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
