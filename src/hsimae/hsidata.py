@@ -100,6 +100,17 @@ def atomic_write(path):
         raise
 
 
+def check_writable(path):
+    """Raise an OSError naming `path` where atomic_write(path) is bound to
+    fail: `path` is a directory, or its directory is missing or not
+    writable. A long run checks its outputs before it starts."""
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    if not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {path}: its directory is missing or "
+                      "not writable")
+
+
 def save_cube(cube, path):
     """Write an HSC file, atomically; bit-exact round-trip with load_cube."""
     h, w, b = cube.values.shape

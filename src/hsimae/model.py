@@ -2,8 +2,9 @@
 
 Pre-norm ViT-style blocks. The encoder sees only visible tokens; the
 decoder places encoder latents back at the visible slots of the full
-token grid and a learned mask token at the hidden ones, re-adds the
-positional encodings (mask tokens are otherwise position-blind), and
+token grid and a learned mask token at the hidden ones, adds the
+positional rows the encoder's embeddings were built from, built once
+per forward (mask tokens are otherwise position-blind), and
 maps every token back to a row of its 648 voxel values, the layout of
 the grid's patches. Unlike MAE's decoder, grid tokens never attend to
 each other: each layer's queries cross-attend to the latents, as in
@@ -200,49 +201,46 @@ def encode(visible_embeddings, tensors, config):
                       config.n_enc_layers, config)
 
 
-def _positional_rows(params, P, Q, lambdas, tensors):
+def _positional_rows(params, grid, tensors):
     """(P*Q*K, d) rows in token order: each of the spatial table's
     [:P, :Q] cells plus the wavelength encoding of every spectral group."""
+    P, Q = grid.P, grid.Q
     if P > params.P or Q > params.Q:
         raise ValueError(
             f"grid {P}x{Q} exceeds spatial table {params.P}x{params.Q}")
     d = params.config.d_model
     cells = (np.arange(params.P)[:, None] < P) & (np.arange(params.Q) < Q)
     spatial = tc.gather_rows(tensors["spatial_pe"], cells.ravel())
-    spectral = tc.Tensor(tokenizer.wavelength_table(lambdas, d))
+    spectral = tc.Tensor(tokenizer.wavelength_table(grid.lambdas, d))
     rows = tc.add(tc.reshape(spatial, (P * Q, 1, d)), spectral)
-    return tc.reshape(rows, (P * Q * lambdas.size, d))
+    return tc.reshape(rows, (P * Q * grid.lambdas.size, d))
 
 
-def decode(latents, plan, tensors, params, lambdas):
+def decode(latents, plan, tensors, rows, config):
     """Reconstruct every token, visible and masked alike, from the
-    visible-token latents.
-
-    `lambdas` are the grid's (K,) group wavelengths. Returns a Tensor of
-    (P*Q*K, 648) rows in the layout of the grid's patches.
-    """
+    visible-token latents plus `rows`, the positional rows of embed_for.
+    Returns a Tensor of (P*Q*K, 648) rows in the layout of the patches."""
     x = tc.place_rows(latents, ~plan.token_masked.ravel(),
                       tensors["mask_token"])
-    x = tc.add(x, _positional_rows(params, plan.P, plan.Q, lambdas, tensors))
-    config = params.config
-    x = _run_stack(x, tensors, "dec", config.n_dec_layers, config, latents)
+    x = _run_stack(tc.add(x, rows), tensors, "dec", config.n_dec_layers,
+                   config, latents)
     return tc.add(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
 
 
 def embed_for(params, grid, tensors):
-    """Token embeddings: patch projection + spatial row + wavelength encoding."""
+    """(token embeddings, the positional rows added to the patch projection)."""
     proj = tc.add(tc.matmul(tc.Tensor(grid.patches), tensors["patch_proj_w"]),
                   tensors["patch_proj_b"])
-    return tc.add(proj, _positional_rows(params, grid.P, grid.Q, grid.lambdas,
-                                         tensors))
+    rows = _positional_rows(params, grid, tensors)
+    return tc.add(proj, rows), rows
 
 
 def masked_forward(params, grid, plan, tensors):
     """Embed every token, encode the plan's visible ones, decode every
-    token's (P*Q*K, 648) rows."""
-    emb = embed_for(params, grid, tensors)
+    token's (P*Q*K, 648) rows; one positional build serves both stacks."""
+    emb, rows = embed_for(params, grid, tensors)
     latents = encode(masking.apply_mask(emb, plan), tensors, params.config)
-    return decode(latents, plan, tensors, params, grid.lambdas)
+    return decode(latents, plan, tensors, rows, params.config)
 
 
 def features(windows, params, tensors=None):
@@ -255,7 +253,7 @@ def features(windows, params, tensors=None):
     grid = tokenizer.partition(windows)
     if tensors is None:
         tensors = params.tensors(trainable=set())
-    latents = encode(embed_for(params, grid, tensors), tensors,
+    latents = encode(embed_for(params, grid, tensors)[0], tensors,
                      params.config)
     return tc.tmean(latents, axis=-2)
 

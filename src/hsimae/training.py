@@ -193,6 +193,8 @@ def pretrain(cubes, config, settings, run_seed,
     """
     if not cubes:
         raise ValueError("need at least one cube")
+    if checkpoint_path:
+        hsidata.check_writable(checkpoint_path)
     grids = [tokenizer.partition(hsidata.normalize(c)[0]) for c in cubes]
     for c in cubes:
         tokenizer.report_cropping(c.values.shape)

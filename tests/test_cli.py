@@ -353,6 +353,23 @@ class TestReconstructCmd:
         assert "non-finite" in capsys.readouterr().err
         assert not recon.exists()
 
+    def test_grid_past_the_spatial_table_exits_two(self, small_cube,
+                                                   tmp_path, capsys):
+        # a 27x27 cube trains a 3x3-cell table; a 45x36 one has 5x4 cells
+        path, _ = small_cube
+        ckpt, big = tmp_path / "m.ckpt", tmp_path / "big.hsc"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        run(["gen-synth", "--h", "45", "--w", "36", "--b", "24",
+             "--classes", "3", "--seed", "7", "--out", str(big)])
+        capsys.readouterr()
+        code = run(["reconstruct", "--checkpoint", str(ckpt),
+                    "--data", str(big)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err)
+        assert "5x4" in err and "3x3" in err
+
     @pytest.mark.parametrize("blob", [
         b"",
         b"\x01\x02\x03",
@@ -613,6 +630,26 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [^\n]*\n", err) and str(adir) in err
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+    def test_unwritable_checkpoint_exits_before_the_first_step(
+            self, small_cube, tmp_path, capsys, monkeypatch, where):
+        path, _ = small_cube
+        out = tmp_path / "adir"
+        if where == "a directory":
+            out.mkdir()
+        else:
+            out = out / "m.ckpt"
+        steps, masked_loss = [], training.masked_loss
+        monkeypatch.setattr(training, "masked_loss",
+                            lambda *a: steps.append(a) or masked_loss(*a))
+        capsys.readouterr()
+        code = run(["pretrain", "--data", str(path), "--out", str(out),
+                    "--steps", "50", "--d-model", "16"])
+        assert code == cli.EXIT_DATA and steps == []
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err) and str(out) in err
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestUsage:

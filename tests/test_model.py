@@ -94,6 +94,14 @@ def _moved_mask_token(t):
         size=t["mask_token"].shape)
 
 
+def _latents_and_rows(params, grid, plan, t):
+    """The plan's encoder latents and the positional rows they were built
+    from, the inputs model.decode takes."""
+    emb, rows = model.embed_for(params, grid, t)
+    return model.encode(masking.apply_mask(emb, plan), t,
+                        params.config), rows
+
+
 class TestDecode:
     def test_output_extents(self):
         cube, grid, params, plan = _setup()
@@ -104,34 +112,45 @@ class TestDecode:
     def test_no_mask_tokens_at_rho_zero(self):
         cube, grid, params, plan = _setup(rho=0.0)
         t = params.tensors()
-        emb = model.embed_for(params, grid, t)
-        latents = model.encode(masking.apply_mask(emb, plan), t,
-                               params.config)
+        latents, rows = _latents_and_rows(params, grid, plan, t)
         # perturbing the mask token must not change the output
-        out1 = model.decode(latents, plan, t, params, grid.lambdas).data.copy()
+        out1 = model.decode(latents, plan, t, rows, params.config).data.copy()
         t2 = dict(t)
         t2["mask_token"] = tc.Tensor(_moved_mask_token(t))
-        out2 = model.decode(latents, plan, t2, params, grid.lambdas).data
+        out2 = model.decode(latents, plan, t2, rows, params.config).data
         np.testing.assert_array_equal(out1, out2)
 
     def test_mask_token_used_when_masked(self):
         cube, grid, params, plan = _setup(rho=0.5)
         t = params.tensors()
-        emb = model.embed_for(params, grid, t)
-        latents = model.encode(masking.apply_mask(emb, plan), t,
-                               params.config)
-        out1 = model.decode(latents, plan, t, params, grid.lambdas).data.copy()
+        latents, rows = _latents_and_rows(params, grid, plan, t)
+        out1 = model.decode(latents, plan, t, rows, params.config).data.copy()
         t2 = dict(t)
         t2["mask_token"] = tc.Tensor(_moved_mask_token(t))
-        out2 = model.decode(latents, plan, t2, params, grid.lambdas).data
+        out2 = model.decode(latents, plan, t2, rows, params.config).data
         assert not np.array_equal(out1, out2)
+
+    def test_adds_the_rows_it_is_given(self, monkeypatch):
+        # the decoder's input is the placed latents plus exactly `rows`:
+        # it builds no positional rows of its own
+        cube, grid, params, plan = _setup(rho=0.5)
+        t = params.tensors()
+        latents, rows = _latents_and_rows(params, grid, plan, t)
+        other = np.random.default_rng(9).normal(size=rows.shape)
+        seen, inputs = _spy_on_stacks(monkeypatch), []
+        for r in (rows, tc.Tensor(other)):
+            model.decode(latents, plan, t, r, params.config)
+            inputs.append(seen["dec"][0])
+        np.testing.assert_allclose(inputs[1] - inputs[0], other - rows.data,
+                                   atol=1e-12)
 
     def test_latent_row_mismatch(self):
         cube, grid, params, plan = _setup()
         t = params.tensors()
+        rows = model.embed_for(params, grid, t)[1]
         with pytest.raises(ValueError):
-            model.decode(tc.Tensor(np.zeros((3, 16))), plan, t, params,
-                         grid.lambdas)
+            model.decode(tc.Tensor(np.zeros((3, 16))), plan, t, rows,
+                         params.config)
 
 
 def _spy_on_stacks(monkeypatch):
@@ -216,15 +235,38 @@ class TestDecoderLayout:
         weight = rng.normal(size=(27, 648))
         seen = _spy_on_stacks(monkeypatch)
         results = []
-        for decode in (model.decode, _index_table_decode):
+        for decode in (
+                lambda lat, t: model.decode(lat, plan, t, model.embed_for(
+                    params, grid, t)[1], params.config),
+                lambda lat, t: _index_table_decode(lat, plan, t, params,
+                                                   grid.lambdas)):
             t = params.tensors()
             lat = tc.Tensor(latents, requires_grad=True)
-            out = decode(lat, plan, t, params, grid.lambdas)
+            out = decode(lat, t)
             weighted_sum(out, weight).backward()
             results.append([seen["dec"][0], out.data, lat.grad,
                             t["spatial_pe"].grad, t["mask_token"].grad])
         for new, old in zip(*results):
             np.testing.assert_array_equal(new, old)
+
+
+class TestOnePositionalBuild:
+    def test_one_wavelength_table_per_pass(self, monkeypatch):
+        # the encoder's embeddings and the decoder share one build of the
+        # positional rows, so every pass builds one wavelength table
+        cube, grid, params, plan = _setup(seed=5)
+        calls, table = [], tokenizer.wavelength_table
+        monkeypatch.setattr(tokenizer, "wavelength_table",
+                            lambda *args: calls.append(args) or table(*args))
+        for n in (1, 2, 3):
+            model.masked_forward(params, grid, plan, params.tensors())
+            assert len(calls) == n
+        calls.clear()
+        stack = hsidata.HsiCube(values=np.stack([cube.values[:9, :9]] * 2),
+                                wavelengths=cube.wavelengths)
+        for n, windows in enumerate((cube, stack, cube), 1):
+            model.features(windows, params)
+            assert len(calls) == n
 
 
 class TestCrossAttentionDecoder:
@@ -261,12 +303,11 @@ class TestCrossAttentionDecoder:
         # no slot attends to another, so visible ones cannot see it
         _, grid, params, plan = _setup(seed=4, rho=0.5)
         t = params.tensors()
-        latents = model.encode(masking.apply_mask(
-            model.embed_for(params, grid, t), plan), t, params.config)
-        out1 = model.decode(latents, plan, t, params, grid.lambdas).data
+        latents, rows = _latents_and_rows(params, grid, plan, t)
+        out1 = model.decode(latents, plan, t, rows, params.config).data
         t2 = dict(t)
         t2["mask_token"] = tc.Tensor(_moved_mask_token(t))
-        out2 = model.decode(latents, plan, t2, params, grid.lambdas).data
+        out2 = model.decode(latents, plan, t2, rows, params.config).data
         np.testing.assert_array_equal((out1 != out2).any(axis=1),
                                       plan.token_masked.ravel())
 

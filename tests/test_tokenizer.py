@@ -199,15 +199,22 @@ class TestEmbedTokens:
 
     def test_output_shape(self):
         grid, params, tensors = self._setup()
-        out = model.embed_for(params, grid, tensors)
-        assert out.data.shape == (27, 6)
+        out, rows = model.embed_for(params, grid, tensors)
+        assert out.data.shape == rows.data.shape == (27, 6)
+
+    def test_embeddings_are_the_projection_plus_the_rows(self):
+        grid, params, tensors = self._setup()
+        out, rows = model.embed_for(params, grid, tensors)
+        proj = grid.patches @ tensors["patch_proj_w"].data \
+            + tensors["patch_proj_b"].data
+        np.testing.assert_array_equal(out.data, proj + rows.data)
 
     def test_zero_patch_zero_table_gives_specenc(self):
         grid, params, tensors = self._setup(d=8)
         grid.patches[:] = 0.0
         for t in tensors.values():
             t.data[:] = 0.0
-        out = model.embed_for(params, grid, tensors)
+        out = model.embed_for(params, grid, tensors)[0]
         table = tokenizer.wavelength_table(grid.lambdas, 8)
         for t, (p, q, k) in enumerate(np.ndindex(grid.P, grid.Q, grid.K)):
             np.testing.assert_allclose(out.data[t], table[k])
@@ -217,7 +224,7 @@ class TestEmbedTokens:
         t0, t1 = np.ravel_multi_index(([1, 1], [2, 2], [0, 2]),
                                       (grid.P, grid.Q, grid.K))
         grid.patches[t1] = grid.patches[t0]
-        out = model.embed_for(params, grid, tensors).data
+        out = model.embed_for(params, grid, tensors)[0].data
         table = tokenizer.wavelength_table(grid.lambdas, 8)
         np.testing.assert_allclose(out[t0] - out[t1], table[0] - table[2],
                                    atol=1e-12)
