@@ -114,6 +114,9 @@ def cmd_pretrain(args):
 
 
 def cmd_finetune(args):
+    for path in (args.out, args.report, args.pred_out):
+        if path:
+            hsidata.check_writable(path)
     params = model.load_checkpoint(args.checkpoint)
     cube = hsidata.load_cube(args.data)
     split = training.read_split(args.split)

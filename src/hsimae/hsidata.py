@@ -176,20 +176,16 @@ def _split_rectangles(h, w, n, rng):
     """Partition the h x w grid into n contiguous rectangles."""
     rects = [(0, h, 0, w)]
     while len(rects) < n:
-        # split the largest rectangle along its longer side
+        # split the largest rectangle r along its longer side, r[a:a + 2]
         areas = [(r[1] - r[0]) * (r[3] - r[2]) for r in rects]
         i = int(np.argmax(areas))
-        i0, i1, j0, j1 = rects.pop(i)
-        if i1 - i0 >= j1 - j0:
-            cut = i0 + max(1, int(rng.integers((i1 - i0) // 3 + 1,
-                                               2 * (i1 - i0) // 3 + 2)))
-            cut = min(cut, i1 - 1)
-            rects.extend([(i0, cut, j0, j1), (cut, i1, j0, j1)])
-        else:
-            cut = j0 + max(1, int(rng.integers((j1 - j0) // 3 + 1,
-                                               2 * (j1 - j0) // 3 + 2)))
-            cut = min(cut, j1 - 1)
-            rects.extend([(i0, i1, j0, cut), (i0, i1, cut, j1)])
+        r = rects.pop(i)
+        a = 0 if r[1] - r[0] >= r[3] - r[2] else 2
+        lo, hi = r[a:a + 2]
+        cut = min(hi - 1, lo + int(rng.integers((hi - lo) // 3 + 1,
+                                                2 * (hi - lo) // 3 + 2)))
+        head, tail = r[:a], r[a + 2:]
+        rects.extend([head + (lo, cut) + tail, head + (cut, hi) + tail])
     return rects
 
 

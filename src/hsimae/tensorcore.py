@@ -6,6 +6,10 @@ All arithmetic is 64-bit. `add` broadcasts as numpy does, and its
 backward sums over the broadcast axes. Row layout is boolean masks:
 `gather_rows` selects rows and `place_rows`, its transpose, puts them
 back among fill rows.
+Operands that may carry a gradient are Tensors; constants (the target
+of `masked_mse` and `spectral_angle`, masks, class ids) are numpy arrays.
+An op keeps its parents and backward only when some parent needs a
+gradient, so a one-parent backward never tests `requires_grad`.
 The error function behind GELU is Cephes' `ndtr.c` erf (Moshier, 1989),
 the algorithm scipy.special.erf runs: bit-identical to it for |x| <= 1,
 and within 1 ulp beyond, where numpy's exp may round differently from
@@ -130,17 +134,11 @@ class Tensor:
             node._backward, node._parents = None, ()
 
 
-def _wrap(other):
-    if isinstance(other, Tensor):
-        return other
-    return Tensor(other)
-
-
 def _result(data, parents, backward):
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
+        out._parents = parents
         out._backward = backward
     return out
 
@@ -166,7 +164,6 @@ def add(a, b):
     """Elementwise sum under numpy broadcasting, e.g. (T, d) positional
     rows added to (B, T, d) embeddings, or (K, d) rows to (n, 1, d) ones.
     Each operand's gradient is summed back over its broadcast axes."""
-    a, b = _wrap(a), _wrap(b)
     try:
         out = a.data + b.data
     except ValueError:
@@ -182,12 +179,10 @@ def add(a, b):
 
 
 def scale(a, c):
-    a = _wrap(a)
     c = float(c)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * c)
+        a._accumulate(g * c)
 
     return _result(a.data * c, (a,), backward)
 
@@ -247,14 +242,12 @@ def erf(x):
 
 def gelu(a):
     """Exact-erf GELU: x * Phi(x)."""
-    a = _wrap(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
     def backward(g):
-        if a.requires_grad:
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-            a._accumulate(g * (cdf + x * pdf))
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+        a._accumulate(g * (cdf + x * pdf))
 
     return _result(x * cdf, (a,), backward)
 
@@ -262,51 +255,43 @@ def gelu(a):
 # -- reductions and shape ops --------------------------------------------
 
 
-def tsum(a, axis=None, keepdims=False):
-    a = _wrap(a)
-
+def tsum(a, axis=None):
     def backward(g):
-        if not a.requires_grad:
-            return
         if axis is None:
             a._accumulate(np.full(a.data.shape, float(g)))
         else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape))
+            a._accumulate(np.broadcast_to(np.expand_dims(g, axis),
+                                          a.data.shape))
 
-    return _result(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), backward)
+    return _result(np.sum(a.data, axis=axis), (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = _wrap(a)
+def tmean(a, axis=None):
     n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def reshape(a, shape):
-    a = _wrap(a)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"reshape {a.data.shape} -> {shape}: size mismatch")
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
+        a._accumulate(g.reshape(a.data.shape))
 
     return _result(a.data.reshape(shape), (a,), backward)
 
 
 def gather_rows(a, keep):
     """The rows of a matrix where the bool vector keep is True, in order."""
-    a, keep = _wrap(a), np.asarray(keep)
+    keep = np.asarray(keep)
     if a.data.ndim != 2 or keep.dtype != bool or keep.shape != a.shape[:1]:
         raise ShapeError(f"gather_rows: {a.data.shape} matrix with a "
                          f"{keep.dtype} {keep.shape} row mask")
 
     def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[keep] = g
-            a._accumulate(acc)
+        acc = np.zeros_like(a.data)
+        acc[keep] = g
+        a._accumulate(acc)
 
     return _result(a.data[keep], (a,), backward)
 
@@ -314,7 +299,7 @@ def gather_rows(a, keep):
 def place_rows(rows, at, fill):
     """The transpose of gather_rows: a matrix with the (n, d) rows, in
     order, where the bool vector at is True and the (d,) fill elsewhere."""
-    rows, fill, at = _wrap(rows), _wrap(fill), np.asarray(at)
+    at = np.asarray(at)
     if (at.dtype != bool or at.ndim != 1 or rows.data.ndim != 2
             or rows.shape[0] != np.count_nonzero(at)
             or fill.shape != rows.shape[1:]):
@@ -342,7 +327,6 @@ def matmul(a, b):
     A shared (k, n) right operand is applied to each leading index in
     turn, one matrix product per window, as numpy does.
     """
-    a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or (
             b.data.ndim > 2 and b.data.shape[:-2] != a.data.shape[:-2]):
         raise ShapeError(
@@ -365,7 +349,6 @@ def matmul(a, b):
 
 
 def softmax(a, axis=-1):
-    a = _wrap(a)
     x = a.data
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
@@ -374,9 +357,8 @@ def softmax(a, axis=-1):
     out_data = e / np.sum(e, axis=axis, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            inner = np.sum(g * out_data, axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - inner))
+        inner = np.sum(g * out_data, axis=axis, keepdims=True)
+        a._accumulate(out_data * (g - inner))
 
     return _result(out_data, (a,), backward)
 
@@ -385,7 +367,7 @@ def cross_entropy(logits, labels):
     """Mean over the rows of (B, C) logits of -log softmax(row)[label] for
     (B,) class ids, as logsumexp(row - max) - (row - max)[label]: no log of
     an underflowed probability. Gradient: (softmax - onehot) / B."""
-    logits, labels = _wrap(logits), np.asarray(labels)
+    labels = np.asarray(labels)
     x = logits.data
     if (x.ndim != 2 or labels.shape != x.shape[:1] or not labels.size
             or labels.dtype.kind not in "iu"
@@ -398,10 +380,9 @@ def cross_entropy(logits, labels):
     total = np.sum(e, axis=1)
 
     def backward(g):
-        if logits.requires_grad:
-            grad = e / total[:, None]
-            grad[rows, labels] -= 1.0
-            logits._accumulate(grad * (g / labels.size))
+        grad = e / total[:, None]
+        grad[rows, labels] -= 1.0
+        logits._accumulate(grad * (g / labels.size))
 
     return _result(np.mean(np.log(total) - shifted[rows, labels]),
                    (logits,), backward)
@@ -420,7 +401,7 @@ def masked_mse(y, y_hat, mask):
     """Mean of (y - y_hat)^2 over the rows of (..., n, m) arrays where the
     (..., n) bool mask is True, for a constant y; gradient -2 (y - y_hat) /
     count there, 0 elsewhere. A mask with no True row is a DomainError."""
-    y_hat, mask = _wrap(y_hat), np.asarray(mask)
+    mask = np.asarray(mask)
     if (y.shape != y_hat.shape or mask.shape != y.shape[:-1]
             or mask.dtype != bool):
         raise ShapeError(f"masked_mse: {y.shape}, {y_hat.shape} and a "
@@ -450,7 +431,6 @@ def spectral_angle(y, y_hat, axes):
     from +-1, so the gradient stays finite. Returns the mean, and each
     pixel's cosine (NaN where it has no angle), with `axes` kept at
     extent 1."""
-    y_hat = _wrap(y_hat)
     x = y_hat.data
     if y.shape != x.shape:
         raise ShapeError(f"spectral_angle: {y.shape} and {x.shape}")
@@ -506,7 +486,6 @@ def attention(q, k, v, n_heads):
     contiguous blocks, as a graph of one slice, matmul, scale and softmax
     per head, so the bits agree.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
     shape, kv = q.data.shape, k.data.shape
     if (len(shape) < 2 or len(kv) != len(shape) or v.data.shape != kv
             or kv[:-2] + kv[-1:] != shape[:-2] + shape[-1:]
@@ -554,7 +533,6 @@ def attention(q, k, v, n_heads):
 
 def layer_norm(a, gain, bias, eps=1e-6):
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    a, gain, bias = _wrap(a), _wrap(gain), _wrap(bias)
     if eps < 0:
         raise DomainError("layer_norm eps must be >= 0")
     n = a.data.shape[-1]

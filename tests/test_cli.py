@@ -651,6 +651,25 @@ class TestOutputErrors:
         assert re.fullmatch(r"error: [^\n]*\n", err) and str(out) in err
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("flag", ["--out", "--report", "--pred-out"])
+    def test_unwritable_finetune_output_exits_before_the_first_step(
+            self, small_cube, tmp_path, capsys, monkeypatch, flag):
+        path, split = small_cube
+        ckpt, adir = tmp_path / "m.ckpt", tmp_path / "adir"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        adir.mkdir()
+        steps, descend = [], training._descend
+        monkeypatch.setattr(training, "_descend",
+                            lambda *a: steps.append(a) or descend(*a))
+        capsys.readouterr()
+        code = run(["finetune", "--checkpoint", str(ckpt), "--data", str(path),
+                    "--split", str(split), "--epochs", "3", flag, str(adir)])
+        assert code == cli.EXIT_DATA and steps == []
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err) and str(adir) in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 class TestUsage:
     def test_help_exists_for_all_commands(self, capsys):

@@ -11,6 +11,7 @@ from scipy.special import erf as scipy_erf
 
 from hsimae import tensorcore as tc
 from fdcheck import finite_diff_grad, assert_grads_close, weighted_sum
+from test_engine_callers import _public_ops
 
 
 def _grad_of(build, *arrays):
@@ -803,3 +804,53 @@ def test_check_finite():
     with pytest.raises(FloatingPointError):
         tc.check_finite(tc.Tensor(np.array([1.0, np.nan])))
     tc.check_finite(tc.Tensor(np.array([1.0, 2.0])))
+
+
+# every public op on small operands: name -> (build, operand shapes)
+GRAPH_OPS = {
+    "add": (tc.add, [(3, 4), (4,)]),
+    "scale": (lambda x: tc.scale(x, -2.5), [(3, 4)]),
+    "gelu": (tc.gelu, [(3, 4)]),
+    "tsum": (lambda x: tc.tsum(x, axis=0), [(3, 4)]),
+    "tmean": (tc.tmean, [(3, 4)]),
+    "reshape": (lambda x: tc.reshape(x, (4, 3)), [(3, 4)]),
+    "gather_rows": (lambda x: tc.gather_rows(x, _KEEP), [(3, 4)]),
+    "place_rows": (lambda r, f: tc.place_rows(r, _AT, f), [(3, 4), (4,)]),
+    "matmul": (tc.matmul, [(3, 4), (4, 2)]),
+    "softmax": (tc.softmax, [(3, 4)]),
+    "cross_entropy": (lambda x: tc.cross_entropy(x, [2, 0, 3]), [(3, 4)]),
+    "masked_mse": (lambda t: tc.masked_mse(_TARGET, t, _KEEP), [(3, 4)]),
+    "spectral_angle": (lambda t: _angle(_TARGET, t), [(3, 4)]),
+    "attention": (lambda q, k, v: tc.attention(q, k, v, 2),
+                  [(3, 4), (5, 4), (5, 4)]),
+    "layer_norm": (tc.layer_norm, [(3, 4), (4,), (4,)]),
+}
+
+
+def test_graph_ops_cover_every_public_op():
+    assert set(GRAPH_OPS) == _public_ops() - {"erf", "check_finite"}
+
+
+@pytest.mark.parametrize("name, wrt", [(name, None) for name in GRAPH_OPS] + [
+    (name, i) for name, (_, shapes) in GRAPH_OPS.items() if len(shapes) > 1
+    for i in range(len(shapes))])
+def test_graph_only_where_a_gradient_is_needed(name, wrt):
+    # with no operand needing a gradient an op keeps no graph, so a
+    # one-operand backward runs only for an operand that needs one; with
+    # one of several, backward fills that operand's gradient alone
+    build, shapes = GRAPH_OPS[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    arrays = [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
+    tensors = [tc.Tensor(a, requires_grad=i == wrt)
+               for i, a in enumerate(arrays)]
+    out = build(*tensors)
+    if wrt is None:
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+        return
+    weights = np.random.default_rng(21).normal(size=out.shape)
+    weighted_sum(out, weights).backward()
+    full = _grad_of(lambda *ts: weighted_sum(build(*ts), weights), *arrays)
+    assert [t.grad is None for t in tensors] == [i != wrt
+                                                 for i in range(len(shapes))]
+    np.testing.assert_array_equal(tensors[wrt].grad, full[wrt])
