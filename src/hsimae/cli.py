@@ -31,10 +31,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _keep_freed_memory():
-    """Under glibc, arrays up to 32 MiB (a 768-token step's largest is 18.9
-    MB) come from the heap, and free keeps the heap top, so each step reuses
-    resident pages instead of faulting them in. Either option alone turns
-    off glibc's dynamic thresholds and faults more than neither."""
+    """Under glibc, arrays up to 32 MiB (a 768-token step's largest, the
+    attention weights, is 9.4 MB in float32) come from the heap, and free
+    keeps the heap top, so each step reuses resident pages instead of
+    faulting them in. Either option alone turns off glibc's dynamic
+    thresholds and faults more than neither."""
     try:
         if os.confstr("CS_GNU_LIBC_VERSION"):
             import ctypes
@@ -127,13 +128,13 @@ def cmd_finetune(args):
         model.save_checkpoint(tuned, args.out)
     print(report.to_json())
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        with hsidata.atomic_write(args.report) as fh:
+            fh.write((report.to_json() + "\n").encode())
     if args.pred_out:
-        with open(args.pred_out, "w") as fh:
-            fh.write("i,j,label\n")
+        with hsidata.atomic_write(args.pred_out) as fh:
+            fh.write("i,j,label\n".encode())
             for (i, j, _), label in zip(split[1], report.pred):
-                fh.write(f"{i},{j},{label}\n")
+                fh.write(f"{i},{j},{label}\n".encode())
     return EXIT_OK
 
 
@@ -167,8 +168,9 @@ def cmd_reconstruct(args):
     tokenizer.report_cropping(normed.values.shape)
     plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K,
                                     args.rho_s, args.rho_b, args.seed)
-    _, report, recon = training.masked_loss(params, grid, plan, args.alpha,
-                                            params.tensors(trainable=set()))
+    _, report, recon = training.masked_loss(
+        params, grid, plan, args.alpha,
+        params.tensors(trainable=set(), dtype=model.COMPUTE_DTYPE))
     print(report.to_json())
     if args.out:
         values = tokenizer.to_cube(recon.data.reshape(grid.block_shape))
@@ -186,7 +188,28 @@ def cmd_reconstruct(args):
     return EXIT_OK
 
 
+def _group(name):
+    """The parameter group of a checkpoint entry: embed, enc, dec or heads."""
+    if name.startswith(("enc", "dec")):
+        return name[:3]
+    if name == "mask_token":
+        return "dec"
+    return "heads" if name.startswith(("recon_", "cls_")) else "embed"
+
+
 def cmd_inspect(args):
+    if args.checkpoint:
+        params = model.load_checkpoint(args.checkpoint)
+        counts = dict.fromkeys(("embed", "enc", "dec", "heads"), 0)
+        for name, arr in params.arrays.items():
+            counts[_group(name)] += arr.size
+        counts["total"] = params.flat.size
+        print(json.dumps({
+            "version": model.CHECKPOINT_VERSION,
+            "config": params.config.to_dict(), "P": params.P, "Q": params.Q,
+            "K": params.K, "n_classes": params.n_classes, "seed": params.seed,
+            "parameters": counts}))
+        return EXIT_OK
     cube = hsidata.load_cube(args.data)
     info = {
         "height": cube.height, "width": cube.width, "bands": cube.bands,
@@ -276,8 +299,12 @@ def build_parser():
     p.add_argument("--sam-map", help="per-pixel angle map (single-band HSC)")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("inspect", help="print cube header facts")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("inspect",
+                       help="print the header facts of a cube or a checkpoint")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--data", help="HSC cube file")
+    what.add_argument("--checkpoint",
+                      help="checkpoint file: header and parameter counts")
     p.set_defaults(func=cmd_inspect)
 
     return parser

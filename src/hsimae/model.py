@@ -28,6 +28,9 @@ from .tokenizer import PATCH_LEN
 
 CHECKPOINT_MAGIC = "hsimae-checkpoint"
 CHECKPOINT_VERSION = 2  # 2: the decoder cross-attends to the latents
+# the dtype pretrain, finetune and reconstruct run the model in; the
+# parameter store, the AdamW state and checkpoints stay float64
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass
@@ -134,11 +137,18 @@ class ModelParams:
         self.arrays = ParamStore(shapes, self.flat)
         self.flat = self.arrays.flat
 
-    def tensors(self, trainable=None):
-        """Wrap arrays as graph leaves; trainable limits which get gradients."""
+    def tensors(self, trainable=None, dtype=np.float64):
+        """Wrap arrays as graph leaves; trainable limits which get gradients.
+        float64 leaves are the store's views; leaves of another dtype are
+        views of one cast copy of the store, made here."""
+        arrays = self.arrays
+        if dtype != self.flat.dtype:
+            flat = self.flat.astype(dtype)
+            arrays = {name: flat[lo:hi].reshape(arrays[name].shape)
+                      for name, (lo, hi) in arrays.spans.items()}
         return {name: tc.Tensor(arr, requires_grad=(
             trainable is None or name in trainable))
-            for name, arr in self.arrays.items()}
+            for name, arr in arrays.items()}
 
     def copy(self):
         return replace(self, flat=self.flat.copy())
@@ -211,7 +221,8 @@ def _positional_rows(params, grid, tensors):
     d = params.config.d_model
     cells = (np.arange(params.P)[:, None] < P) & (np.arange(params.Q) < Q)
     spatial = tc.gather_rows(tensors["spatial_pe"], cells.ravel())
-    spectral = tc.Tensor(tokenizer.wavelength_table(grid.lambdas, d))
+    spectral = tc.Tensor(tokenizer.wavelength_table(grid.lambdas, d).astype(
+        spatial.data.dtype, copy=False))
     rows = tc.add(tc.reshape(spatial, (P * Q, 1, d)), spectral)
     return tc.reshape(rows, (P * Q * grid.lambdas.size, d))
 
@@ -228,9 +239,11 @@ def decode(latents, plan, tensors, rows, config):
 
 
 def embed_for(params, grid, tensors):
-    """(token embeddings, the positional rows added to the patch projection)."""
-    proj = tc.add(tc.matmul(tc.Tensor(grid.patches), tensors["patch_proj_w"]),
-                  tensors["patch_proj_b"])
+    """(token embeddings, the positional rows added to the patch projection),
+    in the dtype of the leaves: the patches and wavelengths are cast to it."""
+    w = tensors["patch_proj_w"]
+    patches = tc.Tensor(grid.patches.astype(w.data.dtype, copy=False))
+    proj = tc.add(tc.matmul(patches, w), tensors["patch_proj_b"])
     rows = _positional_rows(params, grid, tensors)
     return tc.add(proj, rows), rows
 

@@ -1,9 +1,16 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic
+differentiation.
 
 Small, CPU-only engine: enough operations for a transformer
 encoder/decoder, the reconstruction losses, and an AdamW optimizer.
-All arithmetic is 64-bit. `add` broadcasts as numpy does, and its
-backward sums over the broadcast axes. Row layout is boolean masks:
+A tensor keeps float32 data as float32 and holds any other data as
+float64; an op computes, and hands gradients back, in its operands'
+dtype, except the two reconstruction losses, which compute in float64
+whatever the rows' dtype and return float64 scalars. A gradient of
+another dtype than its tensor's is cast once, on arrival. The commands
+run the model in float32; the finite-difference checks feed float64.
+`add` broadcasts as numpy does, and its backward sums over the
+broadcast axes. Row layout is boolean masks:
 `gather_rows` selects rows and `place_rows`, its transpose, puts them
 back among fill rows.
 Operands that may carry a gradient are Tensors; constants (the target
@@ -26,8 +33,9 @@ ARCCOS_SLACK = 1e-9
 # a spectrum whose norm is at most this has no spectral angle
 ZERO_NORM_EPS = 1e-12
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: a np.float64 scalar would promote a float32 array
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+_INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 # Cephes' erf coefficients, highest power first, numerator and monic
 # denominator side by side: x T(x^2) / U(x^2) for |x| <= 1, and
@@ -55,8 +63,10 @@ _ERF_PQ = (
 # erf rounds to 1 for |x| >= 6; clipping there also covers +-inf
 _ERF_ONE_AT = 6.0
 # elements per block of an elementwise or row-wise pass, so that its
-# float64 temporaries (six in erf, 1.5 MB) stay in a 2 MB L2 cache
+# temporaries (six in erf: 1.5 MB in float64, half that in float32)
+# stay in a 2 MB L2 cache
 _BLOCK = 1 << 15
+_F32 = np.dtype(np.float32)
 
 
 class ShapeError(ValueError):
@@ -67,14 +77,21 @@ class DomainError(ValueError):
     """Operand values lie outside the operation's domain."""
 
 
+def _floating(x):
+    """x as an array: float32 stays float32, anything else is float64."""
+    x = np.asarray(x)
+    return x if x.dtype == _F32 else x.astype(np.float64, copy=False)
+
+
 class Tensor:
-    """A float64 array plus the bookkeeping for reverse-mode gradients."""
+    """A float32 or float64 array (any other dtype is cast to float64)
+    plus the bookkeeping for reverse-mode gradients."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
                  "_owns_grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _floating(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -91,21 +108,25 @@ class Tensor:
     # -- graph plumbing ---------------------------------------------------
 
     def _accumulate(self, g):
-        """Add g to .grad. A first gradient that is a writeable, C-contiguous
-        float64 array is kept without a copy; such a borrowed array may be
-        shared with other tensors and is never written, so the next
-        gradient makes a fresh sum, and later ones add in place."""
+        """Add g to .grad, which has the tensor's dtype. A first gradient
+        that is a writeable, C-contiguous array of that dtype is kept
+        without a copy; such a borrowed array may be shared with other
+        tensors and is never written, so the next gradient makes a fresh
+        sum, and later ones add in place. A gradient of another dtype is
+        cast once, as it is copied or added."""
+        dtype = self.data.dtype
         if self.grad is None:
-            if (type(g) is np.ndarray and g.dtype == np.float64
+            if (type(g) is np.ndarray and g.dtype == dtype
                     and g.flags.c_contiguous and g.flags.writeable):
                 self.grad, self._owns_grad = g, False
             else:
-                self.grad = np.array(g, dtype=np.float64, copy=True)
+                self.grad = np.array(g, dtype=dtype, copy=True)
                 self._owns_grad = True
         elif self._owns_grad:
             self.grad += g
         else:
-            self.grad, self._owns_grad = self.grad + g, True
+            self.grad = np.add(self.grad, g, dtype=dtype)
+            self._owns_grad = True
 
     def backward(self):
         """Reverse-mode sweep from a scalar root; fills .grad on leaves and
@@ -223,7 +244,8 @@ def _erf_block(x, out):
 
 
 def erf(x):
-    """The error function of a float64 array (see the module docstring).
+    """The error function of an array, in float32 for a float32 array and
+    in float64 otherwise (see the module docstring for the algorithm).
 
     The |x| <= 1 formula runs on every element at |x| clamped to 1, which
     costs less than gathering those elements; the |x| > 1 formula runs
@@ -232,7 +254,7 @@ def erf(x):
     a Xeon with 2 MB of L2, a (768, 256) array took 2.5 times as long in
     one piece.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _floating(x)
     flat = x.ravel()
     out = np.empty_like(flat)
     for i in range(0, flat.size, _BLOCK):
@@ -258,7 +280,7 @@ def gelu(a):
 def tsum(a, axis=None):
     def backward(g):
         if axis is None:
-            a._accumulate(np.full(a.data.shape, float(g)))
+            a._accumulate(np.full(a.data.shape, g, dtype=a.data.dtype))
         else:
             a._accumulate(np.broadcast_to(np.expand_dims(g, axis),
                                           a.data.shape))
@@ -305,7 +327,8 @@ def place_rows(rows, at, fill):
             or fill.shape != rows.shape[1:]):
         raise ShapeError(f"place_rows: rows {rows.shape} at a {at.dtype} "
                          f"{at.shape} mask, fill {fill.shape}")
-    out = np.empty((at.size,) + fill.shape)
+    out = np.empty((at.size,) + fill.shape,
+                   np.result_type(rows.data, fill.data))
     out[at] = rows.data
     out[~at] = fill.data
 
@@ -400,7 +423,9 @@ def _sum_products(a, b, axes):
 def masked_mse(y, y_hat, mask):
     """Mean of (y - y_hat)^2 over the rows of (..., n, m) arrays where the
     (..., n) bool mask is True, for a constant y; gradient -2 (y - y_hat) /
-    count there, 0 elsewhere. A mask with no True row is a DomainError."""
+    count there, 0 elsewhere. A mask with no True row is a DomainError.
+    The difference, the mean and the gradient are float64 for any dtype
+    of y_hat, so float32 rows keep a float64 objective."""
     mask = np.asarray(mask)
     if (y.shape != y_hat.shape or mask.shape != y.shape[:-1]
             or mask.dtype != bool):
@@ -410,7 +435,7 @@ def masked_mse(y, y_hat, mask):
     if not n:
         raise DomainError("masked_mse: the mask selects no row")
     c = 1.0 / (n * y.shape[-1])
-    d = y - y_hat.data
+    d = np.subtract(y, y_hat.data, dtype=np.float64)
     d[~mask] = 0.0
 
     def backward(g):
@@ -430,8 +455,10 @@ def spectral_angle(y, y_hat, axes):
     ARCCOS_SLACK is a DomainError; the rest are clamped to ARCCOS_CLAMP
     from +-1, so the gradient stays finite. Returns the mean, and each
     pixel's cosine (NaN where it has no angle), with `axes` kept at
-    extent 1."""
-    x = y_hat.data
+    extent 1. Norms, cosines, the mean and the gradient are float64 for
+    any dtype of y_hat: float32 rows are copied to float64 first."""
+    y = np.asarray(y, dtype=np.float64)
+    x = y_hat.data.astype(np.float64, copy=False)
     if y.shape != x.shape:
         raise ShapeError(f"spectral_angle: {y.shape} and {x.shape}")
     dots = _sum_products(y, x, axes)

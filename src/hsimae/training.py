@@ -4,7 +4,9 @@ Pre-training reconstructs masked synthetic (or real, desk-sized) cubes
 with the composite MSE + spectral-angle objective under AdamW. Each
 cube is z-scored and tokenized once; augmentation flips its token grid.
 Fine-tuning trains the classifier head (linear probe) or the whole
-model on 9 x 9 full-band windows centered on labeled pixels.
+model on 9 x 9 full-band windows centered on labeled pixels. Both run
+the model on float32 leaves cast from the float64 parameter store
+(model.COMPUTE_DTYPE), and AdamW updates the store in float64.
 """
 
 import json
@@ -224,7 +226,7 @@ def pretrain(cubes, config, settings, run_seed,
                                                 cube_id)
             plan = masking.sample_mask_plan(P, Q, K, settings.rho_s,
                                             settings.rho_b, plan_seed)
-            tensors = params.tensors()
+            tensors = params.tensors(dtype=model.COMPUTE_DTYPE)
             try:
                 total, report, _ = masked_loss(params, grid, plan,
                                                settings.alpha, tensors)
@@ -374,7 +376,7 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
 
     def encoded(forward, rows):
         """forward (features or classify) of every row, no graph, chunked."""
-        frozen = params.tensors(trainable=set())
+        frozen = params.tensors(trainable=set(), dtype=model.COMPUTE_DTYPE)
         per = max(1, CHUNK_TOKENS * tokenizer.PATCH_B // cube.bands)
         return np.concatenate([forward(windows(rows[lo:lo + per]), params,
                                        frozen).data
@@ -392,12 +394,12 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
         for lo in range(0, len(order), settings.ft_batch):
             idx = order[lo:lo + settings.ft_batch]
             if mode == "probe":
-                tensors = {name: tc.Tensor(params.arrays[name],
-                                           requires_grad=True)
+                tensors = {name: tc.Tensor(params.arrays[name].astype(
+                    model.COMPUTE_DTYPE), requires_grad=True)
                            for name in PROBE_PARAMS}
                 logits = model.head(tc.Tensor(cached[idx]), tensors)
             else:
-                tensors = params.tensors()
+                tensors = params.tensors(dtype=model.COMPUTE_DTYPE)
                 logits = model.classify(windows([train_rows[i] for i in idx]),
                                         params, tensors)
             try:

@@ -110,6 +110,53 @@ class TestInspect:
         assert capsys.readouterr().err == (
             f"error: non-finite value at offset {at}\n")
 
+    def test_checkpoint_header_and_parameter_counts(self, small_cube,
+                                                    tmp_path, capsys):
+        path, _ = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16", "--seed", "4"])
+        capsys.readouterr()
+        assert run(["inspect", "--checkpoint", str(ckpt)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        params = model.load_checkpoint(ckpt)
+        assert info["version"] == model.CHECKPOINT_VERSION
+        assert info["config"] == params.config.to_dict()
+        assert (info["P"], info["Q"], info["K"]) == (3, 3, 3)
+        assert (info["n_classes"], info["seed"]) == (3, params.seed)
+        d, f = 16, params.config.d_ff
+        layer = 4 * d + 4 * (d * d + d) + (d * f + f) + (f * d + d)
+        # 648-voxel patches, a 3 x 3 spatial table, 3 classes
+        assert info["parameters"] == {
+            "embed": 648 * d + d + 9 * d,
+            "enc": 4 * layer + 2 * d, "dec": 2 * layer + 2 * d + d,
+            "heads": d * 648 + 648 + d * 3 + 3, "total": params.flat.size}
+        assert sum(info["parameters"].values()) == 2 * params.flat.size
+
+    @pytest.mark.parametrize("damage", ["a cube", "truncated", "empty"])
+    def test_malformed_checkpoint_exits_two(self, small_cube, tmp_path,
+                                            capsys, damage):
+        path, _ = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes({"a cube": path.read_bytes(), "truncated": raw[:-8],
+                          "empty": b""}[damage])
+        capsys.readouterr()
+        assert run(["inspect", "--checkpoint", str(ckpt)]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*\n", captured.err)
+        assert str(ckpt) in captured.err
+
+    @pytest.mark.parametrize("argv", [[], ["--data", "c.hsc",
+                                           "--checkpoint", "m.ckpt"]])
+    def test_one_of_data_or_checkpoint(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(["inspect"] + argv)
+        assert exc.value.code == cli.EXIT_USAGE
+
     def test_first_non_finite_value_named(self, small_cube):
         path, _ = small_cube
         raw = bytearray(path.read_bytes())
@@ -310,6 +357,35 @@ class TestReconstructCmd:
         assert len(calls) == 1
         np.testing.assert_array_equal(hsidata.load_cube(sam_map).values,
                                       loss.sam_map(calls[0][1]))
+
+    def test_float32_rows_keep_float64_angles(self, small_cube, tmp_path,
+                                              monkeypatch):
+        # the model runs on float32 leaves; the angles of --sam-map match
+        # a float64 recomputation from the written --out within the
+        # bound of bench/checks.py::check_reconstruction
+        path, _ = small_cube
+        ckpt, recon, sam = (tmp_path / n for n in ("m.ckpt", "r.hsc", "s.hsc"))
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "2", "--d-model", "16", "--seed", "2"])
+        leaves, masked_loss = [], training.masked_loss
+        monkeypatch.setattr(training, "masked_loss", lambda *a: leaves.append(
+            {t.data.dtype for t in a[-1].values()}) or masked_loss(*a))
+        assert run(["reconstruct", "--checkpoint", str(ckpt), "--data",
+                    str(path), "--seed", "5", "--out", str(recon),
+                    "--sam-map", str(sam)]) == 0
+        assert leaves == [{np.dtype(np.float32)}]
+        x = hsidata.load_cube(path).values
+        out = hsidata.load_cube(recon).values
+        mean, std = x.mean(axis=(0, 1)), np.maximum(x.std(axis=(0, 1)), 1e-8)
+        y = ((x - mean) / std).reshape(-1, x.shape[-1])
+        y_hat = ((out - mean) / std).reshape(-1, x.shape[-1])
+        cos = np.sum(y * y_hat, axis=1) / (np.linalg.norm(y, axis=1)
+                                           * np.linalg.norm(y_hat, axis=1))
+        angles = hsidata.load_cube(sam).values.reshape(-1)
+        err = np.abs(np.arccos(np.clip(cos, -1.0, 1.0)) - angles).max()
+        # float32 norms would stay within check_reconstruction's 1e-7
+        # here (6e-8) but not within float64 rounding (3e-15)
+        assert err <= 1e-12
 
     def test_zero_mask_rejected_with_guidance(self, small_cube, tmp_path,
                                               capsys):
@@ -669,6 +745,30 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [^\n]*\n", err) and str(adir) in err
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+    @pytest.mark.parametrize("flag", ["--report", "--pred-out"])
+    def test_failed_finetune_output_keeps_the_old_file(
+            self, small_cube, tmp_path, capsys, monkeypatch, flag):
+        # the output's bytes are written, then the sync fails: the file
+        # at the path is the previous one, and no *.tmp is left
+        path, split = small_cube
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "out.txt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        out.write_text("previous\n")
+
+        def fail(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(hsidata.os, "fsync", fail)
+        capsys.readouterr()
+        code = run(["finetune", "--checkpoint", str(ckpt), "--data", str(path),
+                    "--split", str(split), "--epochs", "1", flag, str(out)])
+        assert code == cli.EXIT_DATA
+        assert "no space left" in capsys.readouterr().err
+        assert out.read_text() == "previous\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestUsage:

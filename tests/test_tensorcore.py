@@ -116,6 +116,18 @@ class TestErf:
         assert tc.erf(np.float64(0.5)).shape == ()
         assert tc.erf(x[:, ::2]).tolist() == scipy_erf(x[:, ::2]).tolist()
 
+    def test_float32_stays_float32(self):
+        # the same rational functions, rounded at each float32 step: a few
+        # float32 ulps from the float64 erf (2.5 at most over these draws)
+        x = np.concatenate([np.random.default_rng(3).standard_normal(200_000)
+                            * scale for scale in (0.05, 0.7, 1.5, 8.0)])
+        x = x.astype(np.float32)
+        y = tc.erf(x)
+        assert y.dtype == np.float32
+        want = scipy_erf(x.astype(np.float64))
+        ulps = np.abs(y - want) / np.spacing(np.abs(want).astype(np.float32))
+        assert ulps.max() <= 4.0
+
     def test_cli_loads_no_scipy(self, tmp_path):
         root = pathlib.Path(__file__).resolve().parents[1]
         out = str(tmp_path / "c.hsc")
@@ -829,6 +841,27 @@ GRAPH_OPS = {
 
 def test_graph_ops_cover_every_public_op():
     assert set(GRAPH_OPS) == _public_ops() - {"erf", "check_finite"}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", GRAPH_OPS)
+def test_ops_keep_their_operands_dtype(name, dtype, monkeypatch):
+    # an op computes, and hands its operands' gradients back, in their
+    # dtype; the two losses compute in float64 and cast the rows'
+    # gradient back to the rows' dtype as it arrives
+    build, shapes = GRAPH_OPS[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    tensors = [tc.Tensor(rng.uniform(0.5, 2.0, size=shape).astype(dtype),
+                         requires_grad=True) for shape in shapes]
+    out = build(*tensors)
+    is_loss = name in ("masked_mse", "spectral_angle")
+    assert out.data.dtype == (np.float64 if is_loss else dtype)
+    handed, accumulate = [], tc.Tensor._accumulate
+    monkeypatch.setattr(tc.Tensor, "_accumulate", lambda t, g: handed.append(
+        np.asarray(g).dtype) or accumulate(t, g))
+    tc.tsum(out).backward()
+    assert [t.grad.dtype for t in tensors] == [np.dtype(dtype)] * len(shapes)
+    assert set(handed) == {np.dtype(np.float64 if is_loss else dtype)}
 
 
 @pytest.mark.parametrize("name, wrt", [(name, None) for name in GRAPH_OPS] + [

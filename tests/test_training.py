@@ -366,6 +366,48 @@ class TestPretrain:
             out.append((log_path.read_bytes(), ckpt.read_bytes()))
         assert out[0] == out[1]
 
+    def test_log_keeps_the_alpha_identity(self, tmp_path):
+        # the objective is float64 over float32 rows, so l_rec is the
+        # weighted sum of the logged terms to float64 rounding
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
+        log_path = tmp_path / "loss.jsonl"
+        training.pretrain([cube], model.micro_config(),
+                          _short_settings(steps=8, alpha=0.3), run_seed=1,
+                          log_path=log_path)
+        for line in log_path.read_text().splitlines():
+            e = json.loads(line)
+            want = 0.3 * e["l_mse"] + 0.7 * e["l_sam"]
+            assert abs(e["l_rec"] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_float32_compute_over_float64_masters(self, monkeypatch):
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
+        made, seen = [], {}
+        result, mse, step = tc._result, tc.masked_mse, training.adamw_step
+
+        def spy_result(data, parents, backward):
+            made.append(data.dtype)
+            return result(data, parents, backward)
+
+        def spy_mse(*args):
+            seen.setdefault("before the loss", set(made))
+            return mse(*args)
+
+        def spy_step(store, grads, state, lr, weight_decay):
+            step(store, grads, state, lr, weight_decay)
+            seen["gradients"] = {g.dtype for g in grads.values()}
+            seen["masters"] = {store.flat.dtype, state.m.dtype, state.v.dtype}
+
+        monkeypatch.setattr(tc, "_result", spy_result)
+        monkeypatch.setattr(tc, "masked_mse", spy_mse)
+        monkeypatch.setattr(training, "adamw_step", spy_step)
+        training.pretrain([cube], model.micro_config(),
+                          _short_settings(steps=1), run_seed=0)
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert seen == {"before the loss": {f32}, "gradients": {f32},
+                        "masters": {f64}}
+        # the two losses, their two scales and their sum
+        assert made.count(f64) == 5 and made.count(f32) > 40
+
     def test_zero_ratio_rejected(self):
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
         with pytest.raises(ValueError, match="no masked tokens"):
@@ -507,6 +549,34 @@ class TestFinetune:
                                       _short_settings(ft_epochs=15))
         assert report.oa >= 90.0
 
+    @pytest.mark.parametrize("mode", ["probe", "full"])
+    def test_float32_compute_over_float64_masters(self, mode, monkeypatch):
+        cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=3)
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=0)
+        rows = training.make_split(cube, 0.2, seed=0)
+        split = ([(i, j, c) for i, j, c, s in rows if s == "train"][:4],
+                 [(i, j, c) for i, j, c, s in rows if s == "test"][:4])
+        made, seen = set(), {}
+        result, step = tc._result, training.adamw_step
+
+        def spy_result(data, parents, backward):
+            made.add(data.dtype)
+            return result(data, parents, backward)
+
+        def spy_step(store, grads, state, lr, weight_decay):
+            step(store, grads, state, lr, weight_decay)
+            seen.setdefault("gradients", set()).update(
+                g.dtype for g in grads.values())
+            seen["masters"] = {store.flat.dtype, state.m.dtype, state.v.dtype}
+
+        monkeypatch.setattr(tc, "_result", spy_result)
+        monkeypatch.setattr(training, "adamw_step", spy_step)
+        training.finetune(params, cube, split, mode,
+                          _short_settings(ft_epochs=1))
+        f32 = np.dtype(np.float32)
+        assert made == {f32}  # the cross-entropy too
+        assert seen == {"gradients": {f32}, "masters": {np.dtype(np.float64)}}
+
     @pytest.mark.parametrize("ft_batch", [1, 4])
     def test_cached_probe_equals_per_window_loop(self, ft_batch):
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=6)
@@ -611,9 +681,10 @@ class TestFinetune:
 
 
 def _per_window_probe(params, cube, split, settings, run_seed):
-    """The probe as one graph per step: encode the step's windows, pool,
-    classify, backward, AdamW on the head. At ft_batch 1 that is one
-    single-window graph per train row at lr; above, one graph of the
+    """The probe as one graph per step, on the float32 leaves finetune
+    uses: encode the step's windows, pool, classify, backward, AdamW on
+    the head. At ft_batch 1 that is one single-window graph per train
+    row at lr; above, one graph of the
     batch's stacked windows at lr * sqrt(ft_batch). The reference that
     the feature-cached probe must reproduce bit for bit."""
     train_rows, test_rows = split
@@ -635,7 +706,8 @@ def _per_window_probe(params, cube, split, settings, run_seed):
     trainable = set(training.PROBE_PARAMS)
 
     def step(cube_in, labels, lr):
-        tensors = params.tensors(trainable=trainable)
+        tensors = params.tensors(trainable=trainable,
+                                 dtype=model.COMPUTE_DTYPE)
         logits = model.classify(cube_in, params, tensors)  # (C,) or (B, C)
         logits = tc.reshape(logits, (len(labels), logits.data.shape[-1]))
         ce = tc.cross_entropy(logits, labels)
@@ -656,6 +728,7 @@ def _per_window_probe(params, cube, split, settings, run_seed):
             batch = [train_rows[i] for i in order[lo:lo + size]]
             step(stack(batch), [c - 1 for *_, c in batch],
                  settings.lr * np.sqrt(size))
-    preds = [int(np.argmax(model.classify(window(i, j), params).data)) + 1
+    preds = [int(np.argmax(model.classify(window(i, j), params, params.tensors(
+        trainable=set(), dtype=model.COMPUTE_DTYPE)).data)) + 1
              for i, j, _ in test_rows]
     return training.evaluate(preds, [c for _, _, c in test_rows]), params
