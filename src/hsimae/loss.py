@@ -7,7 +7,8 @@ elsewhere. The spectral-angle term averages the per-pixel angle between
 true and reconstructed spectra over every (cropped) pixel, so its
 gradient reaches every row; a pixel's spectrum lies along the group and
 band axes of the rows' block view (tokenizer.SPECTRAL_AXES). The total
-is the convex combination alpha * MSE + (1 - alpha) * SAM.
+is the convex combination alpha * MSE + (1 - alpha) * SAM, one graph
+node (tensorcore.rec_objective) that keeps no float64 copy of the rows.
 """
 
 import json
@@ -57,17 +58,13 @@ def rec_loss(grid, y_hat, token_mask, alpha=0.5):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    l_mse = tc.masked_mse(grid.patches, y_hat, token_mask)
-    view = grid.block_shape
-    l_sam, cos = tc.spectral_angle(grid.patches.reshape(view),
-                                   tc.reshape(y_hat, view),
-                                   tokenizer.SPECTRAL_AXES)
-    total = tc.add(tc.scale(l_mse, alpha), tc.scale(l_sam, 1.0 - alpha))
+    total, l_mse, l_sam, cos = tc.rec_objective(
+        grid.patches, y_hat, token_mask, alpha, grid.block_shape,
+        tokenizer.SPECTRAL_AXES)
     tc.check_finite(total, "in reconstruction loss")
     excluded = int(np.isnan(cos).sum())
     report = LossReport(
-        l_mse=float(l_mse.data), l_sam=float(l_sam.data),
-        l_rec=float(total.data),
+        l_mse=float(l_mse), l_sam=float(l_sam), l_rec=float(total.data),
         n_masked=int(np.count_nonzero(token_mask)) * grid.patches.shape[-1],
         n_pixels=cos.size - excluded, n_excluded=excluded, alpha=float(alpha),
         cos=cos)

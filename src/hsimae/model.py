@@ -181,16 +181,16 @@ def init_params(config, P, Q, K, n_classes, seed):
 
 
 def _attention(x, kv, t, pre, config):
-    q = tc.add(tc.matmul(x, t[pre + "wq"]), t[pre + "bq"])
-    k = tc.add(tc.matmul(kv, t[pre + "wk"]), t[pre + "bk"])
-    v = tc.add(tc.matmul(kv, t[pre + "wv"]), t[pre + "bv"])
+    q = tc.matmul(x, t[pre + "wq"], t[pre + "bq"])
+    k = tc.matmul(kv, t[pre + "wk"], t[pre + "bk"])
+    v = tc.matmul(kv, t[pre + "wv"], t[pre + "bv"])
     heads = tc.attention(q, k, v, config.n_heads)
-    return tc.add(tc.matmul(heads, t[pre + "wo"]), t[pre + "bo"])
+    return tc.matmul(heads, t[pre + "wo"], t[pre + "bo"])
 
 
 def _feed_forward(x, t, pre):
-    h = tc.gelu(tc.add(tc.matmul(x, t[pre + "ff1_w"]), t[pre + "ff1_b"]))
-    return tc.add(tc.matmul(h, t[pre + "ff2_w"]), t[pre + "ff2_b"])
+    h = tc.gelu(tc.matmul(x, t[pre + "ff1_w"], t[pre + "ff1_b"]))
+    return tc.matmul(h, t[pre + "ff2_w"], t[pre + "ff2_b"])
 
 
 def _run_stack(x, t, stack, n_layers, config, memory=None):
@@ -235,7 +235,7 @@ def decode(latents, plan, tensors, rows, config):
                       tensors["mask_token"])
     x = _run_stack(tc.add(x, rows), tensors, "dec", config.n_dec_layers,
                    config, latents)
-    return tc.add(tc.matmul(x, tensors["recon_w"]), tensors["recon_b"])
+    return tc.matmul(x, tensors["recon_w"], tensors["recon_b"])
 
 
 def embed_for(params, grid, tensors):
@@ -243,7 +243,7 @@ def embed_for(params, grid, tensors):
     in the dtype of the leaves: the patches and wavelengths are cast to it."""
     w = tensors["patch_proj_w"]
     patches = tc.Tensor(grid.patches.astype(w.data.dtype, copy=False))
-    proj = tc.add(tc.matmul(patches, w), tensors["patch_proj_b"])
+    proj = tc.matmul(patches, w, tensors["patch_proj_b"])
     rows = _positional_rows(params, grid, tensors)
     return tc.add(proj, rows), rows
 
@@ -275,7 +275,7 @@ def head(pooled, tensors):
     """Class logits (..., n_classes) of pooled features (..., d)."""
     *lead, d = pooled.shape
     rows = tc.reshape(pooled, (*lead, 1, d))  # one vector-matrix product each
-    logits = tc.add(tc.matmul(rows, tensors["cls_w"]), tensors["cls_b"])
+    logits = tc.matmul(rows, tensors["cls_w"], tensors["cls_b"])
     return tc.reshape(logits, (*lead, logits.shape[-1]))
 
 

@@ -2,19 +2,22 @@
 differentiation.
 
 Small, CPU-only engine: enough operations for a transformer
-encoder/decoder, the reconstruction losses, and an AdamW optimizer.
+encoder/decoder, the reconstruction objective, and an AdamW optimizer.
 A tensor keeps float32 data as float32 and holds any other data as
 float64; an op computes, and hands gradients back, in its operands'
-dtype, except the two reconstruction losses, which compute in float64
-whatever the rows' dtype and return float64 scalars. A gradient of
-another dtype than its tensor's is cast once, on arrival. The commands
-run the model in float32; the finite-difference checks feed float64.
+dtype, except the reconstruction objective, which computes in float64
+whatever the rows' dtype, returns float64 scalars and hands the rows a
+gradient in their dtype. A gradient of another dtype than its tensor's
+is cast once, on arrival. The commands run the model in float32; the
+finite-difference checks feed float64.
 `add` broadcasts as numpy does, and its backward sums over the
-broadcast axes. Row layout is boolean masks:
+broadcast axes; so does `matmul`'s optional bias, added in place into
+the product, so that no pre-bias product is kept for backward. Row
+layout is boolean masks:
 `gather_rows` selects rows and `place_rows`, its transpose, puts them
 back among fill rows.
 Operands that may carry a gradient are Tensors; constants (the target
-of `masked_mse` and `spectral_angle`, masks, class ids) are numpy arrays.
+of `rec_objective`, masks, class ids) are numpy arrays.
 An op keeps its parents and backward only when some parent needs a
 gradient, so a one-parent backward never tests `requires_grad`.
 The error function behind GELU is Cephes' `ndtr.c` erf (Moshier, 1989),
@@ -344,11 +347,15 @@ def place_rows(rows, at, fill):
 # -- linear algebra -------------------------------------------------------
 
 
-def matmul(a, b):
-    """(..., m, k) @ (k, n), or batched (..., m, k) @ (..., k, n).
+def matmul(a, b, bias=None):
+    """(..., m, k) @ (k, n), or batched (..., m, k) @ (..., k, n), plus an
+    optional bias whose shape broadcasts to the product's, e.g. (n,).
 
     A shared (k, n) right operand is applied to each leading index in
-    turn, one matrix product per window, as numpy does.
+    turn, one matrix product per window, as numpy does. The bias is
+    added in place into the product, with the bits of add(matmul(a, b),
+    bias) but no pre-bias product kept; its gradient is summed back over
+    its broadcast axes, as add's is.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or (
             b.data.ndim > 2 and b.data.shape[:-2] != a.data.shape[:-2]):
@@ -357,8 +364,17 @@ def matmul(a, b):
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(
             f"matmul: inner extents differ, {a.data.shape} vs {b.data.shape}")
+    out = a.data @ b.data
+    if bias is not None:  # in place, unless the bias promotes the product
+        if bias.data.ndim > out.ndim or any(n not in (1, m) for n, m in zip(
+                bias.shape[::-1], out.shape[::-1])):
+            raise ShapeError(f"matmul: a {bias.shape} bias for {out.shape}")
+        same = np.promote_types(out.dtype, bias.data.dtype) == out.dtype
+        out = np.add(out, bias.data, out=out if same else None)
 
     def backward(g):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_reduce_to(g, bias.data.shape))
         if a.requires_grad:
             a._accumulate(g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
@@ -368,7 +384,8 @@ def matmul(a, b):
                 rows = a.data.reshape(-1, a.data.shape[-1])
                 b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
 
-    return _result(a.data @ b.data, (a, b), backward)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _result(out, parents, backward)
 
 
 def softmax(a, axis=-1):
@@ -420,50 +437,40 @@ def _sum_products(a, b, axes):
     return out.reshape([1 if i in axes else n for i, n in enumerate(a.shape)])
 
 
-def masked_mse(y, y_hat, mask):
-    """Mean of (y - y_hat)^2 over the rows of (..., n, m) arrays where the
-    (..., n) bool mask is True, for a constant y; gradient -2 (y - y_hat) /
-    count there, 0 elsewhere. A mask with no True row is a DomainError.
-    The difference, the mean and the gradient are float64 for any dtype
-    of y_hat, so float32 rows keep a float64 objective."""
-    mask = np.asarray(mask)
-    if (y.shape != y_hat.shape or mask.shape != y.shape[:-1]
-            or mask.dtype != bool):
-        raise ShapeError(f"masked_mse: {y.shape}, {y_hat.shape} and a "
-                         f"{mask.dtype} {mask.shape} row mask")
+def rec_objective(y, y_hat, mask, alpha, view, axes):
+    """alpha * MSE + (1 - alpha) * SAM of the (..., n, m) rows y_hat
+    against a constant y, as one graph node: the MSE over the rows where
+    the (..., n) bool mask is True, and the mean angle between spectra
+    along `axes` of the rows' reshape `view`, a pixel being one index of
+    the other axes (those before the first of `axes` index whole rows).
+    Returns the total Tensor, l_mse and l_sam, all float64, and each
+    pixel's cosine, `axes` kept at extent 1. A pixel whose true or
+    predicted norm is at most ZERO_NORM_EPS is left out (cosine NaN); a
+    non-finite norm is a FloatingPointError; a mask with no True row, no
+    pixel left or a cosine beyond 1 + ARCCOS_SLACK a DomainError. Cosines
+    are clamped ARCCOS_CLAMP from +-1. The terms compute on one float64
+    copy of the rows, freed by the forward; backward rebuilds it in
+    blocks of about _BLOCK elements and hands y_hat the sum of the two
+    terms' gradients, each cast to y_hat's dtype first.
+    """
+    mask, y, rows = np.asarray(mask), np.asarray(y, np.float64), y_hat.data
+    first = min(ax % len(view) for ax in np.atleast_1d(axes))
+    cells, cell = int(np.prod(view[:first])), int(np.prod(view[first:]))
+    if (y.shape != rows.shape or mask.shape != y.shape[:-1]
+            or mask.dtype != bool or cells * cell != y.size
+            or cell % y.shape[-1]):
+        raise ShapeError(f"rec_objective: {y.shape}, {rows.shape}, a "
+                         f"{mask.dtype} {mask.shape} row mask and a view "
+                         f"{tuple(view)} with spectra along {axes}")
     n = np.count_nonzero(mask)
     if not n:
-        raise DomainError("masked_mse: the mask selects no row")
-    c = 1.0 / (n * y.shape[-1])
-    d = np.subtract(y, y_hat.data, dtype=np.float64)
-    d[~mask] = 0.0
-
-    def backward(g):
-        y_hat._accumulate(d * (-2.0 * float(g * c)))
-
-    flat = d.ravel()
-    return _result(np.einsum("i,i->", flat, flat) * c, (y_hat,), backward)
-
-
-def spectral_angle(y, y_hat, axes):
-    """Mean angle between the spectra of a constant y and of y_hat, a
-    spectrum being the values along `axes` at one pixel, and a pixel one
-    index of the other axes. A pixel whose true or predicted spectrum has
-    a norm of at most ZERO_NORM_EPS has no angle and is left out of the
-    mean by a per-pixel mask; a non-finite norm is a FloatingPointError,
-    and a mean over no pixel a DomainError. A cosine beyond 1 +
-    ARCCOS_SLACK is a DomainError; the rest are clamped to ARCCOS_CLAMP
-    from +-1, so the gradient stays finite. Returns the mean, and each
-    pixel's cosine (NaN where it has no angle), with `axes` kept at
-    extent 1. Norms, cosines, the mean and the gradient are float64 for
-    any dtype of y_hat: float32 rows are copied to float64 first."""
-    y = np.asarray(y, dtype=np.float64)
-    x = y_hat.data.astype(np.float64, copy=False)
-    if y.shape != x.shape:
-        raise ShapeError(f"spectral_angle: {y.shape} and {x.shape}")
-    dots = _sum_products(y, x, axes)
-    ny = np.sqrt(_sum_products(y, y, axes))
-    nyh = np.sqrt(_sum_products(x, x, axes))
+        raise DomainError("rec_objective: the mask selects no row")
+    alpha, c_mse = float(alpha), 1.0 / (n * y.shape[-1])
+    x = np.array(rows, np.float64)  # the one float64 copy
+    yv, xv = y.reshape(view), x.reshape(view)
+    dots = _sum_products(yv, xv, axes)
+    ny = np.sqrt(_sum_products(yv, yv, axes))
+    nyh = np.sqrt(_sum_products(xv, xv, axes))
     if not (np.isfinite(ny).all() and np.isfinite(nyh).all()):
         raise FloatingPointError("non-finite spectrum norm")
     valid = (ny > ZERO_NORM_EPS) & (nyh > ZERO_NORM_EPS)
@@ -477,16 +484,36 @@ def spectral_angle(y, y_hat, axes):
     if np.any(np.abs(cos) > 1.0 + ARCCOS_SLACK):
         raise DomainError(f"cosines outside [-1, 1]: {cos.min()}, {cos.max()}")
     clamped = np.clip(cos, -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP)
-    c = 1.0 / np.count_nonzero(valid)
+    c_sam = 1.0 / np.count_nonzero(valid)
+    l_sam = np.sum(np.arccos(clamped), where=valid) * c_sam
+    d = np.subtract(y, x, out=x)  # the copy becomes y - y_hat
+    d[~mask] = 0.0
+    l_mse = np.einsum("i,i->", d.ravel(), d.ravel()) * c_mse
 
     def backward(g):
         # d angle / d x = -1/sqrt(1 - cos^2) (y / norms - cos x / nyh^2)
-        gc = np.where(valid, -float(g * c) / np.sqrt(1.0 - clamped * clamped),
-                      0.0)
-        y_hat._accumulate(gc / norms * y - gc * cos / (nyh * nyh) * x)
+        gc = np.where(valid, -float(g * (1.0 - alpha) * c_sam)
+                      / np.sqrt(1.0 - clamped * clamped), 0.0)
+        f_y, f_x = (f.reshape(cells, *f.shape[first:])
+                    for f in (gc / norms, gc * cos / (nyh * nyh)))
+        f_mse = -2.0 * float(g * alpha * c_mse)
+        out = np.empty(rows.shape, rows.dtype)
+        y_c, x_c, out_c = (a.reshape(cells, *view[first:])
+                           for a in (y, rows, out))
+        drop, step = ~mask.reshape(cells, -1), max(1, _BLOCK // cell)
+        for at in (slice(i, i + step) for i in range(0, cells, step)):
+            xb = x_c[at].astype(np.float64)
+            mse = y_c[at] - xb
+            mse.reshape(-1, y.shape[-1])[drop[at].ravel()] = 0.0
+            mse *= f_mse
+            sam = f_y[at] * y_c[at]
+            sam -= f_x[at] * xb
+            np.add(mse.astype(out.dtype), sam.astype(out.dtype),
+                   out=out_c[at])
+        y_hat._accumulate(out)
 
-    angle = np.sum(np.arccos(clamped), where=valid) * c
-    return _result(angle, (y_hat,), backward), np.where(valid, cos, np.nan)
+    total = _result(l_mse * alpha + l_sam * (1.0 - alpha), (y_hat,), backward)
+    return total, l_mse, l_sam, np.where(valid, cos, np.nan)
 
 
 def _row_blocks(x):

@@ -334,9 +334,10 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
     the rate with the batch). A non-finite loss or gradient raises a
     FloatingPointError naming the epoch and the batch. `split` is
     (train_rows, test_rows) of (i, j, label). The probe encodes each
-    train window once, with the encoder frozen, and trains the head on
-    those cached features; both modes classify the test windows in
-    chunks of about CHUNK_TOKENS token rows, without recording a graph.
+    train window once (none when there is no epoch), with the encoder
+    frozen, and trains the head on those cached features; both modes
+    classify the test windows in chunks of about CHUNK_TOKENS token
+    rows, without recording a graph.
     """
     if mode not in ("probe", "full"):
         raise ValueError(f"mode must be 'probe' or 'full', got {mode}")
@@ -382,7 +383,7 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
                                        frozen).data
                                for lo in range(0, len(rows), per)])
 
-    if mode == "probe":
+    if mode == "probe" and settings.ft_epochs:
         cached = encoded(model.features, train_rows)
     state = OptimState()
     order = np.arange(len(train_rows))

@@ -339,24 +339,24 @@ class TestReconstructCmd:
 
     def test_sam_map_reuses_the_losss_cosines(self, small_cube, tmp_path,
                                               monkeypatch):
-        # pixel norms are computed only by the spectral-angle op, and one
+        # pixel norms are computed only by the objective op, and one
         # reconstruct --sam-map runs it once: the map reads its cosines
         path, _ = small_cube
         ckpt, sam_map = tmp_path / "m.ckpt", tmp_path / "sam.hsc"
         run(["pretrain", "--data", str(path), "--out", str(ckpt),
              "--steps", "1", "--d-model", "16"])
-        calls, angle = [], tc.spectral_angle
+        calls, objective = [], tc.rec_objective
 
         def spy(*args):
-            calls.append(angle(*args))
+            calls.append(objective(*args))
             return calls[-1]
 
-        monkeypatch.setattr(tc, "spectral_angle", spy)
+        monkeypatch.setattr(tc, "rec_objective", spy)
         assert run(["reconstruct", "--checkpoint", str(ckpt), "--data",
                     str(path), "--sam-map", str(sam_map)]) == 0
         assert len(calls) == 1
         np.testing.assert_array_equal(hsidata.load_cube(sam_map).values,
-                                      loss.sam_map(calls[0][1]))
+                                      loss.sam_map(calls[0][3]))
 
     def test_float32_rows_keep_float64_angles(self, small_cube, tmp_path,
                                               monkeypatch):

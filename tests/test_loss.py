@@ -6,6 +6,7 @@ import pytest
 from hsimae import hsidata, loss, masking, tokenizer
 from hsimae import tensorcore as tc
 from fdcheck import finite_diff_grad, assert_grads_close
+from two_op_loss import two_op_objective
 
 EPS = 1e-12  # the zero-norm threshold of the cube-layout objective
 
@@ -127,9 +128,11 @@ def test_token_layout_matches_the_cube_layout_objective(rho, zero_pixels):
 
 
 def pixel_angle(y, y_hat):
-    """The spectral angle of two spectra, as one pixel."""
-    out, _ = tc.spectral_angle(np.reshape(y, (1, -1)),
-                               tc.Tensor(np.reshape(y_hat, (1, -1))), -1)
+    """The spectral angle of two spectra, as one pixel: the objective of
+    one row at alpha 0."""
+    y = np.reshape(y, (1, -1))
+    out, *_ = tc.rec_objective(y, tc.Tensor(np.reshape(y_hat, (1, -1))),
+                               np.ones(1, bool), 0.0, y.shape, -1)
     return float(out.data)
 
 
@@ -166,6 +169,30 @@ class TestSamPixel:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             pixel_angle(np.zeros(4), np.ones(4))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rec_loss_has_the_bits_of_the_two_op_graph(dtype):
+    # 25 cells of 6 tokens: four backward blocks of whole cells
+    rng = np.random.default_rng(12)
+    values, predicted = rng.normal(size=(2, 45, 45, 48))
+    values[3, 5] = predicted[40, 2] = 0.0  # two excluded pixels
+    grid = _grid(values)
+    mask = masking.sample_mask_plan(grid.P, grid.Q, grid.K, 0.5, 0.5,
+                                    seed=2).token_masked.ravel()
+    y_hat = tc.Tensor(_rows(predicted).astype(dtype), requires_grad=True)
+    total, report = loss.rec_loss(grid, y_hat, mask, alpha=0.5)
+    total.backward()
+    ref_hat = tc.Tensor(_rows(predicted).astype(dtype), requires_grad=True)
+    ref, l_mse, l_sam, cos = two_op_objective(
+        grid.patches, ref_hat, mask, 0.5, grid.block_shape,
+        tokenizer.SPECTRAL_AXES)
+    ref.backward()
+    assert (report.l_mse, report.l_sam, report.l_rec) == (
+        l_mse, l_sam, float(ref.data))
+    assert report.cos.tobytes() == cos.tobytes() and report.n_excluded == 2
+    assert y_hat.grad.dtype == dtype
+    assert y_hat.grad.tobytes() == ref_hat.grad.tobytes()
 
 
 def test_sam_map_matches_per_pixel_loop():

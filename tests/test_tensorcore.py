@@ -12,6 +12,7 @@ from scipy.special import erf as scipy_erf
 from hsimae import tensorcore as tc
 from fdcheck import finite_diff_grad, assert_grads_close, weighted_sum
 from test_engine_callers import _public_ops
+from two_op_loss import two_op_objective
 
 
 def _grad_of(build, *arrays):
@@ -53,6 +54,41 @@ class TestMatmul:
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(tc.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             tc.matmul(tc.Tensor(np.zeros((2, 3))), tc.Tensor(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shapes", [[(5, 4), (4, 3), (3,)],
+                                        [(2, 1, 4), (4, 3), (3,)],
+                                        [(2, 5, 4), (2, 4, 3), (5, 3)]])
+    def test_bias_has_the_bits_of_a_separate_add(self, shapes, dtype):
+        # the in-place sum rounds as add(matmul(a, b), bias), and the
+        # gradients are those of the two-node graph, bit for bit
+        rng = np.random.default_rng(12)
+        arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+        weights = rng.normal(size=shapes[0][:-1] + shapes[1][-1:])
+        runs = []
+        for build in (lambda a, b, c: tc.matmul(a, b, c),
+                      lambda a, b, c: tc.add(tc.matmul(a, b), c)):
+            ts = [tc.Tensor(x, requires_grad=True) for x in arrays]
+            out = build(*ts)
+            weighted_sum(out, weights).backward()
+            runs.append([out.data] + [t.grad for t in ts])
+        for fused, pair in zip(*runs):
+            assert fused.dtype == pair.dtype == dtype
+            assert fused.tobytes() == pair.tobytes()
+
+    def test_bias_that_widens_the_product_is_a_shape_error(self):
+        a, b = tc.Tensor(np.ones((2, 3))), tc.Tensor(np.ones((3, 4)))
+        for shape in [(3,), (2, 2, 4), (3, 4)]:
+            with pytest.raises(tc.ShapeError, match="bias"):
+                tc.matmul(a, b, tc.Tensor(np.ones(shape)))
+
+    def test_float64_bias_promotes_a_float32_product(self):
+        a = tc.Tensor(np.ones((2, 3), np.float32))
+        b = tc.Tensor(np.ones((3, 4), np.float32))
+        bias = np.full(4, 1e-9)
+        out = tc.matmul(a, b, tc.Tensor(bias))
+        assert out.data.dtype == np.float64
+        np.testing.assert_array_equal(out.data, np.tile(3.0 + bias, (2, 1)))
 
 
 class TestElementwise:
@@ -385,6 +421,11 @@ BATCHED_OPS = {
                             [(2, 3, 4), (4, 5)]),
     "matmul_batched_right": (lambda x, y: _weighted(tc.matmul(x, y)),
                              [(2, 3, 4), (2, 4, 5)]),
+    # a bias in the product: a 2-D weight, and the head's (..., 1, d) rows
+    "matmul_bias_2d": (lambda x, w, b: _weighted(tc.matmul(x, w, b)),
+                       [(3, 4), (4, 5), (5,)]),
+    "matmul_bias_head_rows": (lambda x, w, b: _weighted(tc.matmul(x, w, b)),
+                              [(2, 1, 4), (4, 3), (3,)]),
     "add_rowvec_leading": (lambda x, v: _weighted(tc.add(x, v)),
                            [(2, 3, 4), (4,)]),
     "add_trailing": (lambda x, y: tc.add(_weighted(tc.add(x, y)),
@@ -617,9 +658,24 @@ class TestLeadingAxes:
             tc.add(tc.Tensor(np.ones((2, 3, 4))), tc.Tensor(np.ones((2, 4))))
 
 
+def _objective(y, t, alpha, mask=None, axes=-1, view=None):
+    """tc.rec_objective of the rows t against y, over every row unless a
+    row mask is given, with spectra along `axes` of `view` (y's shape)."""
+    mask = np.ones(y.shape[:-1], bool) if mask is None else mask
+    return tc.rec_objective(y, t, mask, alpha,
+                            y.shape if view is None else view, axes)
+
+
+def _mse(y, t, mask):
+    """The masked MSE alone: the objective at alpha 1."""
+    return _objective(y, t, 1.0, mask)[0]
+
+
 def _angle(y, t, axes=-1):
-    """The mean spectral angle alone, of spectra along `axes`."""
-    return tc.spectral_angle(y, t, axes)[0]
+    """(mean spectral angle, cosines) of spectra along `axes`: the
+    objective at alpha 0."""
+    total, _, _, cos = _objective(y, t, 0.0, axes=axes)
+    return total, cos
 
 
 _TARGET = np.random.default_rng(8).normal(size=(3, 4))
@@ -628,25 +684,36 @@ _TARGET = np.random.default_rng(8).normal(size=(3, 4))
 _BLOCKS = np.random.default_rng(10).normal(size=(2, 2, 2, 1, 2, 3))
 _BLOCKS[0, 1, :, 0, 1, :] = _BLOCKS[1, 0, :, 0, 0, :] = 0.0
 _SPECTRA = (-4, -1)
+# its 8 token rows of 6 voxels, and a mask of 3 of them
+_ROWS = _BLOCKS.reshape(8, 6)
+_MASKED = np.array([True, False, False, True, False, True, False, False])
 
-# the fused losses against a fixed target: name -> (build of y_hat, shape)
+
+def _token_objective(alpha):
+    return lambda t: _objective(_ROWS, t, alpha, _MASKED, _SPECTRA,
+                                _BLOCKS.shape)[0]
+
+
+# the objective against a fixed target: its MSE alone (alpha 1), its
+# spectral angle alone (alpha 0), and both over token rows with a partial
+# mask and two excluded pixels: name -> (build of y_hat, shape)
 LOSS_OPS = {
-    "masked_mse_one_row": (lambda t: tc.masked_mse(
+    "masked_mse_one_row": (lambda t: _mse(
         _TARGET, t, np.array([False, True, False])), (3, 4)),
-    "masked_mse_two_rows": (lambda t: tc.masked_mse(
+    "masked_mse_two_rows": (lambda t: _mse(
         _TARGET, t, np.array([True, False, True])), (3, 4)),
-    "masked_mse_leading": (lambda t: tc.masked_mse(
+    "masked_mse_leading": (lambda t: _mse(
         _BLOCKS.reshape(2, 4, 6), t, np.array([[True, False, True, False],
                                                [False, False, False, True]])),
         (2, 4, 6)),
-    "spectral_angle": (lambda t: _angle(_TARGET, t), (3, 4)),
+    "spectral_angle": (lambda t: _angle(_TARGET, t)[0], (3, 4)),
     "spectral_angle_blocks": (lambda t: _angle(np.abs(_BLOCKS) + 0.1, t,
-                                               _SPECTRA), _BLOCKS.shape),
-    "spectral_angle_excluded": (lambda t: _angle(_BLOCKS, t, _SPECTRA),
+                                               _SPECTRA)[0], _BLOCKS.shape),
+    "spectral_angle_excluded": (lambda t: _angle(_BLOCKS, t, _SPECTRA)[0],
                                 _BLOCKS.shape),
+    **{f"objective_alpha_{a}": (_token_objective(a), _ROWS.shape)
+       for a in (0.0, 0.5, 1.0)},
 }
-
-
 @pytest.mark.parametrize("name", sorted(LOSS_OPS))
 def test_loss_gradients_match_finite_differences(name):
     build, shape = LOSS_OPS[name]
@@ -656,47 +723,50 @@ def test_loss_gradients_match_finite_differences(name):
     assert_grads_close(grad, numeric, rel=1e-6, abs_tol=1e-9)
     if name == "masked_mse_one_row":
         assert np.flatnonzero(grad.any(axis=1)).tolist() == [1]
-    if name == "spectral_angle_excluded":
-        excluded = ~_BLOCKS.any(axis=_SPECTRA, keepdims=True)
-        assert not np.broadcast_to(excluded, shape)[grad != 0].any()
+    excluded = np.broadcast_to(~_BLOCKS.any(axis=_SPECTRA, keepdims=True),
+                               _BLOCKS.shape)
+    if name in ("spectral_angle_excluded", "objective_alpha_0.0"):
+        assert not excluded[grad.reshape(_BLOCKS.shape) != 0].any()
+    if name == "objective_alpha_1.0":
+        assert not grad[~_MASKED].any() and grad[_MASKED].all()
+    if name == "objective_alpha_0.5":  # the MSE reaches excluded pixels
+        assert grad.reshape(_BLOCKS.shape)[excluded].any()
 
 
 class TestMaskedMse:
     def test_mean_over_the_masked_rows(self):
         y = np.array([[0.0, 1.0], [2.0, 3.0], [5.0, 5.0]])
-        out = tc.masked_mse(y, tc.Tensor(np.ones((3, 2))),
-                            np.array([True, True, False]))
+        out = _mse(y, tc.Tensor(np.ones((3, 2))),
+                   np.array([True, True, False]))
         assert float(out.data) == (1.0 + 0.0 + 1.0 + 4.0) / 4
 
     def test_perfect_rows_read_zero(self):
-        out = tc.masked_mse(_TARGET, tc.Tensor(_TARGET),
-                            np.array([True, False, True]))
+        out = _mse(_TARGET, tc.Tensor(_TARGET), np.array([True, False, True]))
         assert float(out.data) == 0.0
 
     def test_gradient_zero_outside_mask(self):
         mask = np.array([True, False, True])
         y_hat = tc.Tensor(-_TARGET, requires_grad=True)
-        tc.masked_mse(_TARGET, y_hat, mask).backward()
+        _mse(_TARGET, y_hat, mask).backward()
         assert np.all(y_hat.grad[~mask] == 0.0)
         assert np.all(y_hat.grad[mask] != 0.0)
 
     def test_empty_mask_is_a_domain_error(self):
         # the mean over no voxel was NaN, with only a RuntimeWarning
         with pytest.raises(tc.DomainError, match="selects no row"):
-            tc.masked_mse(_TARGET, tc.Tensor(_TARGET), np.zeros(3, bool))
+            _mse(_TARGET, tc.Tensor(_TARGET), np.zeros(3, bool))
 
     @pytest.mark.parametrize("mask", [np.ones(4, bool), np.ones((3, 4), bool),
                                       np.ones(3)])
     def test_mask_must_be_one_bool_per_row(self, mask):
         with pytest.raises(tc.ShapeError):
-            tc.masked_mse(_TARGET, tc.Tensor(_TARGET), mask)
+            _mse(_TARGET, tc.Tensor(_TARGET), mask)
 
 
 class TestSpectralAngle:
     def test_perfect_pixel_reads_the_clamp(self):
         # the spectral angle of a row and itself: its cosine is clamped
-        out, cos = tc.spectral_angle(np.array([[3.0, 4.0]]),
-                                     tc.Tensor([[3.0, 4.0]]), -1)
+        out, cos = _angle(np.array([[3.0, 4.0]]), tc.Tensor([[3.0, 4.0]]))
         assert float(out.data) == np.arccos(1.0 - tc.ARCCOS_CLAMP)
         assert cos.shape == (1, 1) and cos[0, 0] == 1.0
 
@@ -706,17 +776,17 @@ class TestSpectralAngle:
         row, sqrt = np.array([[3.0, 4.0]]), np.sqrt
         monkeypatch.setattr(np, "sqrt", lambda a: sqrt(a) * (1.0 - 1e-6))
         with pytest.raises(tc.DomainError, match="cosines outside"):
-            tc.spectral_angle(row, tc.Tensor(row), -1)
+            _angle(row, tc.Tensor(row))
         monkeypatch.setattr(
             np, "sqrt", lambda a: sqrt(a) * (1.0 - tc.ARCCOS_SLACK / 4))
-        out, _ = tc.spectral_angle(row, tc.Tensor(row), -1)
+        out, _ = _angle(row, tc.Tensor(row))
         assert float(out.data) == np.arccos(1.0 - tc.ARCCOS_CLAMP)
 
     def test_pixels_and_spectra_of_the_block_view(self):
         # each pixel's angle is that of its spectrum gathered by hand
         y = np.abs(_BLOCKS) + 0.1
         y_hat = np.random.default_rng(4).normal(size=_BLOCKS.shape)
-        out, cos = tc.spectral_angle(y, tc.Tensor(y_hat), _SPECTRA)
+        out, cos = _angle(y, tc.Tensor(y_hat), _SPECTRA)
         assert cos.shape == (2, 2, 1, 1, 2, 1)
         a = y.transpose(0, 1, 3, 4, 2, 5).reshape(8, 6)
         b = y_hat.transpose(0, 1, 3, 4, 2, 5).reshape(8, 6)
@@ -730,7 +800,7 @@ class TestSpectralAngle:
         y_hat = np.random.default_rng(5).normal(size=_BLOCKS.shape)
         y_hat[1, 1, :, 0, 0, :] = 1e-14  # a (near-)zero-norm prediction
         t = tc.Tensor(y_hat, requires_grad=True)
-        out, cos = tc.spectral_angle(_BLOCKS, t, _SPECTRA)
+        out, cos = _angle(_BLOCKS, t, _SPECTRA)
         out.backward()
         excluded = np.isnan(cos)
         assert excluded.sum() == 3
@@ -742,7 +812,7 @@ class TestSpectralAngle:
 
     def test_all_zero_is_a_domain_error(self):
         with pytest.raises(tc.DomainError, match="zero-norm"):
-            tc.spectral_angle(np.zeros((2, 4)), tc.Tensor(np.ones((2, 4))), -1)
+            _angle(np.zeros((2, 4)), tc.Tensor(np.ones((2, 4))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_norm_is_a_numeric_failure(self, bad):
@@ -750,18 +820,62 @@ class TestSpectralAngle:
         y_hat = _TARGET.copy()
         y_hat[1, 2] = bad
         with pytest.raises(FloatingPointError, match="non-finite"):
-            tc.spectral_angle(_TARGET, tc.Tensor(y_hat), -1)
+            _angle(_TARGET, tc.Tensor(y_hat))
 
     def test_shape_mismatch(self):
         with pytest.raises(tc.ShapeError):
-            tc.spectral_angle(_TARGET, tc.Tensor(_TARGET.T), -1)
+            _angle(_TARGET, tc.Tensor(_TARGET.T))
+
+
+class TestRecObjective:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_bits_of_the_two_op_graph(self, alpha, dtype, monkeypatch):
+        # total, terms, cosines and the rows' gradient equal the oracle's
+        # bit for bit, also in backward blocks of two cells
+        monkeypatch.setattr(tc, "_BLOCK", 200)
+        rng = np.random.default_rng(int(alpha * 10))
+        view = (2, 3, 3, 2, 3, 3, 4)  # a leading axis, then (P, Q, K, i, j, b)
+        y = rng.normal(size=(2, 18, 36))
+        rows = rng.normal(size=y.shape)
+        y.reshape(view)[0, 1, 2, :, 0, 1, :] = 0.0  # a zero-norm truth
+        rows.reshape(view)[1, 0, 0, :, 2, 2, :] = 1e-14  # and prediction
+        mask = rng.random(size=y.shape[:-1]) < 0.4
+        runs = []
+        for objective in (tc.rec_objective, two_op_objective):
+            t = tc.Tensor(rows.astype(dtype), requires_grad=True)
+            total, l_mse, l_sam, cos = objective(y, t, mask, alpha, view,
+                                                 _SPECTRA)
+            total.backward()
+            runs.append((total.data, l_mse, l_sam, cos, t.grad))
+        assert runs[0][4].dtype == dtype
+        assert np.isnan(runs[0][3]).sum() == 2
+        for got, want in zip(*runs):
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("view", [(16, 3), (2, 2, 2, 1, 2, 4)])
+    def test_a_view_that_does_not_cut_whole_rows(self, view):
+        with pytest.raises(tc.ShapeError, match="view"):
+            _objective(_ROWS, tc.Tensor(_ROWS), 0.5, _MASKED, -1, view)
+
+    def test_keeps_no_float64_copy_of_float32_rows(self):
+        # backward holds the target, the rows' tensor and per-pixel
+        # arrays, not a float64 array of the rows' size
+        t = tc.Tensor(np.abs(_ROWS).astype(np.float32) + 1.0,
+                      requires_grad=True)
+        total = _token_objective(0.5)(t)
+        held = [c.cell_contents for c in total._backward.__closure__]
+        assert not [a for a in held if isinstance(a, np.ndarray)
+                    and a.dtype == np.float64 and a.size == _ROWS.size
+                    and not np.shares_memory(a, _ROWS)]
 
 
 def test_arccos_gradient_away_from_clamp():
     # every cosine of these rows lies well inside (-1, 1)
     y_hat = np.random.default_rng(7).uniform(-2.0, 2.0, size=(5, 4))
     y = np.random.default_rng(17).uniform(-2.0, 2.0, size=(5, 4))
-    build = lambda t: _angle(y, t)
+    build = lambda t: _angle(y, t)[0]
     assert np.all(np.abs(np.sum(y * y_hat, axis=1) / np.linalg.norm(y, axis=1)
                          / np.linalg.norm(y_hat, axis=1)) < 0.99)
     (grad,) = _grad_of(build, y_hat)
@@ -774,7 +888,7 @@ def test_spectral_angle_gradient_at_the_clamp(sign):
     # rows (anti)parallel to the target: the clamp keeps the gradient
     # finite, and a perturbation too small to leave it moves nothing
     y_hat = sign * np.array([[2.5], [0.5], [1.0]]) * _TARGET
-    build = lambda t: _angle(_TARGET, t)
+    build = lambda t: _angle(_TARGET, t)[0]
     (grad,) = _grad_of(build, y_hat)
     assert np.all(np.isfinite(grad))
     numeric = finite_diff_grad(_scalar_fn(build), [y_hat], wrt=0, h=1e-5)
@@ -829,10 +943,11 @@ GRAPH_OPS = {
     "gather_rows": (lambda x: tc.gather_rows(x, _KEEP), [(3, 4)]),
     "place_rows": (lambda r, f: tc.place_rows(r, _AT, f), [(3, 4), (4,)]),
     "matmul": (tc.matmul, [(3, 4), (4, 2)]),
+    "matmul with a bias": (tc.matmul, [(3, 4), (4, 2), (2,)]),
     "softmax": (tc.softmax, [(3, 4)]),
     "cross_entropy": (lambda x: tc.cross_entropy(x, [2, 0, 3]), [(3, 4)]),
-    "masked_mse": (lambda t: tc.masked_mse(_TARGET, t, _KEEP), [(3, 4)]),
-    "spectral_angle": (lambda t: _angle(_TARGET, t), [(3, 4)]),
+    "rec_objective": (lambda t: _objective(_TARGET, t, 0.5, _KEEP)[0],
+                      [(3, 4)]),
     "attention": (lambda q, k, v: tc.attention(q, k, v, 2),
                   [(3, 4), (5, 4), (5, 4)]),
     "layer_norm": (tc.layer_norm, [(3, 4), (4,), (4,)]),
@@ -840,28 +955,35 @@ GRAPH_OPS = {
 
 
 def test_graph_ops_cover_every_public_op():
-    assert set(GRAPH_OPS) == _public_ops() - {"erf", "check_finite"}
+    # "<op> with ..." names a further case of op
+    assert {name.split()[0] for name in GRAPH_OPS} == _public_ops() - {
+        "erf", "check_finite"}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", GRAPH_OPS)
 def test_ops_keep_their_operands_dtype(name, dtype, monkeypatch):
     # an op computes, and hands its operands' gradients back, in their
-    # dtype; the two losses compute in float64 and cast the rows'
-    # gradient back to the rows' dtype as it arrives
+    # dtype; the objective computes in float64 and returns a float64
+    # total, but hands the rows their gradient in the rows' dtype
     build, shapes = GRAPH_OPS[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     tensors = [tc.Tensor(rng.uniform(0.5, 2.0, size=shape).astype(dtype),
                          requires_grad=True) for shape in shapes]
     out = build(*tensors)
-    is_loss = name in ("masked_mse", "spectral_angle")
+    is_loss = name == "rec_objective"
     assert out.data.dtype == (np.float64 if is_loss else dtype)
     handed, accumulate = [], tc.Tensor._accumulate
-    monkeypatch.setattr(tc.Tensor, "_accumulate", lambda t, g: handed.append(
-        np.asarray(g).dtype) or accumulate(t, g))
+
+    def spy(t, g):  # every gradient the op's graph hands back
+        if t is not out:
+            handed.append(np.asarray(g).dtype)
+        accumulate(t, g)
+
+    monkeypatch.setattr(tc.Tensor, "_accumulate", spy)
     tc.tsum(out).backward()
     assert [t.grad.dtype for t in tensors] == [np.dtype(dtype)] * len(shapes)
-    assert set(handed) == {np.dtype(np.float64 if is_loss else dtype)}
+    assert set(handed) == {np.dtype(dtype)}
 
 
 @pytest.mark.parametrize("name, wrt", [(name, None) for name in GRAPH_OPS] + [

@@ -382,15 +382,16 @@ class TestPretrain:
     def test_float32_compute_over_float64_masters(self, monkeypatch):
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
         made, seen = [], {}
-        result, mse, step = tc._result, tc.masked_mse, training.adamw_step
+        result, objective, step = (tc._result, tc.rec_objective,
+                                   training.adamw_step)
 
         def spy_result(data, parents, backward):
             made.append(data.dtype)
             return result(data, parents, backward)
 
-        def spy_mse(*args):
+        def spy_objective(*args):
             seen.setdefault("before the loss", set(made))
-            return mse(*args)
+            return objective(*args)
 
         def spy_step(store, grads, state, lr, weight_decay):
             step(store, grads, state, lr, weight_decay)
@@ -398,15 +399,17 @@ class TestPretrain:
             seen["masters"] = {store.flat.dtype, state.m.dtype, state.v.dtype}
 
         monkeypatch.setattr(tc, "_result", spy_result)
-        monkeypatch.setattr(tc, "masked_mse", spy_mse)
+        monkeypatch.setattr(tc, "rec_objective", spy_objective)
         monkeypatch.setattr(training, "adamw_step", spy_step)
         training.pretrain([cube], model.micro_config(),
                           _short_settings(steps=1), run_seed=0)
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
         assert seen == {"before the loss": {f32}, "gradients": {f32},
                         "masters": {f64}}
-        # the two losses, their two scales and their sum
-        assert made.count(f64) == 5 and made.count(f32) > 40
+        # the objective's total is the one float64 node; the micro model's
+        # forward makes 36 float32 ones: 6 embed, 1 mask, 13 encoder and
+        # 16 decoder nodes, each biased product one matmul
+        assert made.count(f64) == 1 and made.count(f32) == 36
 
     def test_zero_ratio_rejected(self):
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
@@ -476,6 +479,46 @@ class TestPretrain:
         with pytest.raises(ValueError, match="token grid"):
             training.pretrain([a, b], model.micro_config(), _short_settings(),
                               run_seed=0)
+
+
+def _graph_arrays(root):
+    """Every array the graph of root can reach: each node's data, and each
+    array, or tensor's graph, that a backward closure holds."""
+    arrays, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays.append(node.data)
+        stack.extend(node._parents)
+        held = [c.cell_contents for c in getattr(node._backward, "__closure__",
+                                                  None) or ()]
+        for value in held:
+            for v in value if isinstance(value, (tuple, list)) else [value]:
+                if isinstance(v, tc.Tensor):
+                    stack.append(v)
+                elif isinstance(v, np.ndarray):
+                    arrays.append(v)
+    return arrays
+
+
+class TestActivationMemory:
+    def test_graph_holds_no_float64_copy_of_the_rows(self):
+        # the float32 model's graph, when backward would start, holds no
+        # float64 array of the token rows' size but the patches themselves
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
+        grid = tokenizer.partition(hsidata.normalize(cube)[0])
+        params = model.init_params(model.micro_config(), grid.P, grid.Q,
+                                   grid.K, 3, seed=0)
+        plan = masking.sample_mask_plan(grid.P, grid.Q, grid.K, 0.5, 0.5, 1)
+        total, _, _ = training.masked_loss(
+            params, grid, plan, 0.5, params.tensors(dtype=model.COMPUTE_DTYPE))
+        arrays = _graph_arrays(total)
+        assert any(np.shares_memory(a, grid.patches) for a in arrays)
+        assert not [a.shape for a in arrays if a.dtype == np.float64
+                    and a.size == grid.patches.size
+                    and not np.shares_memory(a, grid.patches)]
 
 
 class TestCropWarning:
@@ -576,6 +619,31 @@ class TestFinetune:
         f32 = np.dtype(np.float32)
         assert made == {f32}  # the cross-entropy too
         assert seen == {"gradients": {f32}, "masters": {np.dtype(np.float64)}}
+
+    def test_probe_without_epochs_encodes_only_the_test_windows(
+            self, monkeypatch):
+        # with no epoch no cached train feature is read, so none is made;
+        # the report and predictions are those of the untrained head
+        cube = hsidata.gen_synthetic(18, 18, 16, 2, seed=3)
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=0)
+        rows = training.make_split(cube, 0.5, seed=0)
+        split = ([(i, j, c) for i, j, c, s in rows if s == "train"][:7],
+                 [(i, j, c) for i, j, c, s in rows if s == "test"][:5])
+        encoded, features = [], model.features
+
+        def spy(windows, *args):
+            encoded.append(len(windows.values))
+            return features(windows, *args)
+
+        monkeypatch.setattr(model, "features", spy)
+        report, tuned = training.finetune(params, cube, split, "probe",
+                                          _short_settings(ft_epochs=0))
+        assert sum(encoded) == len(split[1])
+        ref_report, ref = training.finetune(params, cube, split, "full",
+                                            _short_settings(ft_epochs=0))
+        assert report.to_json() == ref_report.to_json()
+        assert report.pred.tobytes() == ref_report.pred.tobytes()
+        assert tuned.flat.tobytes() == ref.flat.tobytes()
 
     @pytest.mark.parametrize("ft_batch", [1, 4])
     def test_cached_probe_equals_per_window_loop(self, ft_batch):
