@@ -86,10 +86,17 @@ def _settings(section, args):
     return cls(**values)
 
 
+def _check_outputs(*paths):
+    """Before any work, raise naming the first path that cannot be written."""
+    for path in filter(None, paths):
+        hsidata.check_writable(path)
+
+
 def cmd_gen_synth(args):
     if not 0 < args.train_fraction < 1:  # NaN fails this too
         raise ValueError(f"--train-fraction {args.train_fraction} is not "
                          "strictly between 0 and 1")
+    _check_outputs(args.out, args.split_out)
     cube = hsidata.gen_synthetic(args.height, args.width, args.bands,
                                  args.classes, args.seed)
     hsidata.save_cube(cube, args.out)
@@ -115,9 +122,7 @@ def cmd_pretrain(args):
 
 
 def cmd_finetune(args):
-    for path in (args.out, args.report, args.pred_out):
-        if path:
-            hsidata.check_writable(path)
+    _check_outputs(args.out, args.report, args.pred_out)
     params = model.load_checkpoint(args.checkpoint)
     cube = hsidata.load_cube(args.data)
     split = training.read_split(args.split)
@@ -161,6 +166,7 @@ def cmd_eval(args):
 
 
 def cmd_reconstruct(args):
+    _check_outputs(args.out, args.sam_map)
     params = model.load_checkpoint(args.checkpoint)
     cube = hsidata.load_cube(args.data)
     normed, (mean, std) = hsidata.normalize(cube)

@@ -256,16 +256,14 @@ def masked_forward(params, grid, plan, tensors):
     return decode(latents, plan, tensors, rows, params.config)
 
 
-def features(windows, params, tensors=None):
-    """Mean-pooled latents of an unmasked encoding pass.
+def features(windows, params, tensors):
+    """Mean-pooled latents of an unmasked encoding pass over the caller's
+    leaves `tensors`, in their dtype; frozen leaves record no graph.
 
     `windows` is one cube, giving (d,), or a stack of windows
     (B, h, w, bands), giving (B, d); each window is encoded on its own.
-    Without tensors, parameters are frozen and no graph is recorded.
     """
     grid = tokenizer.partition(windows)
-    if tensors is None:
-        tensors = params.tensors(trainable=set())
     latents = encode(embed_for(params, grid, tensors)[0], tensors,
                      params.config)
     return tc.tmean(latents, axis=-2)
@@ -279,10 +277,8 @@ def head(pooled, tensors):
     return tc.reshape(logits, (*lead, logits.shape[-1]))
 
 
-def classify(windows, params, tensors=None):
-    """Logits (n_classes,) of one cube, or (B, n_classes) of a stack."""
-    if tensors is None:
-        tensors = params.tensors(trainable=set())
+def classify(windows, params, tensors):
+    """Logits (n_classes,) of a cube, (B, n_classes) of a stack; as features."""
     return head(features(windows, params, tensors), tensors)
 
 

@@ -20,6 +20,7 @@ Operands that may carry a gradient are Tensors; constants (the target
 of `rec_objective`, masks, class ids) are numpy arrays.
 An op keeps its parents and backward only when some parent needs a
 gradient, so a one-parent backward never tests `requires_grad`.
+No gradient array is written after it is made: tensors may share one.
 The error function behind GELU is Cephes' `ndtr.c` erf (Moshier, 1989),
 the algorithm scipy.special.erf runs: bit-identical to it for |x| <= 1,
 and within 1 ulp beyond, where numpy's exp may round differently from
@@ -90,8 +91,7 @@ class Tensor:
     """A float32 or float64 array (any other dtype is cast to float64)
     plus the bookkeeping for reverse-mode gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_owns_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
         self.data = _floating(data)
@@ -99,7 +99,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-        self._owns_grad = False
 
     @property
     def shape(self):
@@ -111,25 +110,18 @@ class Tensor:
     # -- graph plumbing ---------------------------------------------------
 
     def _accumulate(self, g):
-        """Add g to .grad, which has the tensor's dtype. A first gradient
-        that is a writeable, C-contiguous array of that dtype is kept
-        without a copy; such a borrowed array may be shared with other
-        tensors and is never written, so the next gradient makes a fresh
-        sum, and later ones add in place. A gradient of another dtype is
-        cast once, as it is copied or added."""
+        """Add g to .grad, in the tensor's dtype. As no gradient array is
+        written after it is made, a C-contiguous first g of that dtype is
+        kept, shared or read-only; any other is copied, cast once, and
+        each later g makes a fresh sum."""
         dtype = self.data.dtype
-        if self.grad is None:
-            if (type(g) is np.ndarray and g.dtype == dtype
-                    and g.flags.c_contiguous and g.flags.writeable):
-                self.grad, self._owns_grad = g, False
-            else:
-                self.grad = np.array(g, dtype=dtype, copy=True)
-                self._owns_grad = True
-        elif self._owns_grad:
-            self.grad += g
-        else:
+        if self.grad is not None:
             self.grad = np.add(self.grad, g, dtype=dtype)
-            self._owns_grad = True
+        elif (type(g) is np.ndarray and g.dtype == dtype
+              and g.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=dtype, copy=True)
 
     def backward(self):
         """Reverse-mode sweep from a scalar root; fills .grad on leaves and
@@ -172,8 +164,6 @@ def _reduce_to(grad, shape):
     then over the axes where the operand has extent 1."""
     if grad.shape == shape:
         return grad
-    if not shape:
-        return np.sum(grad).reshape(shape)
     lead = grad.ndim - len(shape)
     if lead:
         grad = np.sum(grad.reshape((-1,) + grad.shape[lead:]), axis=0)
@@ -281,12 +271,9 @@ def gelu(a):
 
 
 def tsum(a, axis=None):
-    def backward(g):
-        if axis is None:
-            a._accumulate(np.full(a.data.shape, g, dtype=a.data.dtype))
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis),
-                                          a.data.shape))
+    def backward(g):  # a stride-0 view, which _accumulate copies or adds
+        a._accumulate(np.broadcast_to(
+            g if axis is None else np.expand_dims(g, axis), a.data.shape))
 
     return _result(np.sum(a.data, axis=axis), (a,), backward)
 

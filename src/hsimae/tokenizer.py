@@ -10,7 +10,7 @@ encoding via the angular frequency 2*pi/lambda.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,13 @@ class TokenGrid:
         """The shape (..., P, Q, K, 9, 9, 8) of the rows' block view."""
         return self.patches.shape[:-2] + (self.P, self.Q, self.K,
                                           PATCH_H, PATCH_W, PATCH_B)
+
+    def flipped(self, rows, cols):
+        """The kept region flipped top to bottom if rows (axes p and i of the
+        block view) and left to right if cols (q and j); may share arrays."""
+        axes = (-5, -2) * cols + (-6, -3) * rows
+        blocks = np.flip(self.patches.reshape(self.block_shape), axes)
+        return replace(self, patches=blocks.reshape(self.patches.shape))
 
 
 def _permute(a, axes):

@@ -76,17 +76,10 @@ def adamw_step(store, grads, state, lr, weight_decay):
 
 
 def augment(grid, seed):
-    """Random horizontal and vertical flips of a token grid, each with
-    probability 1/2: the grid of the flipped kept region (cropped voxels
-    stay out). A column flip reverses axes q and j of the rows' block
-    view, a row flip p and i. The result may share arrays with `grid`."""
+    """grid.flipped(rows, cols), cols drawn first, each True with p = 1/2."""
     rng = np.random.default_rng(seed)
     cols, rows = rng.random() < 0.5, rng.random() < 0.5
-    axes = (-5, -2) * cols + (-6, -3) * rows
-    if not axes:
-        return grid
-    blocks = np.flip(grid.patches.reshape(grid.block_shape), axes)
-    return replace(grid, patches=blocks.reshape(grid.patches.shape))
+    return grid.flipped(rows, cols)
 
 
 @dataclass

@@ -747,6 +747,47 @@ class TestOutputErrors:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+    @pytest.mark.parametrize("flag, bad", [("--out", "adir"),
+                                           ("--sam-map", "missing/sam.hsc")])
+    def test_unwritable_reconstruct_output_exits_before_the_forward(
+            self, small_cube, tmp_path, capsys, monkeypatch, flag, bad):
+        # the other output is writable, and stays unwritten
+        path, _ = small_cube
+        ckpt, bad = tmp_path / "m.ckpt", tmp_path / bad
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        (tmp_path / "adir").mkdir()
+        outputs = {"--out": tmp_path / "ok.hsc",
+                   "--sam-map": tmp_path / "sam.hsc", flag: bad}
+        forwards, masked_loss = [], training.masked_loss
+        monkeypatch.setattr(training, "masked_loss",
+                            lambda *a: forwards.append(a) or masked_loss(*a))
+        capsys.readouterr()
+        code = run(["reconstruct", "--checkpoint", str(ckpt), "--data",
+                    str(path)] + [str(a) for kv in outputs.items() for a in kv])
+        assert code == cli.EXIT_DATA and forwards == []
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err) and str(bad) in err
+        assert ".tmp" not in err and not list(tmp_path.rglob("*.tmp"))
+        assert not any(p.exists() for p in outputs.values() if p != bad)
+
+    @pytest.mark.parametrize("flag", ["--out", "--split-out"])
+    def test_unwritable_gen_synth_output_exits_before_generating(
+            self, tmp_path, capsys, monkeypatch, flag):
+        outputs = {"--out": tmp_path / "cube.hsc",
+                   "--split-out": tmp_path / "split.csv",
+                   flag: tmp_path / "missing" / "x"}
+        made, gen = [], hsidata.gen_synthetic
+        monkeypatch.setattr(hsidata, "gen_synthetic",
+                            lambda *a: made.append(a) or gen(*a))
+        code = run(["gen-synth", "--h", "18", "--w", "18", "--b", "16",
+                    "--classes", "2"]
+                   + [str(a) for kv in outputs.items() for a in kv])
+        assert code == cli.EXIT_DATA and made == []
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err)
+        assert str(outputs[flag]) in err and not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag", ["--report", "--pred-out"])
     def test_failed_finetune_output_keeps_the_old_file(
             self, small_cube, tmp_path, capsys, monkeypatch, flag):

@@ -264,8 +264,9 @@ class TestOnePositionalBuild:
         calls.clear()
         stack = hsidata.HsiCube(values=np.stack([cube.values[:9, :9]] * 2),
                                 wavelengths=cube.wavelengths)
+        frozen = params.tensors(trainable=set())
         for n, windows in enumerate((cube, stack, cube), 1):
-            model.features(windows, params)
+            model.features(windows, params, frozen)
             assert len(calls) == n
 
 
@@ -316,8 +317,9 @@ class TestClassify:
     def test_logit_shape_and_determinism(self):
         cube, _ = hsidata.normalize(_cube(seed=5))
         params = model.init_params(model.micro_config(), 3, 3, 3, 3, seed=5)
-        a = model.classify(cube, params).data
-        b = model.classify(cube, params).data
+        frozen = params.tensors(trainable=set())
+        a = model.classify(cube, params, frozen).data
+        b = model.classify(cube, params, frozen).data
         assert a.shape == (3,)
         np.testing.assert_array_equal(a, b)
 
@@ -328,11 +330,12 @@ class TestClassify:
         monkeypatch.setattr(tc, "attention",
                             lambda *args: attended.append(fused(*args))
                             or attended[-1])
-        assert not model.classify(cube, params).requires_grad
+        frozen = params.tensors(trainable=set())
+        assert not model.classify(cube, params, frozen).requires_grad
         stack = hsidata.HsiCube(
             values=np.stack([cube.values[:9, :9], cube.values[9:18, 9:18]]),
             wavelengths=cube.wavelengths)
-        assert not model.classify(stack, params).requires_grad
+        assert not model.classify(stack, params, frozen).requires_grad
         assert len(attended) == 2  # one fused call per encoder layer and pass
         assert not any(t.requires_grad or t._parents for t in attended)
 
@@ -342,7 +345,8 @@ class TestClassify:
         window = hsidata.HsiCube(values=cube.values[:9, :9, :],
                                  wavelengths=cube.wavelengths)
         params = model.init_params(model.micro_config(), 3, 3, 3, 3, seed=6)
-        out = model.classify(window, params).data
+        out = model.classify(window, params,
+                             params.tensors(trainable=set())).data
         assert out.shape == (3,) and np.all(np.isfinite(out))
 
     def test_too_small_cube(self):
@@ -350,7 +354,7 @@ class TestClassify:
                               wavelengths=np.linspace(0.4, 2.5, 8))
         params = model.init_params(model.micro_config(), 1, 1, 1, 2, seed=0)
         with pytest.raises(ValueError):
-            model.classify(bad, params)
+            model.classify(bad, params, params.tensors(trainable=set()))
 
 
 class TestBatchedWindows:
@@ -365,21 +369,25 @@ class TestBatchedWindows:
         stack = hsidata.HsiCube(values=view[tuple(np.array(centers).T)],
                                 wavelengths=cube.wavelengths)
         params = model.init_params(config, 3, 3, b // 8, 4, seed=3)
-        feats = model.features(stack, params)
-        logits = model.classify(stack, params)
+        frozen = params.tensors(trainable=set())
+        feats = model.features(stack, params, frozen)
+        logits = model.classify(stack, params, frozen)
         assert feats.shape == (4, config.d_model) and logits.shape == (4, 4)
         assert not feats.requires_grad and not logits.requires_grad
         for n in range(len(centers)):
             one = hsidata.HsiCube(values=stack.values[n:n + 1],
                                   wavelengths=cube.wavelengths)
             np.testing.assert_array_equal(feats.data[n],
-                                          model.features(one, params).data[0])
+                                          model.features(one, params,
+                                                         frozen).data[0])
             np.testing.assert_array_equal(logits.data[n],
-                                          model.classify(one, params).data[0])
+                                          model.classify(one, params,
+                                                         frozen).data[0])
             single = hsidata.HsiCube(values=stack.values[n],
                                      wavelengths=cube.wavelengths)
             np.testing.assert_array_equal(logits.data[n],
-                                          model.classify(single, params).data)
+                                          model.classify(single, params,
+                                                         frozen).data)
 
 
 class _UnwritableArray(np.ndarray):

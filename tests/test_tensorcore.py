@@ -616,9 +616,26 @@ class TestAccumulate:
         x._accumulate(g)
         assert x.grad is g
 
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_three_contributions_are_fresh_sums(self, writeable):
+        # x and y share their first gradient, kept even when read-only and
+        # never written: x's later gradients each make a fresh sum
+        g1, g2, g3 = np.random.default_rng(4).normal(size=(3, 2, 5))
+        g1.flags.writeable = writeable
+        was = g1.copy()
+        x, y = tc.Tensor(np.zeros((2, 5))), tc.Tensor(np.zeros((2, 5)))
+        x._accumulate(g1)
+        y._accumulate(g1)
+        assert x.grad is g1 and y.grad is g1
+        x._accumulate(g2)
+        x._accumulate(g3)
+        assert g1.tobytes() == was.tobytes() and y.grad is g1
+        assert x.grad.tobytes() == ((g1 + g2) + g3).tobytes()
+
     def test_read_only_or_strided_first_gradient_is_copied(self):
-        # tsum's backward hands a read-only stride-0 view; borrowing it
-        # would change how later reductions over the gradient round
+        # tsum's backward hands a read-only stride-0 view; keeping it, or
+        # any array that is not C-contiguous, would change how later
+        # reductions over the gradient round
         broadcast = np.broadcast_to(np.ones(3), (2, 3))
         strided = np.arange(6.0).reshape(2, 3).T
         for g in (broadcast, strided):

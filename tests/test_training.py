@@ -521,6 +521,41 @@ class TestActivationMemory:
                     and not np.shares_memory(a, grid.patches)]
 
 
+class TestNoGradientIsWritten:
+    def test_every_handed_gradient_keeps_its_values(self, monkeypatch):
+        # tensors may share a gradient array (add hands one to both
+        # parents), so no op or sum may write into one once it is handed
+        # over: every array _accumulate got still holds its values after
+        # backward, through one pretrain step and one full fine-tune batch
+        handed, checked = [], []
+        accumulate, backward = tc.Tensor._accumulate, tc.Tensor.backward
+
+        def record(t, g):
+            handed.append((g, np.array(g, copy=True)))
+            accumulate(t, g)
+
+        def check(root):
+            backward(root)
+            checked.append((len(handed), [
+                i for i, (g, was) in enumerate(handed)
+                if np.asarray(g).tobytes() != was.tobytes()]))
+            handed.clear()
+
+        monkeypatch.setattr(tc.Tensor, "_accumulate", record)
+        monkeypatch.setattr(tc.Tensor, "backward", check)
+        cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
+        training.pretrain([cube], model.micro_config(),
+                          _short_settings(steps=1), run_seed=0)
+        params = model.init_params(model.micro_config(), 3, 3, 3, 3, seed=0)
+        rows = training.make_split(cube, 0.1, seed=0)
+        split = ([(i, j, c) for i, j, c, s in rows if s == "train"][:4],
+                 [(i, j, c) for i, j, c, s in rows if s == "test"][:4])
+        training.finetune(params, cube, split, "full",
+                          _short_settings(ft_epochs=1, ft_batch=4))
+        assert [bad for _, bad in checked] == [[], []]
+        assert min(n for n, _ in checked) > 40  # 87 and 51 arrays handed
+
+
 class TestCropWarning:
     """A cube whose bands are not a multiple of 8 is cropped; the warning
     comes once per input cube, not once per partitioned window or step."""
