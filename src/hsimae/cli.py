@@ -4,7 +4,7 @@ Subcommands: gen-synth, pretrain, finetune, eval, reconstruct, inspect.
 pretrain and finetune options can also come from a JSON config file
 (--config); explicit flags win.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
-failure.
+failure. main checks every output flag (type Output) before any work.
 """
 
 import argparse
@@ -86,24 +86,37 @@ def _settings(section, args):
     return cls(**values)
 
 
-def _check_outputs(*paths):
-    """Before any work, raise naming the first path that cannot be written."""
-    for path in filter(None, paths):
-        hsidata.check_writable(path)
+class Output(str):
+    """The type of each flag naming a file the command writes."""
+
+
+def _check_outputs(args):
+    """Raise naming an unwritable output, or two outputs naming one file."""
+    flags = {}  # real path -> the flag that named it
+    for dest, path in vars(args).items():
+        if not isinstance(path, Output):
+            continue
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+        if not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+            raise OSError(f"cannot write {path}: its directory is missing or "
+                          "not writable")
+        flag, real = "--" + dest.replace("_", "-"), os.path.realpath(path)
+        if flags.setdefault(real, flag) != flag:  # named by an earlier flag
+            raise ValueError(f"{flags[real]} and {flag} both name {path}")
 
 
 def cmd_gen_synth(args):
     if not 0 < args.train_fraction < 1:  # NaN fails this too
         raise ValueError(f"--train-fraction {args.train_fraction} is not "
                          "strictly between 0 and 1")
-    _check_outputs(args.out, args.split_out)
     cube = hsidata.gen_synthetic(args.height, args.width, args.bands,
                                  args.classes, args.seed)
     hsidata.save_cube(cube, args.out)
     if args.split_out:
         rows = training.make_split(cube, args.train_fraction,
                                    masking.derive_seed(args.seed, "split"))
-        training.write_split(args.split_out, rows)
+        training.write_rows(args.split_out, ("i", "j", "label", "split"), rows)
     print(f"wrote {args.out}: {cube.height}x{cube.width}x{cube.bands}, "
           f"{args.classes} classes")
     return EXIT_OK
@@ -122,7 +135,6 @@ def cmd_pretrain(args):
 
 
 def cmd_finetune(args):
-    _check_outputs(args.out, args.report, args.pred_out)
     params = model.load_checkpoint(args.checkpoint)
     cube = hsidata.load_cube(args.data)
     split = training.read_split(args.split)
@@ -136,10 +148,8 @@ def cmd_finetune(args):
         with hsidata.atomic_write(args.report) as fh:
             fh.write((report.to_json() + "\n").encode())
     if args.pred_out:
-        with hsidata.atomic_write(args.pred_out) as fh:
-            fh.write("i,j,label\n".encode())
-            for (i, j, _), label in zip(split[1], report.pred):
-                fh.write(f"{i},{j},{label}\n".encode())
+        rows = [(*row[:2], label) for row, label in zip(split[1], report.pred)]
+        training.write_rows(args.pred_out, ("i", "j", "label"), rows)
     return EXIT_OK
 
 
@@ -166,7 +176,6 @@ def cmd_eval(args):
 
 
 def cmd_reconstruct(args):
-    _check_outputs(args.out, args.sam_map)
     params = model.load_checkpoint(args.checkpoint)
     cube = hsidata.load_cube(args.data)
     normed, (mean, std) = hsidata.normalize(cube)
@@ -210,11 +219,7 @@ def cmd_inspect(args):
         for name, arr in params.arrays.items():
             counts[_group(name)] += arr.size
         counts["total"] = params.flat.size
-        print(json.dumps({
-            "version": model.CHECKPOINT_VERSION,
-            "config": params.config.to_dict(), "P": params.P, "Q": params.Q,
-            "K": params.K, "n_classes": params.n_classes, "seed": params.seed,
-            "parameters": counts}))
+        print(json.dumps({**params.header(), "parameters": counts}))
         return EXIT_OK
     cube = hsidata.load_cube(args.data)
     info = {
@@ -248,8 +253,8 @@ def build_parser():
     p.add_argument("--w", dest="width", type=int, required=True)
     p.add_argument("--b", dest="bands", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split-out")
+    p.add_argument("--out", type=Output, required=True)
+    p.add_argument("--split-out", type=Output)
     p.add_argument("--train-fraction", type=float, default=0.3)
     p.set_defaults(func=cmd_gen_synth)
 
@@ -257,8 +262,8 @@ def build_parser():
     add_seed(p)
     add_config(p)
     p.add_argument("--data", nargs="+", required=True, help="HSC cube files")
-    p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--log", help="JSON-lines loss log path")
+    p.add_argument("--out", type=Output, required=True, help="checkpoint path")
+    p.add_argument("--log", type=Output, help="JSON-lines loss log path")
     p.add_argument("--steps", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--rho-s", type=float)
@@ -277,9 +282,9 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True, help="CSV i,j,label,split")
     p.add_argument("--mode", choices=["probe", "full"], default="full")
-    p.add_argument("--out", help="tuned checkpoint path")
-    p.add_argument("--report", help="ClassReport JSON path")
-    p.add_argument("--pred-out",
+    p.add_argument("--out", type=Output, help="tuned checkpoint path")
+    p.add_argument("--report", type=Output, help="ClassReport JSON path")
+    p.add_argument("--pred-out", type=Output,
                    help="CSV i,j,label of the predicted class of each test pixel")
     p.add_argument("--epochs", dest="ft_epochs", type=int)
     p.add_argument("--batch", dest="ft_batch", type=int,
@@ -301,8 +306,10 @@ def build_parser():
     p.add_argument("--rho-s", type=float, default=train.rho_s)
     p.add_argument("--rho-b", type=float, default=train.rho_b)
     p.add_argument("--alpha", type=float, default=train.alpha)
-    p.add_argument("--out", help="reconstructed cube (HSC, de-normalized)")
-    p.add_argument("--sam-map", help="per-pixel angle map (single-band HSC)")
+    p.add_argument("--out", type=Output,
+                   help="reconstructed cube (HSC, de-normalized)")
+    p.add_argument("--sam-map", type=Output,
+                   help="per-pixel angle map (single-band HSC)")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("inspect",
@@ -321,6 +328,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,7 +80,8 @@ class HsiCube:
 
 @contextlib.contextmanager
 def atomic_write(path):
-    """A binary file whose bytes replace `path` only once the block ends.
+    """A binary file whose bytes replace `path` only once the block ends;
+    every output but pretrain's streamed log is written through it.
 
     They go to a temporary file in the same directory, which is synced to
     disk and then renamed over `path`. A write that fails leaves the old
@@ -98,17 +99,6 @@ def atomic_write(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-
-
-def check_writable(path):
-    """Raise an OSError naming `path` where atomic_write(path) is bound to
-    fail: `path` is a directory, or its directory is missing or not
-    writable. A long run checks its outputs before it starts."""
-    if os.path.isdir(path):
-        raise OSError(f"cannot write {path}: it is a directory")
-    if not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
-        raise OSError(f"cannot write {path}: its directory is missing or "
-                      "not writable")
 
 
 def save_cube(cube, path):

@@ -31,6 +31,7 @@ CHECKPOINT_VERSION = 2  # 2: the decoder cross-attends to the latents
 # the dtype pretrain, finetune and reconstruct run the model in; the
 # parameter store, the AdamW state and checkpoints stay float64
 COMPUTE_DTYPE = np.float32
+HEADER_INTS = ("P", "Q", "K", "n_classes", "seed")  # each >= 1 but the seed
 
 
 @dataclass
@@ -152,6 +153,20 @@ class ModelParams:
 
     def copy(self):
         return replace(self, flat=self.flat.copy())
+
+    def with_classes(self, n_classes, seed):
+        """A copy with a new head for n_classes: cls_w drawn from `seed` as
+        init_params draws a matrix, cls_b zero; the two end the store."""
+        head = _truncated_normal(np.random.default_rng(seed),
+                                 (self.config.d_model, n_classes))
+        body = self.flat[:self.arrays.spans["cls_w"][0]]
+        return replace(self, n_classes=n_classes, flat=np.concatenate(
+            (body, head.ravel(), np.zeros(n_classes))))
+
+    def header(self):
+        """A checkpoint header's facts but its magic and parameter order."""
+        return {"version": CHECKPOINT_VERSION, "config": self.config.to_dict(),
+                **{key: getattr(self, key) for key in HEADER_INTS}}
 
 
 def _truncated_normal(rng, shape, std=0.02):
@@ -288,14 +303,8 @@ def classify(windows, params, tensors):
 def save_checkpoint(params, path):
     """Write a checkpoint atomically: a failed or interrupted save leaves
     the previous file at `path` intact."""
-    header = {
-        "magic": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
-        "P": params.P, "Q": params.Q, "K": params.K,
-        "n_classes": params.n_classes, "seed": params.seed,
-        "param_order": list(params.arrays.keys()),
-    }
+    header = {"magic": CHECKPOINT_MAGIC, **params.header(),
+              "param_order": list(params.arrays)}
     blob = json.dumps(header, sort_keys=True).encode()
     with atomic_write(path) as fh:
         fh.write(struct.pack("<I", len(blob)))
@@ -328,14 +337,13 @@ def _read_checkpoint(fh):
     if not isinstance(header["config"], dict):
         raise ValueError("checkpoint config is not an object")
     check_fields(ModelConfig, header["config"], "checkpoint config")
-    for key in ("P", "Q", "K", "n_classes", "seed"):
-        if type(header[key]) is not int or key != "seed" and header[key] < 1:
+    ints = {key: header[key] for key in HEADER_INTS}
+    for key, value in ints.items():
+        if type(value) is not int or key != "seed" and value < 1:
             raise ValueError(f"checkpoint {key} must be an int"
                              f"{'' if key == 'seed' else ' >= 1'}, "
-                             f"got {json.dumps(header[key])}")
-    params = ModelParams(config=ModelConfig(**header["config"]), P=header["P"],
-                         Q=header["Q"], K=header["K"],
-                         n_classes=header["n_classes"], seed=header["seed"])
+                             f"got {json.dumps(value)}")
+    params = ModelParams(config=ModelConfig(**header["config"]), **ints)
     if list(params.arrays) != header["param_order"]:
         raise ValueError("checkpoint parameter order mismatch")
     got = fh.readinto(params.flat)

@@ -115,8 +115,8 @@ class Tensor:
         kept, shared or read-only; any other is copied, cast once, and
         each later g makes a fresh sum."""
         dtype = self.data.dtype
-        if self.grad is not None:
-            self.grad = np.add(self.grad, g, dtype=dtype)
+        if self.grad is not None:  # an array at 0-d too, not a scalar
+            self.grad = np.asarray(np.add(self.grad, g, dtype=dtype))
         elif (type(g) is np.ndarray and g.dtype == dtype
               and g.flags.c_contiguous):
             self.grad = g

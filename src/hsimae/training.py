@@ -1,4 +1,4 @@
-"""Optimization, augmentation, training loops, and classification metrics.
+"""Optimization, augmentation, training loops, metrics and row CSVs.
 
 Pre-training reconstructs masked synthetic (or real, desk-sized) cubes
 with the composite MSE + spectral-angle objective under AdamW. Each
@@ -12,7 +12,7 @@ the model on float32 leaves cast from the float64 parameter store
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,8 +188,6 @@ def pretrain(cubes, config, settings, run_seed,
     """
     if not cubes:
         raise ValueError("need at least one cube")
-    if checkpoint_path:
-        hsidata.check_writable(checkpoint_path)
     grids = [tokenizer.partition(hsidata.normalize(c)[0]) for c in cubes]
     for c in cubes:
         tokenizer.report_cropping(c.values.shape)
@@ -285,11 +283,11 @@ def read_split(path):
     return train, test
 
 
-def write_split(path, rows):
-    with open(path, "w") as fh:
-        fh.write("i,j,label,split\n")
-        for i, j, label, split in rows:
-            fh.write(f"{i},{j},{label},{split}\n")
+def write_rows(path, header, rows):
+    """CSV lines of `header` and each row, atomically; read_rows reads them."""
+    with hsidata.atomic_write(path) as fh:
+        for fields in (header, *rows):
+            fh.write((",".join(map(str, fields)) + "\n").encode())
 
 
 def make_split(cube, train_fraction, seed):
@@ -351,14 +349,9 @@ def finetune(params, cube, split, mode, settings, run_seed=0):
             raise ValueError(f"split row ({i}, {j}, {label}): the cube labels "
                              f"this pixel {cube.labels[i, j]}")
     n_classes = max(label for _, _, label in train_rows + test_rows)
-    params = params.copy()
-    if params.n_classes != n_classes:
-        # fresh head sized for this task: cls_w and cls_b end the store
-        rng = np.random.default_rng(masking.derive_seed(run_seed, "head"))
-        head = model._truncated_normal(rng, (params.config.d_model, n_classes))
-        params = replace(params, n_classes=n_classes, flat=np.concatenate((
-            params.flat[:params.arrays.spans["cls_w"][0]], head.ravel(),
-            np.zeros(n_classes))))
+    params = (params.copy() if params.n_classes == n_classes else
+              params.with_classes(n_classes,
+                                  masking.derive_seed(run_seed, "head")))
     normed, _ = hsidata.normalize(cube)
     view = extract_windows(normed)
     tokenizer.report_cropping(view.shape)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -15,6 +16,19 @@ from test_training import nan_at_a_masked_voxel
 
 def run(argv):
     return cli.main(argv)
+
+
+def _subparsers():
+    """{command: its parser} of cli.build_parser()."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# (command, flag) of every flag declared an output
+OUTPUT_FLAGS = [(command, action.option_strings[0])
+                for command, parser in _subparsers().items()
+                for action in parser._actions if action.type is cli.Output]
 
 
 @pytest.fixture()
@@ -132,6 +146,23 @@ class TestInspect:
             "enc": 4 * layer + 2 * d, "dec": 2 * layer + 2 * d + d,
             "heads": d * 648 + 648 + d * 3 + 3, "total": params.flat.size}
         assert sum(info["parameters"].values()) == 2 * params.flat.size
+
+    def test_checkpoint_prints_the_files_header(self, small_cube, tmp_path,
+                                               capsys):
+        # every key of the header JSON but the magic and the parameter order
+        path, _ = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16", "--seed", "4"])
+        raw = ckpt.read_bytes()
+        (n,) = struct.unpack_from("<I", raw)
+        header = json.loads(raw[4:4 + n])
+        del header["magic"], header["param_order"]
+        capsys.readouterr()
+        assert run(["inspect", "--checkpoint", str(ckpt)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info.pop("parameters")["total"] > 0
+        assert info == header
 
     @pytest.mark.parametrize("damage", ["a cube", "truncated", "empty"])
     def test_malformed_checkpoint_exits_two(self, small_cube, tmp_path,
@@ -810,6 +841,102 @@ class TestOutputErrors:
         assert "no space left" in capsys.readouterr().err
         assert out.read_text() == "previous\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_split_keeps_the_old_file(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the cube's sync succeeds; the split's bytes are written, then its
+        # sync fails: the file at the path is the previous one, no *.tmp
+        cube, split = tmp_path / "x.hsc", tmp_path / "split.csv"
+        split.write_text("previous\n")
+        syncs, fsync = [], hsidata.os.fsync
+
+        def fail_second(fd):
+            syncs.append(fd)
+            if len(syncs) == 2:
+                raise OSError("no space left on device")
+            fsync(fd)
+
+        monkeypatch.setattr(hsidata.os, "fsync", fail_second)
+        code = run(["gen-synth", "--h", "18", "--w", "18", "--b", "16",
+                    "--classes", "2", "--out", str(cube),
+                    "--split-out", str(split)])
+        assert code == cli.EXIT_DATA and len(syncs) == 2
+        assert "no space left" in capsys.readouterr().err
+        assert split.read_text() == "previous\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_every_output_flag_is_declared(self):
+        assert OUTPUT_FLAGS == [
+            ("gen-synth", "--out"), ("gen-synth", "--split-out"),
+            ("pretrain", "--out"), ("pretrain", "--log"),
+            ("finetune", "--out"), ("finetune", "--report"),
+            ("finetune", "--pred-out"),
+            ("reconstruct", "--out"), ("reconstruct", "--sam-map")]
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+    def test_declared_output_at_a_directory_exits_before_the_command(
+            self, tmp_path, capsys, monkeypatch, command, flag):
+        # the inputs need not exist, as the command never runs
+        ran = []
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                            ran.append)
+        argv = [command]
+        for action in _subparsers()[command]._actions:
+            if action.required and action.option_strings[0] != flag:
+                argv += [action.option_strings[0],
+                         "9" if action.type is int else
+                         str(tmp_path / action.dest)]
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        code = run(argv + [flag, str(adir)])
+        assert code == cli.EXIT_DATA and ran == []
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {adir}: it is a directory\n"
+        assert list(tmp_path.iterdir()) == [adir]
+        assert not list(adir.iterdir())
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gen-synth", ("--out", "--split-out")),
+        ("pretrain", ("--out", "--log")),
+        ("finetune", ("--out", "--report")),
+        ("finetune", ("--out", "--pred-out")),
+        ("finetune", ("--report", "--pred-out")),
+        ("reconstruct", ("--out", "--sam-map")),
+    ], ids=["gen-synth", "pretrain", "finetune-out-report",
+            "finetune-out-pred-out", "finetune-report-pred-out",
+            "reconstruct"])
+    def test_one_file_named_by_two_outputs_exits_before_any_work(
+            self, small_cube, tmp_path, capsys, monkeypatch, command, flags):
+        # the second flag spells the path another way; no scene is drawn,
+        # no step or forward pass runs, and no file is written
+        path, split = small_cube
+        ckpt = tmp_path / "m.ckpt"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        work = []
+        for module, name in ((hsidata, "gen_synthetic"),
+                             (training, "masked_loss"),
+                             (training, "_descend"), (model, "features")):
+            monkeypatch.setattr(module, name, lambda *a, name=name,
+                                real=getattr(module, name):
+                                work.append(name) or real(*a))
+        argv = {"gen-synth": ["--h", "18", "--w", "18", "--b", "16",
+                              "--classes", "2"],
+                "pretrain": ["--data", str(path), "--steps", "2",
+                             "--d-model", "16"],
+                "finetune": ["--checkpoint", str(ckpt), "--data", str(path),
+                             "--split", str(split), "--epochs", "1"],
+                "reconstruct": ["--checkpoint", str(ckpt),
+                                "--data", str(path)]}[command]
+        first, second = tmp_path / "shared", f"{tmp_path}/./shared"
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        code = run([command] + argv + [flags[0], str(first),
+                                       flags[1], second])
+        assert code == cli.EXIT_DATA and work == []
+        assert capsys.readouterr().err == (
+            f"error: {flags[0]} and {flags[1]} both name {second}\n")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestUsage:

@@ -647,6 +647,22 @@ class TestAccumulate:
         np.testing.assert_array_equal(broadcast, np.ones((2, 3)))
         np.testing.assert_array_equal(strided, np.arange(6.0).reshape(2, 3).T)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("graph, want", [
+        # three scaled copies: the first gradient a scalar product, copied
+        (lambda a, c: tc.add(tc.add(tc.scale(a, 3), tc.scale(a, 2)),
+                             tc.scale(a, 1)), 6.0),
+        # the first gradient the 0-d array add hands on, kept
+        (lambda a, c: tc.add(tc.add(a, tc.scale(a, 2)), c), 3.0),
+    ], ids=["three_scaled", "kept_first"])
+    def test_zero_d_sum_stays_an_array(self, dtype, graph, want):
+        # numpy adds two 0-d operands into a scalar, not an array
+        a = tc.Tensor(np.array(2.0, dtype=dtype), requires_grad=True)
+        graph(a, tc.Tensor(np.array(1.0, dtype=dtype))).backward()
+        assert type(a.grad) is np.ndarray
+        assert (a.grad.dtype, a.grad.shape) == (np.dtype(dtype), ())
+        assert a.grad == want
+
 
 class TestLeadingAxes:
     def test_shared_matmul_is_one_product_per_window(self):

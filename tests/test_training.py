@@ -237,7 +237,7 @@ class TestSplits:
         cube = hsidata.gen_synthetic(12, 12, 16, 3, seed=0)
         rows = training.make_split(cube, 0.3, seed=1)
         path = tmp_path / "split.csv"
-        training.write_split(path, rows)
+        training.write_rows(path, ("i", "j", "label", "split"), rows)
         train, test = training.read_split(path)
         assert len(train) + len(test) == len(rows)
         labels = {c for _, _, c in train} | {c for _, _, c in test}
