@@ -4,7 +4,8 @@ Subcommands: gen-synth, pretrain, finetune, eval, reconstruct, inspect.
 pretrain and finetune options can also come from a JSON config file
 (--config); explicit flags win.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
-failure. main checks every output flag (type Output) before any work.
+failure. main checks every output flag (type Output) before any work,
+and a command's outputs replace their paths together once it succeeds.
 """
 
 import argparse
@@ -329,7 +330,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
-        return args.func(args)
+        with hsidata.staged_outputs():
+            return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -78,10 +78,32 @@ class HsiCube:
         return self.values.shape[-1]
 
 
+_staged = None  # [(temporary file, path)] while staged_outputs runs
+
+
+@contextlib.contextmanager
+def staged_outputs():
+    """Make the files that atomic_write writes inside the block one
+    all-or-nothing set: each replaces its path only once the whole block
+    has succeeded, and if anything in it fails, none does."""
+    global _staged
+    _staged = staged = []
+    try:
+        yield
+        while staged:
+            os.replace(*staged.pop(0))
+    finally:
+        _staged = None
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
 @contextlib.contextmanager
 def atomic_write(path):
-    """A binary file whose bytes replace `path` only once the block ends;
-    every output but pretrain's streamed log is written through it.
+    """A binary file whose bytes replace `path` only once the block ends
+    (inside staged_outputs, once that block ends); every output but
+    pretrain's streamed log is written through it.
 
     They go to a temporary file in the same directory, which is synced to
     disk and then renamed over `path`. A write that fails leaves the old
@@ -94,7 +116,10 @@ def atomic_write(path):
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        if _staged is None:
+            os.replace(tmp, path)
+        else:
+            _staged.append((tmp, path))
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

@@ -6,17 +6,21 @@ token grid and a learned mask token at the hidden ones, adds the
 positional rows the encoder's embeddings were built from, built once
 per forward (mask tokens are otherwise position-blind), and
 maps every token back to a row of its 648 voxel values, the layout of
-the grid's patches. Unlike MAE's decoder, grid tokens never attend to
-each other: each layer's queries cross-attend to the latents, as in
-CrossMAE (Fu et al., 2024), so its scores are T x n_visible, not T x T;
-unlike CrossMAE's, visible slots query too, as the spectral angle
-scores every pixel. A separate head
+the grid's patches. As MAE's lightweight decoder (He et al., 2022), it
+runs at half the encoder's width, feed-forward size and head count
+(`ModelConfig.decoder`): one projection, `dec_embed`, takes both its
+input rows and the latents it attends to from d to d/2. Unlike MAE's
+decoder, grid tokens never attend to each other: each layer's queries
+cross-attend to the latents, as in CrossMAE (Fu et al., 2024), so its
+scores are T x n_visible, not T x T; unlike CrossMAE's, visible slots
+query too, as the spectral angle scores every pixel. A separate head
 classifies a cube, or each window of a stack, from the mean-pooled
 latents of an unmasked encoding pass.
 """
 
 import json
 import struct
+import zlib
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -27,7 +31,7 @@ from .hsidata import atomic_write
 from .tokenizer import PATCH_LEN
 
 CHECKPOINT_MAGIC = "hsimae-checkpoint"
-CHECKPOINT_VERSION = 2  # 2: the decoder cross-attends to the latents
+CHECKPOINT_VERSION = 3  # 3: a half-width decoder; a CRC-32 of the payload
 # the dtype pretrain, finetune and reconstruct run the model in; the
 # parameter store, the AdamW state and checkpoints stay float64
 COMPUTE_DTYPE = np.float32
@@ -51,6 +55,19 @@ class ModelConfig:
                 f"d_model {self.d_model} not divisible by {self.n_heads} heads")
         if self.d_model % 2:
             raise ValueError("d_model must be even (wavelength encoding pairs)")
+        width, _, heads = self.decoder
+        if self.d_ff % 2:
+            raise ValueError(f"d_ff {self.d_ff} must be even: the decoder's "
+                             "feed-forward size is d_ff/2")
+        if width % heads:
+            raise ValueError(f"n_heads {self.n_heads}: the decoder's {heads} "
+                             f"heads do not divide its width {width}")
+
+    @property
+    def decoder(self):
+        """(width, feed-forward size, heads) of the decoder: half the
+        encoder's each, so an even n_heads keeps the encoder's head width."""
+        return self.d_model // 2, self.d_ff // 2, max(1, self.n_heads // 2)
 
     def to_dict(self):
         return asdict(self)
@@ -75,36 +92,41 @@ def micro_config():
                        n_heads=2, d_ff=32)
 
 
+def _stack_shapes(stack, n_layers, w, f):
+    """One stack's blocks at width w and feed-forward size f, then its
+    final layer norm."""
+    shapes = {}
+    for i in range(n_layers):
+        pre = f"{stack}{i}_"
+        shapes[pre + "ln1_g"] = (w,)
+        shapes[pre + "ln1_b"] = (w,)
+        for name in ("q", "k", "v", "o"):
+            shapes[pre + f"w{name}"] = (w, w)
+            shapes[pre + f"b{name}"] = (w,)
+        shapes[pre + "ln2_g"] = (w,)
+        shapes[pre + "ln2_b"] = (w,)
+        shapes[pre + "ff1_w"] = (w, f)
+        shapes[pre + "ff1_b"] = (f,)
+        shapes[pre + "ff2_w"] = (f, w)
+        shapes[pre + "ff2_b"] = (w,)
+    shapes[f"{stack}_lnf_g"] = (w,)
+    shapes[f"{stack}_lnf_b"] = (w,)
+    return shapes
+
+
 def param_shapes(config, P, Q, n_classes):
     """Fixed parameter order; also the checkpoint payload order."""
-    d, f = config.d_model, config.d_ff
-    shapes = {}
-    shapes["patch_proj_w"] = (PATCH_LEN, d)
-    shapes["patch_proj_b"] = (d,)
-    shapes["spatial_pe"] = (P * Q, d)
-    for stack, n_layers in (("enc", config.n_enc_layers),
-                            ("dec", config.n_dec_layers)):
-        for i in range(n_layers):
-            pre = f"{stack}{i}_"
-            shapes[pre + "ln1_g"] = (d,)
-            shapes[pre + "ln1_b"] = (d,)
-            for name in ("q", "k", "v", "o"):
-                shapes[pre + f"w{name}"] = (d, d)
-                shapes[pre + f"b{name}"] = (d,)
-            shapes[pre + "ln2_g"] = (d,)
-            shapes[pre + "ln2_b"] = (d,)
-            shapes[pre + "ff1_w"] = (d, f)
-            shapes[pre + "ff1_b"] = (f,)
-            shapes[pre + "ff2_w"] = (f, d)
-            shapes[pre + "ff2_b"] = (d,)
-        shapes[f"{stack}_lnf_g"] = (d,)
-        shapes[f"{stack}_lnf_b"] = (d,)
-    shapes["mask_token"] = (d,)
-    shapes["recon_w"] = (d, PATCH_LEN)
-    shapes["recon_b"] = (PATCH_LEN,)
-    shapes["cls_w"] = (d, n_classes)
-    shapes["cls_b"] = (n_classes,)
-    return shapes
+    d = config.d_model
+    width, ff, _ = config.decoder
+    return {"patch_proj_w": (PATCH_LEN, d), "patch_proj_b": (d,),
+            "spatial_pe": (P * Q, d),
+            **_stack_shapes("enc", config.n_enc_layers, d, config.d_ff),
+            # d -> d/2, for the decoder's grid rows and the latents
+            "dec_embed_w": (d, width), "dec_embed_b": (width,),
+            **_stack_shapes("dec", config.n_dec_layers, width, ff),
+            "mask_token": (d,), "recon_w": (width, PATCH_LEN),
+            "recon_b": (PATCH_LEN,), "cls_w": (d, n_classes),
+            "cls_b": (n_classes,)}
 
 
 class ParamStore(dict):
@@ -195,11 +217,11 @@ def init_params(config, P, Q, K, n_classes, seed):
 # -- forward passes -------------------------------------------------------
 
 
-def _attention(x, kv, t, pre, config):
+def _attention(x, kv, t, pre, n_heads):
     q = tc.matmul(x, t[pre + "wq"], t[pre + "bq"])
     k = tc.matmul(kv, t[pre + "wk"], t[pre + "bk"])
     v = tc.matmul(kv, t[pre + "wv"], t[pre + "bv"])
-    heads = tc.attention(q, k, v, config.n_heads)
+    heads = tc.attention(q, k, v, n_heads)
     return tc.matmul(heads, t[pre + "wo"], t[pre + "bo"])
 
 
@@ -208,11 +230,11 @@ def _feed_forward(x, t, pre):
     return tc.matmul(h, t[pre + "ff2_w"], t[pre + "ff2_b"])
 
 
-def _run_stack(x, t, stack, n_layers, config, memory=None):
+def _run_stack(x, t, stack, n_layers, n_heads, memory=None):
     for i in range(n_layers):
         pre = f"{stack}{i}_"
         normed = tc.layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"])
-        x = tc.add(x, _attention(normed, memory or normed, t, pre, config))
+        x = tc.add(x, _attention(normed, memory or normed, t, pre, n_heads))
         normed = tc.layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"])
         x = tc.add(x, _feed_forward(normed, t, pre))
     return tc.layer_norm(x, t[f"{stack}_lnf_g"], t[f"{stack}_lnf_b"])
@@ -223,7 +245,7 @@ def encode(visible_embeddings, tensors, config):
     if visible_embeddings.data.shape[-2] < 1:
         raise ValueError("need at least one visible token")
     return _run_stack(visible_embeddings, tensors, "enc",
-                      config.n_enc_layers, config)
+                      config.n_enc_layers, config.n_heads)
 
 
 def _positional_rows(params, grid, tensors):
@@ -244,12 +266,15 @@ def _positional_rows(params, grid, tensors):
 
 def decode(latents, plan, tensors, rows, config):
     """Reconstruct every token, visible and masked alike, from the
-    visible-token latents plus `rows`, the positional rows of embed_for.
+    visible-token latents plus `rows`, the positional rows of embed_for,
+    both projected by dec_embed to the decoder's width.
     Returns a Tensor of (P*Q*K, 648) rows in the layout of the patches."""
     x = tc.place_rows(latents, ~plan.token_masked.ravel(),
                       tensors["mask_token"])
-    x = _run_stack(tc.add(x, rows), tensors, "dec", config.n_dec_layers,
-                   config, latents)
+    embed = tensors["dec_embed_w"], tensors["dec_embed_b"]
+    x = _run_stack(tc.matmul(tc.add(x, rows), *embed), tensors, "dec",
+                   config.n_dec_layers, config.decoder[2],
+                   tc.matmul(latents, *embed))
     return tc.matmul(x, tensors["recon_w"], tensors["recon_b"])
 
 
@@ -303,18 +328,21 @@ def classify(windows, params, tensors):
 def save_checkpoint(params, path):
     """Write a checkpoint atomically: a failed or interrupted save leaves
     the previous file at `path` intact."""
-    header = {"magic": CHECKPOINT_MAGIC, **params.header(),
-              "param_order": list(params.arrays)}
-    blob = json.dumps(header, sort_keys=True).encode()
     with atomic_write(path) as fh:
+        payload = params.flat.astype("<f8", copy=False)
+        header = {"magic": CHECKPOINT_MAGIC, **params.header(),
+                  "param_order": list(params.arrays),
+                  "crc32": zlib.crc32(payload)}
+        blob = json.dumps(header, sort_keys=True).encode()
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(params.flat.astype("<f8", copy=False))
+        fh.write(payload)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; a malformed one, or one holding a NaN or an
-    infinity, raises a ValueError naming it."""
+    """Read a checkpoint; a malformed one, one whose payload fails its
+    CRC-32, or one holding a NaN or an infinity, raises a ValueError
+    naming it."""
     with open(path, "rb") as fh:
         try:
             return _read_checkpoint(fh)
@@ -352,6 +380,9 @@ def _read_checkpoint(fh):
             raise ValueError(f"checkpoint truncated in {name}")
     if fh.read(1):
         raise ValueError("trailing bytes in checkpoint")
+    if zlib.crc32(params.flat) != header["crc32"]:
+        raise ValueError("checkpoint payload fails its CRC-32: the file is "
+                         "damaged")
     if not np.little_endian:  # the payload is little-endian
         params.flat.byteswap(inplace=True)
     for name, arr in params.arrays.items():

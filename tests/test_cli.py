@@ -139,17 +139,23 @@ class TestInspect:
         assert (info["P"], info["Q"], info["K"]) == (3, 3, 3)
         assert (info["n_classes"], info["seed"]) == (3, params.seed)
         d, f = 16, params.config.d_ff
-        layer = 4 * d + 4 * (d * d + d) + (d * f + f) + (f * d + d)
-        # 648-voxel patches, a 3 x 3 spatial table, 3 classes
+        w, g = d // 2, f // 2  # the decoder's width and feed-forward size
+
+        def layer(d, f):
+            return 4 * d + 4 * (d * d + d) + (d * f + f) + (f * d + d)
+
+        # 648-voxel patches, a 3 x 3 spatial table, 3 classes; the decoder
+        # counts its projection and the d-wide mask token
         assert info["parameters"] == {
-            "embed": 648 * d + d + 9 * d,
-            "enc": 4 * layer + 2 * d, "dec": 2 * layer + 2 * d + d,
-            "heads": d * 648 + 648 + d * 3 + 3, "total": params.flat.size}
+            "embed": 648 * d + d + 9 * d, "enc": 4 * layer(d, f) + 2 * d,
+            "dec": (d * w + w) + 2 * layer(w, g) + 2 * w + d,
+            "heads": w * 648 + 648 + d * 3 + 3, "total": params.flat.size}
         assert sum(info["parameters"].values()) == 2 * params.flat.size
 
     def test_checkpoint_prints_the_files_header(self, small_cube, tmp_path,
                                                capsys):
-        # every key of the header JSON but the magic and the parameter order
+        # every key of the header JSON but the magic, the parameter order
+        # and the payload's checksum
         path, _ = small_cube
         ckpt = tmp_path / "m.ckpt"
         run(["pretrain", "--data", str(path), "--out", str(ckpt),
@@ -157,7 +163,7 @@ class TestInspect:
         raw = ckpt.read_bytes()
         (n,) = struct.unpack_from("<I", raw)
         header = json.loads(raw[4:4 + n])
-        del header["magic"], header["param_order"]
+        del header["magic"], header["param_order"], header["crc32"]
         capsys.readouterr()
         assert run(["inspect", "--checkpoint", str(ckpt)]) == 0
         info = json.loads(capsys.readouterr().out)
@@ -309,6 +315,25 @@ class TestConfig:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert str(cfg) in err and named in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("config, named", [
+        ({"d_ff": 33}, "d_ff 33 must be even"),
+        ({"d_model": 10, "n_heads": 5}, "n_heads 5: the decoder's 2 heads"),
+    ], ids=["odd_ff", "heads"])
+    def test_underivable_decoder_exits_two_naming_the_field(
+            self, small_cube, tmp_path, capsys, config, named):
+        # the decoder's sizes are derived from these fields, so a config
+        # they cannot be derived from is a malformed config
+        path, _ = small_cube
+        cfg, ckpt = tmp_path / "cfg.json", tmp_path / "m.ckpt"
+        cfg.write_text(json.dumps({"model": config}))
+        capsys.readouterr()
+        code = run(["pretrain", "--config", str(cfg), "--data", str(path),
+                    "--out", str(ckpt), "--steps", "1"])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {named}[^\n]*\n", err)
         assert not ckpt.exists()
 
     @staticmethod
@@ -564,6 +589,76 @@ class TestFinetuneEval:
         assert capsys.readouterr().err == (
             f"error: {ckpt}: unsupported checkpoint version 1\n")
         assert not recon.exists()
+
+    @staticmethod
+    def _version_two(ckpt):
+        """Rewrite the checkpoint as version 2 wrote it: no checksum, no
+        dec_embed, and a decoder and reconstruction head at full width."""
+        params = model.load_checkpoint(ckpt)
+        cfg, d = params.config, params.config.d_model
+        layer = 4 * d + 4 * (d * d + d) + 2 * d * cfg.d_ff + cfg.d_ff + d
+        size = (params.flat.size
+                - sum(params.arrays[n].size for n in params.arrays
+                      if n.startswith("dec") or n == "recon_w")
+                + cfg.n_dec_layers * layer + 2 * d + d * 648)
+        raw = ckpt.read_bytes()
+        (n,) = struct.unpack_from("<I", raw)
+        header = json.loads(raw[4:4 + n])
+        del header["crc32"]
+        header["version"] = 2
+        header["param_order"] = [k for k in header["param_order"]
+                                 if not k.startswith("dec_embed")]
+        blob = json.dumps(header).encode()
+        ckpt.write_bytes(struct.pack("<I", len(blob)) + blob
+                         + np.zeros(size).tobytes())
+
+    @pytest.mark.parametrize("command", ["inspect", "finetune", "reconstruct"])
+    def test_version_two_checkpoint_exits_two(self, small_cube, tmp_path,
+                                              capsys, command):
+        # version 2 decoders ran at full width: refused by their version,
+        # before any shape, order or size is compared
+        path, split = small_cube
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        self._version_two(ckpt)
+        argv = {"inspect": ["inspect", "--checkpoint", str(ckpt)],
+                "finetune": ["finetune", "--checkpoint", str(ckpt),
+                             "--data", str(path), "--split", str(split),
+                             "--epochs", "1", "--out", str(out)],
+                "reconstruct": ["reconstruct", "--checkpoint", str(ckpt),
+                                "--data", str(path), "--out", str(out)]}
+        capsys.readouterr()
+        assert run(argv[command]) == cli.EXIT_DATA
+        assert capsys.readouterr() == ("", (
+            f"error: {ckpt}: unsupported checkpoint version 2\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["inspect", "finetune"])
+    def test_flipped_payload_byte_exits_two(self, small_cube, tmp_path,
+                                            capsys, command):
+        # a payload byte flipped anywhere: without the checksum the file
+        # would load as another model
+        path, split = small_cube
+        ckpt, report = tmp_path / "m.ckpt", tmp_path / "r.json"
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        good = ckpt.read_bytes()
+        n_payload = 8 * model.load_checkpoint(ckpt).flat.size
+        argv = {"inspect": ["inspect", "--checkpoint", str(ckpt)],
+                "finetune": ["finetune", "--checkpoint", str(ckpt),
+                             "--data", str(path), "--split", str(split),
+                             "--epochs", "1", "--report", str(report)]}
+        for at in (0, 5, n_payload // 2 + 3, n_payload - 2):
+            raw = bytearray(good)
+            raw[len(raw) - n_payload + at] ^= 0x10
+            ckpt.write_bytes(bytes(raw))
+            capsys.readouterr()
+            assert run(argv[command]) == cli.EXIT_DATA
+            assert capsys.readouterr() == ("", (
+                f"error: {ckpt}: checkpoint payload fails its CRC-32: the "
+                "file is damaged\n"))
+            assert not report.exists()
 
     @pytest.mark.parametrize("fields", [{"K": -5}, {"seed": "x"}],
                              ids=["negative_K", "string_seed"])
@@ -847,6 +942,7 @@ class TestOutputErrors:
         # the cube's sync succeeds; the split's bytes are written, then its
         # sync fails: the file at the path is the previous one, no *.tmp
         cube, split = tmp_path / "x.hsc", tmp_path / "split.csv"
+        cube.write_bytes(b"previous cube\n")
         split.write_text("previous\n")
         syncs, fsync = [], hsidata.os.fsync
 
@@ -863,6 +959,40 @@ class TestOutputErrors:
         assert code == cli.EXIT_DATA and len(syncs) == 2
         assert "no space left" in capsys.readouterr().err
         assert split.read_text() == "previous\n"
+        assert cube.read_bytes() == b"previous cube\n"  # all or nothing
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["finetune", "reconstruct"])
+    def test_failed_second_output_keeps_the_first(
+            self, small_cube, tmp_path, capsys, monkeypatch, command):
+        # the first output's sync succeeds; the second's bytes are written,
+        # then its sync fails: neither path is replaced, no *.tmp is left
+        path, split = small_cube
+        ckpt, first, second = (tmp_path / "m.ckpt", tmp_path / "first",
+                               tmp_path / "second")
+        run(["pretrain", "--data", str(path), "--out", str(ckpt),
+             "--steps", "1", "--d-model", "16"])
+        first.write_text("previous first\n")
+        second.write_text("previous second\n")
+        syncs, fsync = [], hsidata.os.fsync
+
+        def fail_second(fd):
+            syncs.append(fd)
+            if len(syncs) == 2:
+                raise OSError("no space left on device")
+            fsync(fd)
+
+        monkeypatch.setattr(hsidata.os, "fsync", fail_second)
+        argv = {"finetune": ["--split", str(split), "--epochs", "1",
+                             "--out", str(first), "--report", str(second)],
+                "reconstruct": ["--out", str(first), "--sam-map", str(second)]}
+        capsys.readouterr()
+        code = run([command, "--checkpoint", str(ckpt), "--data", str(path)]
+                   + argv[command])
+        assert code == cli.EXIT_DATA and len(syncs) == 2
+        assert "no space left" in capsys.readouterr().err
+        assert first.read_text() == "previous first\n"
+        assert second.read_text() == "previous second\n"
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_every_output_flag_is_declared(self):

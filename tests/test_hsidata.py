@@ -268,3 +268,32 @@ class TestWindowStack:
         with pytest.raises(ValueError, match="3-D"):
             hsidata.HsiCube(values=np.zeros((9, 8)),
                             wavelengths=np.linspace(0.4, 2.5, 8))
+
+
+class TestStagedOutputs:
+    def _write(self, path, text):
+        with hsidata.atomic_write(path) as fh:
+            fh.write(text)
+
+    def test_files_replace_their_paths_together_at_the_end(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"old a")
+        with hsidata.staged_outputs():
+            self._write(a, b"new a")
+            self._write(b, b"new b")
+            assert a.read_bytes() == b"old a" and not b.exists()
+        assert (a.read_bytes(), b.read_bytes()) == (b"new a", b"new b")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_a_failure_replaces_none(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"old a")
+        with pytest.raises(RuntimeError):
+            with hsidata.staged_outputs():
+                self._write(a, b"new a")
+                self._write(b, b"new b")
+                raise RuntimeError("a later step fails")
+        assert a.read_bytes() == b"old a" and not b.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+        self._write(b, b"b")  # outside the block, each file lands at once
+        assert b.read_bytes() == b"b"

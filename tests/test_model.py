@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -34,11 +35,15 @@ class TestInitParams:
         cfg = model.ModelConfig()
         params = model.init_params(cfg, 3, 3, 3, 4, seed=0)
         d, f, n = cfg.d_model, cfg.d_ff, 4
-        per_block = 2 * d + 4 * (d * d + d) + 2 * d + d * f + f + f * d + d
+        w, g = d // 2, f // 2  # the decoder's width and feed-forward size
+
+        def per_block(d, f):
+            return 2 * d + 4 * (d * d + d) + 2 * d + d * f + f + f * d + d
+
         expected = (648 * d + d) + 9 * d \
-            + cfg.n_enc_layers * per_block + 2 * d \
-            + cfg.n_dec_layers * per_block + 2 * d \
-            + d + (d * 648 + 648) + (d * n + n)
+            + cfg.n_enc_layers * per_block(d, f) + 2 * d \
+            + (d * w + w) + cfg.n_dec_layers * per_block(w, g) + 2 * w \
+            + d + (w * 648 + 648) + (d * n + n)
         assert params.flat.size == expected
 
     def test_finite_and_truncated(self):
@@ -54,6 +59,70 @@ class TestInitParams:
             model.ModelConfig(d_model=10, n_heads=4)
         with pytest.raises(ValueError):
             model.ModelConfig(n_enc_layers=0)
+
+    # the decoder's sizes are derived: a config they cannot be derived
+    # from is refused, naming the field
+    @pytest.mark.parametrize("values, named", [
+        ({"d_ff": 33}, "d_ff 33 must be even"),
+        ({"d_model": 10, "n_heads": 5},
+         "n_heads 5: the decoder's 2 heads do not divide its width 5"),
+    ])
+    def test_underivable_decoder_named(self, values, named):
+        with pytest.raises(ValueError, match=f"^{named}"):
+            model.ModelConfig(**values)
+
+
+class TestHalfWidthDecoder:
+    def test_the_decoder_adds_no_setting(self):
+        assert [f.name for f in dataclasses.fields(model.ModelConfig)] == [
+            "d_model", "n_enc_layers", "n_dec_layers", "n_heads", "d_ff"]
+
+    @pytest.mark.parametrize("config, sizes", [
+        (model.ModelConfig(), (32, 128, 2)),
+        (model.micro_config(), (8, 16, 1)),
+        (model.ModelConfig(d_model=24, n_heads=3, d_ff=48), (12, 24, 1)),
+    ], ids=["default", "micro", "odd_heads"])
+    def test_sizes_are_halves_of_the_encoders(self, config, sizes):
+        assert config.decoder == sizes
+        d, (w, f, _) = config.d_model, sizes
+        shapes = model.param_shapes(config, 3, 3, 4)
+        assert shapes["dec_embed_w"] == (d, w) and shapes["dec_embed_b"] == (w,)
+        last = config.n_dec_layers - 1
+        for i in (0, last):
+            assert shapes[f"dec{i}_wq"] == shapes[f"dec{i}_wo"] == (w, w)
+            assert shapes[f"dec{i}_ff1_w"] == (w, f)
+            assert shapes[f"dec{i}_ff2_w"] == (f, w)
+            assert shapes[f"dec{i}_ln2_g"] == (w,)
+        assert shapes["dec_lnf_b"] == (w,) and shapes["recon_w"] == (w, 648)
+        # the mask token is placed among the latents, before the projection
+        assert shapes["mask_token"] == (d,) and shapes["enc0_wq"] == (d, d)
+
+    def test_projection_opens_the_decoder_section(self):
+        # so every draw up to the end of the encoder does not depend on
+        # the decoder
+        names = list(model.param_shapes(model.ModelConfig(), 3, 3, 4))
+        at = names.index("dec_embed_w")
+        assert names[at - 1:at + 3] == ["enc_lnf_b", "dec_embed_w",
+                                        "dec_embed_b", "dec0_ln1_g"]
+        one, two = (model.init_params(model.ModelConfig(n_dec_layers=n),
+                                      3, 3, 3, 4, seed=2) for n in (1, 2))
+        np.testing.assert_array_equal(one.flat[:one.arrays.spans[
+            "dec_embed_w"][0]], two.flat[:two.arrays.spans["dec_embed_w"][0]])
+
+    def test_attention_heads_per_stack(self, monkeypatch):
+        config = model.ModelConfig(d_model=16, n_enc_layers=2,
+                                   n_dec_layers=3, n_heads=4, d_ff=32)
+        _, grid, params, plan = _setup(config, seed=2)
+        calls, attention = [], tc.attention
+
+        def spy(q, k, v, n_heads):
+            calls.append((q.shape[-1], n_heads))
+            return attention(q, k, v, n_heads)
+
+        monkeypatch.setattr(tc, "attention", spy)
+        model.masked_forward(params, grid, plan, params.tensors())
+        # both stacks keep a head 4 wide
+        assert calls == [(16, 4)] * 2 + [(8, 2)] * 3
 
 
 class TestEncode:
@@ -137,10 +206,11 @@ class TestDecode:
         t = params.tensors()
         latents, rows = _latents_and_rows(params, grid, plan, t)
         other = np.random.default_rng(9).normal(size=rows.shape)
-        seen, inputs = _spy_on_stacks(monkeypatch), []
+        seen, inputs = _spy_on_dec_embed(monkeypatch, params), []
         for r in (rows, tc.Tensor(other)):
+            seen.clear()
             model.decode(latents, plan, t, r, params.config)
-            inputs.append(seen["dec"][0])
+            inputs.append(seen[0])
         np.testing.assert_allclose(inputs[1] - inputs[0], other - rows.data,
                                    atol=1e-12)
 
@@ -163,6 +233,20 @@ def _spy_on_stacks(monkeypatch):
         return out
 
     monkeypatch.setattr(model, "_run_stack", spy)
+    return seen
+
+
+def _spy_on_dec_embed(monkeypatch, params):
+    """Record the input of each product with params' dec_embed_w (a
+    float64 leaf, so a view of the store), in call order."""
+    seen, matmul = [], tc.matmul
+
+    def spy(a, b, bias=None):
+        if np.shares_memory(b.data, params.arrays["dec_embed_w"]):
+            seen.append(a.data)
+        return matmul(a, b, bias)
+
+    monkeypatch.setattr(tc, "matmul", spy)
     return seen
 
 
@@ -194,7 +278,8 @@ def _index_table_decode(latents, plan, t, params, lambdas):
     """The decoder as index tables built it: the latents and a mask-token
     row stacked and gathered by a permutation, plus spatial rows gathered
     by (p, q, k) rows at the table's row stride and the wavelength rows.
-    Its layers cross-attend to the latents, as model.decode's do."""
+    As in model.decode, those rows and the latents its layers cross-attend
+    to are projected to the decoder's width, each a product plus a bias."""
     P, Q, K = plan.P, plan.Q, plan.K
     cfg, n_visible = params.config, plan.visible_ids.size
     stacked = _concat_rows(
@@ -206,7 +291,10 @@ def _index_table_decode(latents, plan, t, params, lambdas):
     spectral = tokenizer.wavelength_table(lambdas, cfg.d_model)[order[:, 2]]
     x = tc.add(_index_gather(stacked, perm),
                tc.add(spatial, tc.Tensor(spectral)))
-    x = model._run_stack(x, t, "dec", cfg.n_dec_layers, cfg, latents)
+    x = tc.add(tc.matmul(x, t["dec_embed_w"]), t["dec_embed_b"])
+    memory = tc.add(tc.matmul(latents, t["dec_embed_w"]), t["dec_embed_b"])
+    x = model._run_stack(x, t, "dec", cfg.n_dec_layers, cfg.decoder[2],
+                         memory)
     return tc.add(tc.matmul(x, t["recon_w"]), t["recon_b"])
 
 
@@ -220,10 +308,13 @@ class TestDecoderLayout:
             size=(16, 16))
         params.arrays["patch_proj_w"][:] = 0.0  # encoder input = positions
         seen = _spy_on_stacks(monkeypatch)
+        projected = _spy_on_dec_embed(monkeypatch, params)
         model.masked_forward(params, grid, plan, params.tensors())
-        (enc_in, enc_out), (dec_in, _) = seen["enc"], seen["dec"]
-        # nothing is masked, so the decoder input is latents + positions
+        (enc_in, enc_out), (dec_in, latents) = seen["enc"], projected
+        # nothing is masked, so the decoder input is latents + positions,
+        # and the projected memory is the latents
         np.testing.assert_allclose(dec_in - enc_out, enc_in, atol=1e-12)
+        np.testing.assert_array_equal(latents, enc_out)
 
     @pytest.mark.parametrize("table", [(3, 3), (4, 5)])
     def test_bit_identical_to_index_tables(self, table, monkeypatch):
@@ -421,7 +512,7 @@ class TestCheckpoint:
         model.save_checkpoint(params, path)
         before = path.read_bytes()
         other = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=2)
-        # fails after the header, in the payload
+        # fails in the payload's conversion, with the temporary file open
         other = dataclasses.replace(
             other, flat=other.flat.view(_UnwritableArray))
         with pytest.raises(OSError, match="disk full"):
@@ -484,8 +575,25 @@ class TestCheckpoint:
         else:
             raw = raw[:cut]
         path.write_bytes(raw)
+        if cut == "nan":  # a NaN saved as the checksum says, not damage
+            rewrite_header(path, crc32=zlib.crc32(raw[-8 * params.flat.size:]))
         with pytest.raises(ValueError, match=match):
             model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("at", [0, 1, 777, -9, -1])
+    def test_flipped_payload_byte_fails_the_checksum(self, tmp_path, at):
+        # each flip gives finite values of the right count: only the
+        # checksum can tell the file from another model
+        params = model.init_params(model.micro_config(), 2, 2, 2, 2, seed=1)
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(params, path)
+        raw, size = bytearray(path.read_bytes()), 8 * params.flat.size
+        raw[len(raw) - size + at % size] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            model.load_checkpoint(path)
+        assert str(info.value) == (f"{path}: checkpoint payload fails its "
+                                   "CRC-32: the file is damaged")
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"

@@ -407,9 +407,10 @@ class TestPretrain:
         assert seen == {"before the loss": {f32}, "gradients": {f32},
                         "masters": {f64}}
         # the objective's total is the one float64 node; the micro model's
-        # forward makes 36 float32 ones: 6 embed, 1 mask, 13 encoder and
-        # 16 decoder nodes, each biased product one matmul
-        assert made.count(f64) == 1 and made.count(f32) == 36
+        # forward makes 38 float32 ones: 6 embed, 1 mask, 13 encoder and
+        # 18 decoder nodes (2 of them the dec_embed projections), each
+        # biased product one matmul
+        assert made.count(f64) == 1 and made.count(f32) == 38
 
     def test_zero_ratio_rejected(self):
         cube = hsidata.gen_synthetic(27, 27, 24, 3, seed=0)
